@@ -1,8 +1,8 @@
 """Walkthrough: the truncated Fock-space brute force.
 
 Nothing here trusts a closed form: the squeeze generator is built from
-truncated ladder matrices, exponentiated by eigendecomposition, and
-applied to the vacuum.  The result is compared against the analytic
+truncated ladder matrices and its exponential is applied to the vacuum
+as a sparse matrix action.  The result is compared against the analytic
 two-photon state, the variance formulas, and the displaced-parity
 Wigner values.  Tail masses are measured and reported so every tolerance
 is accounted for.

@@ -7,9 +7,11 @@ cutoff -> cutoff+1 matrix element, so commutator identities hold exactly
 on the interior (n_i < cutoff) subspace and tail mass is *measured*, never
 assumed away.
 
-The squeeze itself is realised as exp(iH) of the quadratic generator by a
-dense Hermitian eigendecomposition, which is unitary to solver precision;
-Wigner values come from the displaced-parity expectation
+The squeeze itself is realised as the action exp(iH)|0> of the sparse
+quadratic generator on the vacuum (truncated Taylor series with Al-Mohy &
+Higham's step selection), never as a dense matrix.  Its unitarity is not
+given by construction: the evolved norm is measured, and `verify` holds it
+to 1e-10.  Wigner values come from the displaced-parity expectation
     W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>,
 with the displacement factored into per-mode unitaries.
 """
@@ -26,7 +28,25 @@ from .coupling import CouplingMatrix
 from .errors import NumericFailureError, ResourceLimitError, TruncationError
 from .normalform import NormalOrderedForm, TwoPhotonState
 
+# Largest truncated basis any Fock computation accepts.  The sparse paths
+# hold the generator (at most 9 nonzeros per row, measured for n = 2..8) and
+# a few state vectors: building the generator and evolving the vacuum stayed
+# under 250 MB peak RSS up to 2e5 states (n = 2..8, 2 vCPUs).  Their run time
+# grows with |lambda| * cutoff, which sets the number of Taylor terms.
 DIM_GUARD = 200_000
+# Byte budget of one dense complex dim x dim matrix.  Only
+# assemble_normal_form and the eigh reference that checks it build dense
+# matrices, each holding several at once (the normal_form_assembly check
+# peaked at 590 MB RSS at dim 2025); above DENSE_DIM_GUARD states they
+# refuse rather than ask for GB-sized arrays.
+DENSE_MATRIX_BYTES = 64 * 2**20
+DENSE_DIM_GUARD = math.isqrt(DENSE_MATRIX_BYTES // 16)
+# Largest 1-norm of iH handed to one expm_multiply call.  Above
+# 2 ell p_max (p_max + 3) theta_55 / 55 = 63.36 (condition 3.13 of Al-Mohy &
+# Higham, ell = 2, p_max = 8, one vector) scipy picks the Taylor degree with
+# onenormest, which draws from NumPy's unseeded global RNG, so the result
+# would differ from run to run.  Below it the choice uses the exact 1-norm.
+STEP_NORM = 60.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +107,10 @@ def build_space(n: int, cutoff: int) -> FockSpace:
     Raises
     ------
     ResourceLimitError
-        If (cutoff + 1)**n exceeds the desk-scale guard of 2e5 states.
+        If (cutoff + 1)**n exceeds DIM_GUARD (2e5 states), the size up to
+        which the sparse generator, the vacuum evolution and the state
+        vectors stay small.  Dense matrices have their own, far smaller
+        guard (see require_dense).
     """
     if n < 1:
         raise ValueError(f"need at least one mode, got n={n}")
@@ -164,19 +187,50 @@ def generator(space: FockSpace, coupling: CouplingMatrix, lam: float) -> FockOpe
     return FockOperator(space=space, mat=mat.tocsr())
 
 
-def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
-    """exp(iH)|0> by dense Hermitian eigendecomposition.
+def require_dense(space: FockSpace) -> None:
+    """Refuse a dense dim x dim matrix above DENSE_DIM_GUARD states.
 
-    The eigendecomposition route keeps the evolution unitary to solver
-    precision, which the overlap and norm checks rely on.
+    Raises
+    ------
+    ResourceLimitError
+        If one dense complex matrix on ``space`` would exceed
+        DENSE_MATRIX_BYTES.
     """
-    dense = hamiltonian.mat.toarray()
-    try:
-        w, v = np.linalg.eigh(dense)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    vacuum_coeffs = v[0, :].conj()
-    amps = v @ (np.exp(1j * w) * vacuum_coeffs)
+    if space.dim > DENSE_DIM_GUARD:
+        raise ResourceLimitError(
+            f"dim {space.dim} exceeds dense guard {DENSE_DIM_GUARD} "
+            f"({16 * space.dim**2 / 2**20:.0f} MiB per dense matrix)"
+        )
+
+
+def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
+    """exp(iH)|0> as the action of the sparse exponential on the vacuum.
+
+    scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)) is applied in equal steps of 1-norm at most STEP_NORM, which
+    keeps its parameter choice deterministic.  The result is unitary only
+    to the accuracy of the series: callers measure the norm rather than
+    assume it.
+
+    Raises
+    ------
+    NumericFailureError
+        If the generator or any amplitude is non-finite.
+    """
+    # Deferred: importing scipy.sparse.linalg takes about 0.13 s (2 vCPUs),
+    # which every CLI command would pay, and most never evolve anything.
+    from scipy.sparse.linalg import expm_multiply, norm
+
+    h_norm = norm(hamiltonian.mat, 1)
+    if not math.isfinite(h_norm):
+        raise NumericFailureError(f"generator has 1-norm {h_norm}")
+    steps = max(1, math.ceil(h_norm / STEP_NORM))
+    step = (1j / steps) * hamiltonian.mat
+    amps = vacuum(hamiltonian.space).amps
+    for _ in range(steps):
+        amps = expm_multiply(step, amps)
+    if not np.all(np.isfinite(amps)):
+        raise NumericFailureError("vacuum evolution produced non-finite amplitudes")
     return FockTensor(space=hamiltonian.space, amps=amps)
 
 
@@ -312,10 +366,16 @@ def assemble_normal_form(form: NormalOrderedForm, space: FockSpace) -> np.ndarra
     normally ordered factor :exp(at~ X a): equals exp(at~ log(I + X) a),
     which is photon-number conserving and therefore untouched by the
     per-mode cutoff on any sector it is compared on.
+
+    Raises
+    ------
+    ResourceLimitError
+        Above DENSE_DIM_GUARD states (see require_dense).
     """
     n_modes = form.creMat.shape[0]
     if n_modes != space.n:
         raise ValueError(f"form has {n_modes} modes, space has {space.n}")
+    require_dense(space)
     lowering, raising = ladder_ops(space)
     adag = [op.mat.toarray() for op in raising]
     alow = [op.mat.toarray() for op in lowering]

@@ -13,6 +13,7 @@ Reports are deterministic for a given seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -239,6 +240,7 @@ def check_normal_form_assembly(tol: float, cutoff: int | None = None) -> CheckRe
     n, default_cutoff, lam = CONFIG_ASSEMBLY
     cutoff = default_cutoff if cutoff is None else cutoff
     space = fo.build_space(n, cutoff)
+    fo.require_dense(space)
     base = cp.build_coupling(n)
     ham = fo.generator(space, base, lam).mat.toarray()
     w, v = np.linalg.eigh(ham)
@@ -277,8 +279,13 @@ def check_cremat_identity(tol: float) -> CheckRecord:
     )
 
 
+@functools.cache
 def _overlap_config(n: int, cutoff: int, lam: float) -> tuple[float, float, float]:
-    """(overlap deficit, norm deviation, analytic tail mass) for one config."""
+    """(overlap deficit, norm deviation, analytic tail mass) for one config.
+
+    Cached so the overlap and norm checks share one vacuum evolution per
+    config; ``run_verification`` clears it so every run evolves afresh.
+    """
     space = fo.build_space(n, cutoff)
     base = cp.build_coupling(n)
     evolved = fo.evolve_vacuum(fo.generator(space, base, lam))
@@ -526,12 +533,14 @@ def run_verification(
     """Run every check once and collect the report.
 
     ``cutoff`` overrides the per-config Fock cutoffs; configurations whose
-    truncated dimension would exceed the desk-scale guard are marked
-    skipped rather than run.
+    truncated dimension would exceed a resource guard (DIM_GUARD, or
+    DENSE_DIM_GUARD for the dense normal-form check) are marked skipped
+    rather than run.
     """
     tols = resolve_tolerances(tolerances)
     rng = np.random.default_rng(seed)
     report = VerifyReport(seed=seed)
+    _overlap_config.cache_clear()
 
     def attempt(label: str, fn, *args, **kwargs):
         try:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nmodesqueeze import fockoracle as fo
 from nmodesqueeze.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -14,6 +15,7 @@ from nmodesqueeze.cli import (
     main,
     run,
 )
+from nmodesqueeze.verification import run_verification
 
 TOP_LEVEL_KEYS = {"schema", "command", "config", "results", "checks"}
 CHECK_KEYS = {"name", "paper_ref", "expected", "actual", "tol", "pass"}
@@ -235,6 +237,30 @@ def test_verify_resource_guard_partial_report():
     # closed-form checks still ran and passed
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["variances_closed_form"]["pass"] is True
+
+
+def test_verify_dense_guard_skips_assembly():
+    """cutoff 100 at n = 2 is dim 10 201: fine for the sparse evolution,
+    1.6 GB per dense matrix for the normal-form assembly check."""
+    text, code = run(RunConfig(command="verify", cutoff=100))
+    assert code == EXIT_RESOURCE
+    by_name = {c["name"]: c for c in json.loads(text)["checks"]}
+    assembly = by_name["normal_form_assembly"]
+    assert assembly["skipped"] and "dense guard" in assembly["note"]
+    assert by_name["vacuum_overlap_n2"]["pass"] is True
+
+
+def test_verify_evolves_each_overlap_config_once(monkeypatch):
+    evolved = []
+    real = fo.evolve_vacuum
+
+    def counting(hamiltonian):
+        evolved.append(hamiltonian.space.n)
+        return real(hamiltonian)
+
+    monkeypatch.setattr(fo, "evolve_vacuum", counting)
+    run_verification(seed=0)
+    assert sorted(evolved) == [2, 3]
 
 
 def test_main_writes_output_file(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nmodesqueeze import (
+    NumericFailureError,
     ResourceLimitError,
     TruncationError,
     baseline_two_mode,
@@ -27,7 +28,11 @@ from nmodesqueeze import (
     wigner_numeric,
     wigner_value_alpha,
 )
-from nmodesqueeze.fockoracle import assemble_normal_form, occupation_table
+from nmodesqueeze.fockoracle import (
+    DENSE_DIM_GUARD,
+    assemble_normal_form,
+    occupation_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +147,43 @@ def test_evolve_identity_at_zero():
     assert np.max(np.abs(state.amps[1:])) < 1e-14
 
 
+@pytest.mark.parametrize("config", [(2, 10, 0.3), (3, 5, 0.2)])
+def test_evolve_matches_dense_eigh(config):
+    """Sparse action against exp(iH)|0> from a dense eigendecomposition."""
+    n, cutoff, lam = config
+    ham = generator(build_space(n, cutoff), build_coupling(n), lam)
+    w, v = np.linalg.eigh(ham.mat.toarray())
+    reference = v @ (np.exp(1j * w) * v[0, :].conj())
+    assert np.max(np.abs(evolve_vacuum(ham).amps - reference)) <= 1e-12
+
+
+def test_evolve_independent_of_global_rng():
+    """At |iH|_1 = 66 a single expm_multiply call would estimate norms with
+    NumPy's global RNG; the stepped evolution must not depend on it."""
+    ham = generator(build_space(4, 6), build_coupling(4), 1.5)
+    np.random.seed(0)
+    first = evolve_vacuum(ham).amps
+    np.random.seed(1)
+    second = evolve_vacuum(ham).amps
+    assert first.tobytes() == second.tobytes()
+
+
+def test_evolve_rejects_non_finite_generator():
+    ham = generator(build_space(2, 4), build_coupling(2), math.nan)
+    with pytest.raises(NumericFailureError):
+        evolve_vacuum(ham)
+
+
+def test_evolve_beyond_dense_reach():
+    """dim 29 791: the dense matrix would need 14 GB."""
+    space = build_space(3, 30)
+    base = build_coupling(3)
+    evolved = evolve_vacuum(generator(space, base, 0.15))
+    analytic = two_photon_expand(squeezed_vacuum(build_kernel(base, 0.15)), space)
+    assert abs(evolved.norm - 1.0) <= 1e-10
+    assert 1.0 - abs(overlap(evolved, analytic)) <= 1e-4
+
+
 def test_evolved_norm_is_unit(two_mode_run, three_mode_run):
     for run in (two_mode_run, three_mode_run):
         assert abs(run[1].norm - 1.0) < 1e-10
@@ -158,7 +200,9 @@ def test_three_mode_overlap_with_analytic(three_mode_run):
     assert abs(overlap(evolved, analytic)) >= 0.9999
 
 
-@pytest.mark.parametrize("config", [(2, 20, 0.2), (3, 9, 0.15), (4, 6, 0.1)])
+@pytest.mark.parametrize(
+    "config", [(2, 20, 0.2), (3, 9, 0.15), (4, 6, 0.1), (5, 4, 0.1), (6, 3, 0.1)]
+)
 def test_oracle_equivalence_tail_bound(config, two_mode_run, three_mode_run):
     n, cutoff, lam = config
     if config == (2, 20, 0.2):
@@ -314,3 +358,12 @@ def test_assembled_normal_form_matches_evolution():
     low = np.flatnonzero(occupation_table(space).sum(axis=1) <= 4)
     block_err = np.max(np.abs(exact[np.ix_(low, low)] - assembled[np.ix_(low, low)]))
     assert block_err < 5e-6
+
+
+def test_assemble_normal_form_dense_guard():
+    base = build_coupling(2)
+    form = normal_form(build_kernel(base, 0.15))
+    cutoff = math.isqrt(DENSE_DIM_GUARD)  # smallest cutoff past the guard
+    assert build_space(2, cutoff).dim > DENSE_DIM_GUARD >= build_space(2, cutoff - 1).dim
+    with pytest.raises(ResourceLimitError):
+        assemble_normal_form(form, build_space(2, cutoff))

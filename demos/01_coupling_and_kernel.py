@@ -1,10 +1,11 @@
 """Walkthrough: cyclic coupling matrices and their matrix functions.
 
 The squeeze generator couples each mode to its two ring neighbours, so
-everything starts from the adjacency matrix of the n-cycle.  All matrix
-functions (exponentials of multiples of A) come from one spectral
-decomposition; this script shows the structures and the identities they
-satisfy.
+everything starts from the adjacency matrix of the n-cycle.  A is
+circulant, so its eigenvectors are Fourier modes and every matrix function
+(exponentials of multiples of A) is the circulant whose first row is the
+inverse DFT of f(a_k); this script shows the structures and the identities
+they satisfy.
 """
 import numpy as np
 
@@ -18,7 +19,7 @@ for n in (2, 3, 4, 5):
     coupling = build_coupling(n)
     print(f"n = {n}: A =")
     print(coupling.entries)
-    print("eigenvalues:", coupling.eigenvalues)
+    print("eigenvalues:", np.sort(coupling.eigenvalues)[::-1])
     print()
 
 # Every eigenvalue lies in [-2, 2] and the all-ones vector always has

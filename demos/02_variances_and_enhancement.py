@@ -4,8 +4,8 @@ The collective quadratures X1 = sum Q_i / sqrt(2n), X2 = sum P_i / sqrt(2n)
 end up with variances exp(-4 lambda)/4 and exp(+4 lambda)/4, independent
 of the mode count.  The standard two-mode squeezed vacuum only reaches
 exp(-2 lambda)/4, so the ring coupling squeezes twice as hard in the
-exponent.  Both variance routes (literal matrix sums and the closed form)
-are computed and compared here.
+exponent.  Both variance routes (the Gram-matrix entry sums, taken on the
+all-ones mode, and the closed form) are computed and compared here.
 """
 import math
 

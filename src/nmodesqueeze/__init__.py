@@ -12,9 +12,9 @@ from .coupling import (
     SqueezeKernel,
     build_coupling,
     build_kernel,
+    entry_sum,
     expm_taylor,
     matrix_function,
-    spectrum,
     sum_identities,
 )
 from .errors import (

@@ -173,7 +173,7 @@ def _results_coupling(config: RunConfig) -> dict:
     kernel = cp.build_kernel(base, config.lam)
     return {
         "A": _matrix(base.entries),
-        "eigenvalues": _vector(base.eigenvalues),
+        "eigenvalues": _vector(np.sort(base.eigenvalues)[::-1]),
         "Lambda": _matrix(kernel.Lambda),
         "gram": _matrix(kernel.gram),
         "det_lambda": kernel.detLambda,

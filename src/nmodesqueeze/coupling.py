@@ -5,41 +5,39 @@ cyclic wraparound, i.e. lambda * Qt A P where A is the adjacency matrix of
 the n-cycle.  For n = 2 the wraparound makes each cross term appear twice,
 so A = [[0, 2], [2, 0]] rather than the 0/1 pattern of n >= 3.
 
-A is small, integer and symmetric, so every matrix function needed
-downstream (exp, tanh, cosh of multiples of A) is evaluated through one
-eigendecomposition; ``expm_taylor`` is an independent scaling-and-squaring
-oracle the tests compare against.
+A is circulant, so its eigenvectors are the Fourier modes and every matrix
+function needed downstream (exp, tanh, cosh of multiples of A) is the
+circulant whose first row is the inverse DFT of f(a_k); ``expm_taylor`` is
+an independent scaling-and-squaring oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import ModeCountError, NumericFailureError, ParameterRangeError
+from .errors import ModeCountError, ParameterRangeError
 
 # Overflow guard: cosh(2 * LAMBDA_GUARD * max|eig|) must stay representable.
 LAMBDA_GUARD = 20.0
 
-_EIG_TIE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Adjacency matrix of the cyclic coupling with its spectral data.
+    """Adjacency matrix of the cyclic coupling with its spectrum.
 
     ``entries`` is integer and symmetric with zero diagonal and row sums 2;
-    ``eigenvalues`` are sorted descending (ties ordered deterministically),
-    ``eigenvectors`` holds the matching orthonormal columns.
+    ``eigenvalues`` is the DFT of its first row, in DFT order, so
+    ``eigenvalues[0] == 2`` belongs to the all-ones mode.
     """
 
     n: int
     entries: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,45 @@ class SqueezeKernel:
     """lambda together with every matrix function of A used downstream.
 
     Lambda = exp(-lambda A) (symmetric, so it equals its transpose),
-    gram = Lambda~ Lambda = exp(-2 lambda A), Nmat = (1 + gram)/2.
+    gram = Lambda~ Lambda = exp(-2 lambda A), gramInv = exp(+2 lambda A),
+    Nmat = (1 + gram)/2.  Each is built on first use and then kept.
     """
 
     coupling: CouplingMatrix
     lam: float
-    Lambda: np.ndarray
-    gram: np.ndarray
-    Nmat: np.ndarray
-    NmatInv: np.ndarray
-    detLambda: float
-    detN: float
+
+    def _function(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        return _freeze(matrix_function(self.coupling, fn))
+
+    @cached_property
+    def Lambda(self) -> np.ndarray:
+        return self._function(lambda a: np.exp(-self.lam * a))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self._function(lambda a: np.exp(-2.0 * self.lam * a))
+
+    @cached_property
+    def gramInv(self) -> np.ndarray:
+        return self._function(lambda a: np.exp(2.0 * self.lam * a))
+
+    @cached_property
+    def Nmat(self) -> np.ndarray:
+        return _freeze((np.eye(self.coupling.n) + self.gram) / 2.0)
+
+    @cached_property
+    def NmatInv(self) -> np.ndarray:
+        return self._function(lambda a: 2.0 / (1.0 + np.exp(-2.0 * self.lam * a)))
+
+    @cached_property
+    def detLambda(self) -> float:
+        """det exp(-lambda A) = exp(-lambda tr A): a product over the
+        spectrum would underflow at large n and lambda."""
+        return math.exp(-self.lam * float(np.trace(self.coupling.entries)))
+
+    @cached_property
+    def detN(self) -> float:
+        return float(np.prod((1.0 + np.exp(-2.0 * self.lam * self.coupling.eigenvalues)) / 2.0))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -85,58 +111,34 @@ def build_coupling(n: int) -> CouplingMatrix:
         j = (i + 1) % n
         entries[i, j] += 1
         entries[j, i] += 1
-    eigenvalues, eigenvectors = _sorted_eigh(entries.astype(float))
     return CouplingMatrix(
         n=n,
         entries=_freeze(entries),
-        eigenvalues=_freeze(eigenvalues),
-        eigenvectors=_freeze(eigenvectors),
+        eigenvalues=_freeze(np.fft.fft(entries[0]).real),
     )
 
 
-def spectrum(coupling: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of A.
-
-    Degenerate eigenvalues are generic here (e.g. n = 3 has -1 twice), so
-    ties are broken deterministically: each eigenvector is sign-fixed to
-    make its first nonzero entry positive, and columns within a degenerate
-    group are sorted lexicographically.
-    """
-    return _sorted_eigh(coupling.entries.astype(float))
-
-
-def _sorted_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        w, v = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        if nonzero.size and col[nonzero[0]] < 0:
-            v[:, k] = -col
-    # Reorder inside each (near-)degenerate block by lexicographic entries.
-    start = 0
-    while start < w.size:
-        stop = start + 1
-        while stop < w.size and abs(w[stop] - w[start]) <= _EIG_TIE_TOL:
-            stop += 1
-        if stop - start > 1:
-            keys = [tuple(np.round(v[:, k], 12)) for k in range(start, stop)]
-            perm = sorted(range(stop - start), key=lambda i: keys[i])
-            v[:, start:stop] = v[:, start + np.array(perm)]
-        start = stop
-    return w, v
-
-
 def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evaluate fn(A) through the spectral decomposition V diag(fn(a_k)) V~."""
-    w = coupling.eigenvalues
-    v = coupling.eigenvectors
-    return (v * fn(w)) @ v.T
+    """Evaluate fn(A) as the dense circulant with first row ifft(fn(a_k)).
+
+    fn(A) is symmetric, so entry (i, j) reads that row at the cyclic
+    distance min(|i - j|, n - |i - j|), which keeps the result exactly
+    symmetric.
+    """
+    n = coupling.n
+    row = np.fft.ifft(fn(coupling.eigenvalues)).real
+    index = np.arange(n)
+    dist = np.abs(index[:, None] - index[None, :])
+    return row[np.minimum(dist, n - dist)]
+
+
+def entry_sum(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sum of all entries of fn(A) without building it.
+
+    Every row of the circulant fn(A) sums to fn(2), its value on the
+    all-ones mode, so the n x n sum is n fn(2).
+    """
+    return float(coupling.n * fn(coupling.eigenvalues[0]))
 
 
 def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:
@@ -151,23 +153,7 @@ def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:
         raise ParameterRangeError(f"lambda must be finite, got {lam}")
     if abs(lam) > LAMBDA_GUARD:
         raise ParameterRangeError(f"|lambda| <= {LAMBDA_GUARD} required, got {lam}")
-    w = coupling.eigenvalues
-    Lambda = matrix_function(coupling, lambda a: np.exp(-lam * a))
-    gram = matrix_function(coupling, lambda a: np.exp(-2.0 * lam * a))
-    Nmat = (np.eye(coupling.n) + gram) / 2.0
-    NmatInv = matrix_function(coupling, lambda a: 2.0 / (1.0 + np.exp(-2.0 * lam * a)))
-    detLambda = float(np.prod(np.exp(-lam * w)))
-    detN = float(np.prod((1.0 + np.exp(-2.0 * lam * w)) / 2.0))
-    return SqueezeKernel(
-        coupling=coupling,
-        lam=lam,
-        Lambda=_freeze(Lambda),
-        gram=_freeze(gram),
-        Nmat=_freeze(Nmat),
-        NmatInv=_freeze(NmatInv),
-        detLambda=detLambda,
-        detN=detN,
-    )
+    return SqueezeKernel(coupling=coupling, lam=lam)
 
 
 def sum_identities(kernel: SqueezeKernel) -> tuple[float, float]:
@@ -176,8 +162,7 @@ def sum_identities(kernel: SqueezeKernel) -> tuple[float, float]:
     The cyclic row sum 2 makes the all-ones vector an eigenvector, so both
     sums collapse to n exp(-+4 lambda); callers compare against that.
     """
-    gram_inv = matrix_function(kernel.coupling, lambda a: np.exp(2.0 * kernel.lam * a))
-    return float(kernel.gram.sum()), float(gram_inv.sum())
+    return float(kernel.gram.sum()), float(kernel.gramInv.sum())
 
 
 def expm_taylor(mat: np.ndarray, ntaylor: int = 24) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import SqueezeKernel, matrix_function
+from .coupling import LAMBDA_GUARD, SqueezeKernel, entry_sum, matrix_function
 from .errors import ParameterRangeError
 
 # Log-space floor: below this the linear-scale value is reported as 0.0.
@@ -95,16 +95,17 @@ def heisenberg_transforms(kernel: SqueezeKernel) -> tuple[np.ndarray, np.ndarray
 
 
 def variances_matrix_sum(kernel: SqueezeKernel) -> VariancePair:
-    """Collective variances by literal all-entries summation.
+    """Collective variances from the all-entries sums of the Gram matrix.
 
     (Delta X1)^2 = sum_ij gram_ij / 4n and (Delta X2)^2 uses the inverse
-    Gram matrix; no closed form is assumed here.
+    Gram matrix.  Each sum is taken on the all-ones mode by ``entry_sum``,
+    so no n x n array is built and nothing cancels at large |lambda|.
     """
     n = kernel.coupling.n
-    gram_inv = matrix_function(kernel.coupling, lambda a: np.exp(2.0 * kernel.lam * a))
+    lam = kernel.lam
     return VariancePair(
-        varX1=float(kernel.gram.sum()) / (4.0 * n),
-        varX2=float(gram_inv.sum()) / (4.0 * n),
+        varX1=entry_sum(kernel.coupling, lambda a: np.exp(-2.0 * lam * a)) / (4.0 * n),
+        varX2=entry_sum(kernel.coupling, lambda a: np.exp(2.0 * lam * a)) / (4.0 * n),
     )
 
 
@@ -116,8 +117,8 @@ def variances_closed(lam: float) -> VariancePair:
     """
     if not math.isfinite(lam):
         raise ParameterRangeError(f"lambda must be finite, got {lam}")
-    if abs(lam) > 20.0:
-        raise ParameterRangeError(f"|lambda| <= 20 required, got {lam}")
+    if abs(lam) > LAMBDA_GUARD:
+        raise ParameterRangeError(f"|lambda| <= {LAMBDA_GUARD} required, got {lam}")
     return VariancePair(varX1=math.exp(-4.0 * lam) / 4.0, varX2=math.exp(4.0 * lam) / 4.0)
 
 
@@ -127,11 +128,9 @@ def wigner_from_kernel(kernel: SqueezeKernel) -> GaussianWigner:
     qForm is the inverse Gram matrix exp(+2 lambda A), pForm the Gram
     matrix itself; the peak value at the origin is pi^-n.
     """
-    q_form = matrix_function(kernel.coupling, lambda a: np.exp(2.0 * kernel.lam * a))
-    q_form.setflags(write=False)
     return GaussianWigner(
         n=kernel.coupling.n,
-        qForm=q_form,
+        qForm=kernel.gramInv,
         pForm=kernel.gram,
         normConst=math.pi ** (-kernel.coupling.n),
     )
@@ -187,11 +186,12 @@ def wigner_q_marginal(wig: GaussianWigner, q: np.ndarray) -> float:
     """Closed-form marginal over p: a Gaussian with form qForm.
 
     Integrating the p Gaussian gives pi^(n/2) det(pForm)^(-1/2), and
-    det(qForm) det(pForm) = 1, hence the prefactor below.
+    det(pForm) = exp(-2 lambda tr A) = 1 because tr A = 0, hence the
+    prefactor pi^(-n/2).  A numerical determinant would lose that 1 to
+    cancellation at large |lambda|.
     """
     q = np.asarray(q, dtype=float)
-    det_q = float(np.linalg.det(wig.qForm))
-    return math.pi ** (-wig.n / 2.0) * math.sqrt(det_q) * math.exp(-float(q @ wig.qForm @ q))
+    return math.pi ** (-wig.n / 2.0) * math.exp(-float(q @ wig.qForm @ q))
 
 
 def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -> float:

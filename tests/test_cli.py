@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -284,6 +285,18 @@ def test_main_usage_errors(capsys):
     assert main(["coupling", "--n", "1"]) == EXIT_USAGE
     assert main(["coupling", "--n", "3", "--lambda", "25"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n,lam", [("4", "5"), ("3000", "20")])
+def test_main_variances_across_lambda_range(n, lam, capsys):
+    # nothing is left over to overflow: no warning, and the document is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["variances", "--n", n, "--lambda", lam]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["product_matrix_sum"] == pytest.approx(1.0 / 16.0, abs=1e-12)
+    for key, closed in results["closed"].items():
+        assert results["matrix_sum"][key] == pytest.approx(closed, rel=1e-10)
 
 
 def test_main_resource_guard_exit():

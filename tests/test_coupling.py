@@ -9,9 +9,9 @@ from nmodesqueeze import (
     ParameterRangeError,
     build_coupling,
     build_kernel,
+    entry_sum,
     expm_taylor,
     matrix_function,
-    spectrum,
     sum_identities,
 )
 
@@ -64,35 +64,20 @@ def test_rejects_unsupported_mode_count(n):
     ],
 )
 def test_spectrum_eigenvalues(n, expected):
-    eigenvalues, _ = spectrum(build_coupling(n))
+    eigenvalues = np.sort(build_coupling(n).eigenvalues)[::-1]
     assert_allclose(eigenvalues, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", SWEEP_N)
 def test_spectrum_orthonormal_and_reconstructs(n):
     coupling = build_coupling(n)
-    w, v = coupling.eigenvalues, coupling.eigenvectors
-    assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
-    assert_allclose((v * w) @ v.T, coupling.entries, atol=1e-12)
+    w = coupling.eigenvalues
+    identity = matrix_function(coupling, lambda a: a)
+    assert_allclose(identity, coupling.entries, atol=1e-12)
     assert np.all(w >= -2 - 1e-12) and np.all(w <= 2 + 1e-12)
-    # the all-ones vector is always an eigenvector with eigenvalue 2
-    ones = np.ones(n)
-    assert_allclose(coupling.entries @ ones, 2 * ones, atol=1e-12)
-    assert w[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_spectrum_descending_with_deterministic_ties():
-    coupling = build_coupling(3)
-    w1, v1 = spectrum(coupling)
-    w2, v2 = spectrum(coupling)
-    assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
-    assert np.all(np.diff(w1) <= 1e-12)
-    # sign fix: first nonzero entry of every column is positive
-    for k in range(3):
-        col = v1[:, k]
-        assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0
-    # degenerate pair ordered lexicographically
-    assert tuple(np.round(v1[:, 1], 12)) <= tuple(np.round(v1[:, 2], 12))
+    # DFT order: the all-ones mode comes first, with eigenvalue exactly 2
+    assert w[0] == 2.0
+    assert np.array_equal(identity, matrix_function(coupling, lambda a: a))
 
 
 @pytest.mark.parametrize("n", SWEEP_N)
@@ -102,6 +87,19 @@ def test_kernel_identity_at_zero(n):
     assert_allclose(kernel.gram, np.eye(n), atol=1e-12)
     assert kernel.detLambda == pytest.approx(1.0, abs=1e-12)
     assert kernel.detN == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [20.0, -20.0])
+def test_kernel_det_lambda_is_one_from_the_trace(lam):
+    # a product of exp(-lambda a_k) over the spectrum under- or overflows here
+    assert build_kernel(build_coupling(300), lam).detLambda == 1.0
+
+
+def test_kernel_builds_each_function_once():
+    kernel = build_kernel(build_coupling(5), 0.3)
+    assert kernel.gramInv is kernel.gramInv
+    assert not kernel.gramInv.flags.writeable
+    assert_allclose(kernel.gram @ kernel.gramInv, np.eye(5), atol=1e-12)
 
 
 def test_kernel_det_n_four_mode():
@@ -154,9 +152,11 @@ def test_sum_identity_examples():
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", SWEEP_LAMBDA)
 def test_sum_identities_sweep(n, lam):
-    sum_g, sum_ginv = sum_identities(build_kernel(build_coupling(n), lam))
+    coupling = build_coupling(n)
+    sum_g, sum_ginv = sum_identities(build_kernel(coupling, lam))
     assert sum_g == pytest.approx(n * math.exp(-4 * lam), rel=1e-10)
     assert sum_ginv == pytest.approx(n * math.exp(4 * lam), rel=1e-10)
+    assert entry_sum(coupling, lambda a: np.exp(-2 * lam * a)) == pytest.approx(sum_g, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", SWEEP_N)
@@ -168,7 +168,7 @@ def test_power_sum_identity_integer_exact(n):
         power = power @ doubled
 
 
-@pytest.mark.parametrize("n", SWEEP_N)
+@pytest.mark.parametrize("n", [*SWEEP_N, 16, 64])
 @pytest.mark.parametrize("lam", [0.5, -0.5, 0.2, 1.0])
 def test_spectral_exponential_matches_taylor_oracle(n, lam):
     coupling = build_coupling(n)

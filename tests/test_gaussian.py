@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nmodesqueeze import (
@@ -81,6 +83,26 @@ def test_matrix_sum_equals_closed(n, lam):
     assert by_sum.varX1 == pytest.approx(closed.varX1, rel=1e-10)
     assert by_sum.varX2 == pytest.approx(closed.varX2, rel=1e-10)
     assert abs(by_sum.varX1 * by_sum.varX2 - 1.0 / 16.0) <= 1e-12
+
+
+def _assert_variances_exact(n, lam):
+    by_sum = variances_matrix_sum(build_kernel(build_coupling(n), lam))
+    closed = variances_closed(lam)
+    assert abs(by_sum.varX1 * by_sum.varX2 - 1.0 / 16.0) <= 1e-12
+    assert abs(by_sum.varX1 - closed.varX1) <= 1e-10 * closed.varX1
+    assert abs(by_sum.varX2 - closed.varX2) <= 1e-10 * closed.varX2
+
+
+@pytest.mark.parametrize("n,lam", [(2, -20.0), (8, 2.0), (1000, 20.0)])
+def test_matrix_sum_exact_at_large_lambda(n, lam):
+    # a literal sum over exp(-2 lambda A) cancels to noise at these inputs
+    _assert_variances_exact(n, lam)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
+def test_matrix_sum_exact_over_accepted_range(n, lam):
+    _assert_variances_exact(n, lam)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
@@ -205,6 +227,14 @@ def test_normalization_by_quadrature():
     assert normalization_by_quadrature(wig, nodes_per_axis=40) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         normalization_by_quadrature(_wigner(4, 0.1))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_q_marginal_origin_at_large_lambda(n):
+    # det(qForm) is exactly 1, but an LU determinant of it at lambda = 5
+    # cancels to 0 (n = 2) or goes negative (n = 4)
+    value = wigner_q_marginal(_wigner(n, 5.0), np.zeros(n))
+    assert value == pytest.approx(math.pi ** (-n / 2), rel=1e-12)
 
 
 def test_q_marginal_matches_determinants_and_quadrature():

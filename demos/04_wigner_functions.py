@@ -20,6 +20,7 @@ from nmodesqueeze import (
     wigner_from_kernel,
     wigner_value,
     wigner_value_alpha,
+    wigner_values,
 )
 
 kernel = build_kernel(build_coupling(3), 0.1)
@@ -29,12 +30,24 @@ print(f"pi^-3             = {math.pi**-3!r}")
 print()
 
 # A slice along the collective direction q1 = q2 = q3 (most squeezed) and
-# along a single-mode direction, at p = 0.
+# along a single-mode direction, at p = 0: each slice is one call on an
+# array of points, one point per row.
+s = np.linspace(0.0, 1.0, 6)
+collective_q = np.repeat(s[:, None], 3, axis=1)
+single_q = np.zeros((s.size, 3))
+single_q[:, 0] = s
+p = np.zeros((s.size, 3))
+collective = wigner_values(wig, collective_q, p)
+single = wigner_values(wig, single_q, p)
 print(f"{'s':>5} {'W(s,s,s, 0)':>14} {'W(s,0,0, 0)':>14}")
-for s in np.linspace(0.0, 1.0, 6):
-    collective = wigner_value(wig, PhasePoint(q=np.full(3, s), p=np.zeros(3)))
-    single = wigner_value(wig, PhasePoint(q=np.array([s, 0, 0]), p=np.zeros(3)))
-    print(f"{s:>5.2f} {collective:>14.9f} {single:>14.9f}")
+for row in zip(s, collective, single):
+    print("{:>5.2f} {:>14.9f} {:>14.9f}".format(*row))
+print()
+
+# The closed form takes the same rows, as alpha = (q + ip)/sqrt(2).
+closed = wigner3_closed(0.1, (single_q + 1j * p) / math.sqrt(2.0))
+print(f"closed vs generic along the single-mode slice: "
+      f"max relative difference {np.max(np.abs(closed - single) / single):.1e}")
 print()
 
 # The hand-derived closed forms agree with the generic Gaussian form at any

@@ -38,6 +38,7 @@ from .gaussian import (
     wigner_q_marginal,
     wigner_value,
     wigner_value_alpha,
+    wigner_values,
 )
 from .normalform import (
     FourModeClosed,

@@ -4,8 +4,10 @@ Subcommands: coupling, variances, normal-form, state, wigner, verify,
 baseline.  Every run emits one document, JSON by default (schema tag
 "nmode-squeeze/1") or CSV with --format csv.  Floats are printed with 17
 significant digits so a parse on any IEEE-754 platform reproduces the
-exact bits.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 resource guard.
+exact bits; a non-finite float (NaN, +-inf) is written as null.  Exit
+codes: 0 success, 1 verification failure, 2 usage error, 3 resource
+guard, 4 numeric failure (a solver broke down or a Fock cutoff was too
+small for the state).
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from . import coupling as cp
 from . import fockoracle as fo
 from . import gaussian as ga
 from . import normalform as nf
-from .errors import ModeCountError, ParameterRangeError, ResourceLimitError
+from .errors import (
+    ModeCountError,
+    NumericFailureError,
+    ParameterRangeError,
+    ResourceLimitError,
+    TruncationError,
+)
 from .verification import CheckRecord, VerifyReport, resolve_tolerances, run_verification
 
 SCHEMA = "nmode-squeeze/1"
@@ -33,6 +41,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_NUMERIC = 4
 
 
 class UsageError(ValueError):
@@ -55,18 +64,84 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class PointTable:
+    """Wigner values at m phase points, kept as arrays up to rendering.
+
+    q and p are (m, n); value_closed is None unless n has a closed form.
+    """
+
+    q: np.ndarray
+    p: np.ndarray
+    value: np.ndarray
+    value_closed: np.ndarray | None
+
+    def columns(self) -> list[np.ndarray]:
+        """q1..qn, p1..pn, value and value_closed (if any): the CSV columns."""
+        cols = [*self.q.T, *self.p.T, self.value]
+        if self.value_closed is not None:
+            cols.append(self.value_closed)
+        return cols
+
+    def entry(self, k: int) -> dict:
+        """Point k as the dict the ``points`` list of the document holds."""
+        entry = {"q": _vector(self.q[k]), "p": _vector(self.p[k]), "value": float(self.value[k])}
+        if self.value_closed is not None:
+            entry["value_closed"] = float(self.value_closed[k])
+        return entry
+
+
 # ---------------------------------------------------------------------------
 # serialization: floats at 17 significant digits, deterministic layout
 
+# A list whose items all render shorter than this stays on one line.
+_INLINE_WIDTH = 24
+
+
 def _fmt_float(value: float) -> str:
-    if math.isnan(value):
+    if not math.isfinite(value):
         return "null"
     return format(float(value), ".17g")
+
+
+def _column_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``_fmt_float`` of every entry, and which of them are at least
+    ``_INLINE_WIDTH`` long.  Each distinct bit pattern (so 0.0 and -0.0
+    apart) is formatted once: grid coordinates repeat across the rows."""
+    bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
+    texts = [_fmt_float(v) for v in bits.view(np.float64).tolist()]
+    wide = np.array([len(text) >= _INLINE_WIDTH for text in texts])
+    return np.array(texts, dtype=object)[inverse].tolist(), wide[inverse]
+
+
+def _render_points(table: PointTable, indent: int) -> str:
+    """The points list, laid out as ``_render_json`` lays out the list of
+    ``table.entry`` dicts, from one row template.  A row with a coordinate
+    too wide for an inline q/p list is handed to ``_render_json`` itself."""
+    n = table.q.shape[1]
+    texts, wide = zip(*(_column_texts(col) for col in table.columns()))
+    wide_rows = np.any(wide[: 2 * n], axis=0)
+    pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
+    rows = []
+    has_closed = table.value_closed is not None
+    for k, row in enumerate(zip(*texts)):
+        if wide_rows[k]:
+            rows.append(row_pad + _render_json(table.entry(k), indent + 1))
+            continue
+        closed = f',\n{key_pad}"value_closed": {row[-1]}' if has_closed else ""
+        rows.append(
+            f'{row_pad}{{\n{key_pad}"q": [{", ".join(row[:n])}],\n'
+            f'{key_pad}"p": [{", ".join(row[n:2 * n])}],\n'
+            f'{key_pad}"value": {row[2 * n]}{closed}\n{row_pad}}}'
+        )
+    return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
 
 
 def _render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, PointTable):
+        return _render_points(obj, indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -76,7 +151,7 @@ def _render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         rendered = [_render_json(val, indent + 1) for val in obj]
-        if all(len(r) < 24 and "\n" not in r for r in rendered):
+        if all(len(r) < _INLINE_WIDTH and "\n" not in r for r in rendered):
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
     if isinstance(obj, bool):
@@ -125,20 +200,14 @@ def _render_csv(doc: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     results = doc["results"]
     if doc["command"] == "wigner":
-        points = results["points"]
-        nmodes = len(points[0]["q"])
+        table = results["points"]
+        nmodes = table.q.shape[1]
         header = [f"q{i+1}" for i in range(nmodes)] + [f"p{i+1}" for i in range(nmodes)]
         header.append("value")
-        has_closed = "value_closed" in points[0]
-        if has_closed:
+        if table.value_closed is not None:
             header.append("value_closed")
         writer.writerow(header)
-        for pt in points:
-            row = [_fmt_float(v) for v in pt["q"]] + [_fmt_float(v) for v in pt["p"]]
-            row.append(_fmt_float(pt["value"]))
-            if has_closed:
-                row.append(_fmt_float(pt["value_closed"]))
-            writer.writerow(row)
+        writer.writerows(zip(*(_column_texts(col)[0] for col in table.columns())))
     elif doc["command"] == "verify":
         header = ["name", "paper_ref", "expected", "actual", "tol", "pass", "tail_mass", "skipped", "note"]
         writer.writerow(header)
@@ -244,16 +313,18 @@ def _results_baseline(config: RunConfig) -> dict:
     }
 
 
-def _wigner_points(config: RunConfig, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) arrays q and p of the requested points, one point per row."""
     if config.points and config.grid:
         raise UsageError("give either --point or --grid, not both")
     if config.points:
-        pts = []
         for q_vals, p_vals in config.points:
             if len(q_vals) != n or len(p_vals) != n:
                 raise UsageError(f"--point needs {n} q values and {n} p values")
-            pts.append((np.array(q_vals), np.array(p_vals)))
-        return pts
+        return (
+            np.array([q_vals for q_vals, _ in config.points], dtype=float),
+            np.array([p_vals for _, p_vals in config.points], dtype=float),
+        )
     if config.grid:
         if len(config.grid) > 2:
             raise UsageError("at most 2 grid axes (other coordinates are pinned to 0)")
@@ -261,20 +332,13 @@ def _wigner_points(config: RunConfig, n: int) -> list[tuple[np.ndarray, np.ndarr
         for axis, lo, hi, steps in config.grid:
             kind, index = _parse_axis(axis, n)
             axes_values.append((kind, index, np.linspace(lo, hi, steps)))
-        pts = []
         mesh = np.meshgrid(*[vals for _, _, vals in axes_values], indexing="ij")
-        for flat_idx in range(mesh[0].size):
-            q = np.zeros(n)
-            p = np.zeros(n)
-            for (kind, index, _), grid_arr in zip(axes_values, mesh):
-                coord = grid_arr.reshape(-1)[flat_idx]
-                if kind == "q":
-                    q[index] = coord
-                else:
-                    p[index] = coord
-            pts.append((q, p))
-        return pts
-    return [(np.zeros(n), np.zeros(n))]
+        q = np.zeros((mesh[0].size, n))
+        p = np.zeros((mesh[0].size, n))
+        for (kind, index, _), grid_arr in zip(axes_values, mesh):
+            (q if kind == "q" else p)[:, index] = grid_arr.reshape(-1)
+        return q, p
+    return np.zeros((1, n)), np.zeros((1, n))
 
 
 def _parse_axis(axis: str, n: int) -> tuple[str, int]:
@@ -291,20 +355,13 @@ def _results_wigner(config: RunConfig) -> dict:
     n = _require_n(config)
     kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
     wig = ga.wigner_from_kernel(kernel)
-    entries = []
-    for q, p in _wigner_points(config, n):
-        point = ga.PhasePoint(q=q, p=p)
-        entry = {
-            "q": _vector(q),
-            "p": _vector(p),
-            "value": ga.wigner_value(wig, point),
-        }
-        if n in (3, 4):
-            alpha = (q + 1j * p) / math.sqrt(2.0)
-            closed_fn = nf.wigner3_closed if n == 3 else nf.wigner4_closed
-            entry["value_closed"] = closed_fn(config.lam, alpha)
-        entries.append(entry)
-    results: dict = {"points": entries}
+    q, p = _wigner_points(config, n)
+    values = ga.wigner_values(wig, q, p)
+    closed = None
+    if n in (3, 4):
+        closed_fn = nf.wigner3_closed if n == 3 else nf.wigner4_closed
+        closed = closed_fn(config.lam, (q + 1j * p) / math.sqrt(2.0))
+    results: dict = {"points": PointTable(q, p, values, closed)}
     if config.grid:
         results["grid"] = [
             {"axis": axis, "lo": lo, "hi": hi, "steps": steps}
@@ -485,6 +542,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (NumericFailureError, TruncationError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)

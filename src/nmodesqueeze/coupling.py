@@ -83,7 +83,10 @@ class SqueezeKernel:
 
     @cached_property
     def detN(self) -> float:
-        return float(np.prod((1.0 + np.exp(-2.0 * self.lam * self.coupling.eigenvalues)) / 2.0))
+        """Product over the spectrum; past the float range (n = 300 at
+        lambda = 20) it is inf, a value and not a fault, so no warning."""
+        with np.errstate(over="ignore"):
+            return float(np.prod((1.0 + np.exp(-2.0 * self.lam * self.coupling.eigenvalues)) / 2.0))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage problems exit 2, resource-guard
-violations exit 3.
+violations exit 3, numeric failures and truncation errors exit 4.
 """
 
 

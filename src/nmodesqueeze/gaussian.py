@@ -8,9 +8,12 @@ Conventions (fixed here, used everywhere):
 
 The squeezed vacuum is Gaussian, so its Wigner function is
     W(q, p) = pi^-n exp(-qt qForm q - pt pForm p)
-with qForm = exp(+2 lambda A) and pForm = exp(-2 lambda A).  Values are
-computed in log space; anything below exp(-700) is reported as exactly 0
-(``wigner_log_value`` keeps the tail accessible).
+with qForm = exp(+2 lambda A) and pForm = exp(-2 lambda A).
+``wigner_values`` evaluates it at a whole array of points at once: the rows
+of (m, n) arrays q and p, one einsum per quadratic form; ``wigner_value`` is
+its one-row case.  Values are screened in log space; anything below
+exp(-700) is reported as exactly 0 (``wigner_log_value`` keeps the tail
+accessible).
 """
 
 from __future__ import annotations
@@ -28,6 +31,20 @@ from .errors import ParameterRangeError
 LOG_FLOOR = -700.0
 
 
+def _checked_points(q, p, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of q and p after the phase-point checks: ``ndim``-d
+    arrays of one shape, at least 2 modes along the last axis, all finite."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if q.ndim != ndim or q.shape != p.shape:
+        raise ValueError("q and p must be equal-length vectors")
+    if q.shape[-1] < 2:
+        raise ValueError("phase points need at least 2 modes")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError("phase point entries must be finite")
+    return q, p
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A point (q, p) in 2n-dimensional phase space."""
@@ -36,14 +53,7 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if q.ndim != 1 or p.ndim != 1 or q.size != p.size:
-            raise ValueError("q and p must be equal-length vectors")
-        if q.size < 2:
-            raise ValueError("phase points need at least 2 modes")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("phase point entries must be finite")
+        q, p = _checked_points(self.q, self.p, ndim=1)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
@@ -136,28 +146,41 @@ def wigner_from_kernel(kernel: SqueezeKernel) -> GaussianWigner:
     )
 
 
-def _quadratic_exponent(wig: GaussianWigner, point: PhasePoint) -> float:
-    if point.q.size != wig.n:
-        raise ValueError(f"point has {point.q.size} modes, Wigner function has {wig.n}")
-    return float(point.q @ wig.qForm @ point.q + point.p @ wig.pForm @ point.p)
+def _quadratic_exponents(wig: GaussianWigner, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """qt qForm q + pt pForm p for every row of the (m, n) arrays q and p."""
+    if q.shape[1] != wig.n:
+        raise ValueError(f"point has {q.shape[1]} modes, Wigner function has {wig.n}")
+    quad = np.einsum("ki,ij,kj->k", q, wig.qForm, q) + np.einsum("ki,ij,kj->k", p, wig.pForm, p)
+    # The points are finite and the forms positive definite, so a NaN here
+    # is inf - inf between overflowed terms: an exponent past the float range.
+    quad[np.isnan(quad)] = np.inf
+    return quad
+
+
+def wigner_values(wig: GaussianWigner, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Wigner values pi^-n exp(-qt qForm q - pt pForm p) at the m points
+    whose coordinates are the rows of the (m, n) arrays q and p.
+
+    Strictly positive and bounded by pi^-n (a row at the origin returns
+    normConst exactly); each exponent is screened in log space and anything
+    below exp(-700) is reported as exactly 0.0 instead of underflow noise.
+    """
+    q, p = _checked_points(q, p, ndim=2)
+    quad = _quadratic_exponents(wig, q, p)
+    values = wig.normConst * np.exp(-quad)
+    values[-quad - wig.n * math.log(math.pi) < LOG_FLOOR] = 0.0
+    return values
 
 
 def wigner_log_value(wig: GaussianWigner, point: PhasePoint) -> float:
     """Natural log of the Wigner value (never underflows)."""
-    return -wig.n * math.log(math.pi) - _quadratic_exponent(wig, point)
+    quad = _quadratic_exponents(wig, point.q[None, :], point.p[None, :])
+    return -wig.n * math.log(math.pi) - float(quad[0])
 
 
 def wigner_value(wig: GaussianWigner, point: PhasePoint) -> float:
-    """Wigner value pi^-n exp(-qt qForm q - pt pForm p).
-
-    Strictly positive and bounded by pi^-n (the origin returns normConst
-    exactly); the exponent is screened in log space and anything below
-    exp(-700) is reported as exactly 0.0 instead of underflow noise.
-    """
-    quad = _quadratic_exponent(wig, point)
-    if -quad - wig.n * math.log(math.pi) < LOG_FLOOR:
-        return 0.0
-    return wig.normConst * math.exp(-quad)
+    """Wigner value at one point: the one-row case of ``wigner_values``."""
+    return float(wigner_values(wig, point.q[None, :], point.p[None, :])[0])
 
 
 def wigner_value_alpha(wig: GaussianWigner, alpha: np.ndarray) -> float:

@@ -162,24 +162,34 @@ def three_mode_closed(lam: float) -> ThreeModeClosed:
     )
 
 
-def wigner3_closed(lam: float, alpha: np.ndarray) -> float:
+def _alpha_rows(alpha: np.ndarray, n: int) -> np.ndarray:
+    """alpha of shape (n,) or (m, n) as an (m, n) complex array."""
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != n:
+        raise ValueError(f"alpha must have length {n}")
+    return alpha.reshape(-1, n)
+
+
+def _per_alpha(values: np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
+    """A float for one alpha of shape (n,), the array for alpha rows (m, n)."""
+    return float(values[0]) if np.ndim(alpha) == 1 else values
+
+
+def wigner3_closed(lam: float, alpha: np.ndarray) -> float | np.ndarray:
     """Three-mode Wigner function in its hand-derived closed form.
 
-    The trailing complex conjugate applies to the whole secondexponent
-    brace (both the alpha^2 sum and the cross terms); the generic Gaussian
-    form is the test that pins this reading down.
+    alpha is one point, shape (3,), giving a float, or one point per row,
+    shape (m, 3), giving an array of m values.  The trailing complex
+    conjugate applies to the whole secondexponent brace (both the alpha^2
+    sum and the cross terms); the generic Gaussian form is the test that
+    pins this reading down.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (3,):
-        raise ValueError("alpha must have length 3")
-    abs_sq = float(np.sum(np.abs(alpha) ** 2))
-    alpha_sq = complex(np.sum(alpha**2))
-    cross_mixed = complex(
-        alpha[0] * alpha[1].conjugate()
-        + alpha[0] * alpha[2].conjugate()
-        + alpha[1] * alpha[2].conjugate()
-    )
-    cross_plain = complex(alpha[0] * alpha[1] + alpha[0] * alpha[2] + alpha[1] * alpha[2])
+    rows = _alpha_rows(alpha, 3)
+    a0, a1, a2 = rows.T
+    abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
+    alpha_sq = np.sum(rows**2, axis=1)
+    cross_mixed = a0 * a1.conjugate() + a0 * a2.conjugate() + a1 * a2.conjugate()
+    cross_plain = a0 * a1 + a0 * a2 + a1 * a2
     first = -(2.0 / 3.0) * (math.cosh(4 * lam) + 2.0 * math.cosh(2 * lam)) * abs_sq
     brace = -(1.0 / 3.0) * (math.sinh(4 * lam) - 2.0 * math.sinh(2 * lam)) * alpha_sq - (
         2.0 / 3.0
@@ -187,7 +197,7 @@ def wigner3_closed(lam: float, alpha: np.ndarray) -> float:
         (math.cosh(4 * lam) - math.cosh(2 * lam)) * cross_mixed
         + (math.sinh(2 * lam) + math.sinh(4 * lam)) * cross_plain
     )
-    return math.pi**-3 * math.exp(first + 2.0 * brace.real)
+    return _per_alpha(math.pi**-3 * np.exp(first + 2.0 * brace.real), alpha)
 
 
 def four_mode_closed(lam: float) -> FourModeClosed:
@@ -207,19 +217,14 @@ def four_mode_closed(lam: float) -> FourModeClosed:
     )
 
 
-def wigner4_closed(lam: float, alpha: np.ndarray) -> float:
-    """Four-mode Wigner function in its hand-derived closed form."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (4,):
-        raise ValueError("alpha must have length 4")
-    abs_sq = float(np.sum(np.abs(alpha) ** 2))
-    opposite = alpha[0] * alpha[2].conjugate() + alpha[1] * alpha[3].conjugate()
-    ring = (
-        alpha[0] * alpha[1]
-        + alpha[0] * alpha[3]
-        + alpha[1] * alpha[2]
-        + alpha[2] * alpha[3]
-    )
+def wigner4_closed(lam: float, alpha: np.ndarray) -> float | np.ndarray:
+    """Four-mode Wigner function in its hand-derived closed form; alpha of
+    shape (4,) gives a float, alpha rows of shape (m, 4) an array."""
+    rows = _alpha_rows(alpha, 4)
+    a0, a1, a2, a3 = rows.T
+    abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
+    opposite = a0 * a2.conjugate() + a1 * a3.conjugate()
+    ring = a0 * a1 + a0 * a3 + a1 * a2 + a2 * a3
     c2, t2 = math.cosh(2.0 * lam), math.tanh(2.0 * lam)
     expo = -2.0 * c2**2 * (abs_sq + 2.0 * opposite.real * t2**2 + 2.0 * ring.real * t2)
-    return math.pi**-4 * math.exp(expo)
+    return _per_alpha(math.pi**-4 * np.exp(expo), alpha)

@@ -6,9 +6,11 @@ import warnings
 
 import pytest
 
+from nmodesqueeze import cli
 from nmodesqueeze import fockoracle as fo
 from nmodesqueeze.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
@@ -16,6 +18,7 @@ from nmodesqueeze.cli import (
     main,
     run,
 )
+from nmodesqueeze.errors import NumericFailureError, TruncationError
 from nmodesqueeze.verification import run_verification
 
 TOP_LEVEL_KEYS = {"schema", "command", "config", "results", "checks"}
@@ -301,3 +304,165 @@ def test_main_variances_across_lambda_range(n, lam, capsys):
 
 def test_main_resource_guard_exit():
     assert main(["state", "--n", "4", "--lambda", "0.1", "--cutoff", "30"]) == EXIT_RESOURCE
+
+
+# ---------------------------------------------------------------------------
+# the points block: rendered from arrays, laid out as the per-point dicts were
+
+WIDE_Q = -1.2345678901234567e-100  # renders as 24 characters
+WIDE_P = -9.9999999999999997e199  # renders as 24 characters
+
+LAYOUT_CONFIGS = [
+    RunConfig(command="wigner", n=2, lam=0.3, grid=[("q1", -1.0, 1.0, 5), ("p2", -0.5, 0.5, 4)]),
+    RunConfig(command="wigner", n=3, lam=-0.7, grid=[("q3", -2.0, 2.0, 7), ("q1", 0.0, 1.0, 3)]),
+    RunConfig(command="wigner", n=4, lam=0.37, grid=[("p1", -2.0, 2.0, 6), ("q2", -2.0, 2.0, 5)]),
+    RunConfig(command="wigner", n=5, lam=1.0, grid=[("p5", -1.0, 0.0, 4)]),
+    RunConfig(
+        command="wigner",
+        n=4,
+        lam=0.3,
+        points=[
+            ([1e200, -1e200, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),
+            ([WIDE_Q, 0.0, 0.0, 0.0], [0.0, 0.0, WIDE_P, 0.0]),
+            ([0.1, -0.0, 0.3, 0.4], [0.0, 0.0, 0.0, -0.25]),
+            ([0.0, 0.0, 0.0, 0.0], [0.0, WIDE_Q, 0.0, 0.0]),
+        ],
+    ),
+]
+
+
+def _entries(table) -> list[dict]:
+    """The per-point dicts of the same arrays, as the document used to hold them."""
+    entries = []
+    for k in range(table.q.shape[0]):
+        entry = {
+            "q": [float(v) for v in table.q[k]],
+            "p": [float(v) for v in table.p[k]],
+            "value": float(table.value[k]),
+        }
+        if table.value_closed is not None:
+            entry["value_closed"] = float(table.value_closed[k])
+        entries.append(entry)
+    return entries
+
+
+def _per_point_csv(entries: list[dict]) -> str:
+    """The CSV writer of the per-point renderer, row by row over the dicts."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    nmodes = len(entries[0]["q"])
+    header = [f"q{i+1}" for i in range(nmodes)] + [f"p{i+1}" for i in range(nmodes)]
+    header.append("value")
+    has_closed = "value_closed" in entries[0]
+    if has_closed:
+        header.append("value_closed")
+    writer.writerow(header)
+    for pt in entries:
+        row = [cli._fmt_float(v) for v in pt["q"]] + [cli._fmt_float(v) for v in pt["p"]]
+        row.append(cli._fmt_float(pt["value"]))
+        if has_closed:
+            row.append(cli._fmt_float(pt["value_closed"]))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("config", LAYOUT_CONFIGS, ids=lambda c: f"n{c.n}")
+def test_points_rendering_matches_per_point_dicts(config, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the 1e200 row overflows
+        text, code = run(config)
+        csv_text, csv_code = run(RunConfig(**{**vars(config), "fmt": "csv"}))
+        table = cli._results_wigner(config)["points"]
+        real = cli._results_wigner
+
+        def per_point(cfg):
+            results = real(cfg)
+            results["points"] = _entries(results["points"])
+            return results
+
+        monkeypatch.setattr(cli, "_results_wigner", per_point)
+        reference, _ = run(config)
+    assert code == csv_code == EXIT_OK
+    assert text == reference
+    assert csv_text == _per_point_csv(_entries(table))
+    assert len(json.loads(text)["results"]["points"]) == table.q.shape[0]
+
+
+def test_points_rendering_covers_wide_and_null_rows():
+    config = LAYOUT_CONFIGS[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        text, _ = run(config)
+    results_block = text[text.index('"results"'):]
+    assert f"\n          {WIDE_Q!r},\n" in results_block  # multiline q list
+    assert "\n          -9.9999999999999997e+199,\n" in results_block
+    assert '"p": [0, 0, 0, -0.25]' in results_block  # inline lists beside them
+    assert '"q": [0.10000000000000001, -0, 0.29999999999999999, 0.40000000000000002]' in (
+        results_block
+    )
+    points = json.loads(text)["results"]["points"]
+    assert points[0]["value"] == 0.0  # past the float range: exactly 0
+    assert points[0]["value_closed"] is None  # the closed form is NaN there
+
+
+def _strict_json(text: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_floats_render_as_null():
+    assert cli._fmt_float(math.nan) == "null"
+    assert cli._fmt_float(math.inf) == "null"
+    assert cli._fmt_float(-math.inf) == "null"
+    assert cli._fmt_float(-0.0) == "-0"
+
+
+def test_coupling_past_float_range_is_strict_json(capsys):
+    # det N overflows the float range here; it is reported as null, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["coupling", "--n", "300", "--lambda", "20"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = _strict_json(captured.out)["results"]
+    assert results["det_n"] is None
+    assert results["det_lambda"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wigner", "--n", "3", "--point", "inf,0,0:0,0,0"],
+        ["wigner", "--n", "3", "--point", "0,0,0:0,nan,0"],
+        ["wigner", "--n", "4", "--grid", "q1=-inf:0:3"],
+        ["wigner", "--n", "4", "--grid", "p2=0:1e309:3"],
+    ],
+)
+def test_main_non_finite_points_exit_usage(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # linspace over inf
+        assert main(argv) == EXIT_USAGE
+    assert "phase point entries must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [NumericFailureError, TruncationError])
+def test_main_numeric_failure_exit(error, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error("solver broke down")
+
+    monkeypatch.setattr(cli.nf, "normal_form", failing)
+    assert main(["normal-form", "--n", "3", "--lambda", "0.2"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: solver broke down\n"
+
+
+def test_main_truncation_in_fock_expansion_exit(monkeypatch, capsys):
+    def truncated(state, space):
+        raise TruncationError("cutoff too small")
+
+    monkeypatch.setattr(fo, "two_photon_expand", truncated)
+    assert main(["state", "--n", "2", "--lambda", "0.2", "--cutoff", "4"]) == EXIT_NUMERIC
+    assert "cutoff too small" in capsys.readouterr().err

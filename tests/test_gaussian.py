@@ -21,7 +21,9 @@ from nmodesqueeze import (
     wigner_q_marginal,
     wigner_value,
     wigner_value_alpha,
+    wigner_values,
 )
+from nmodesqueeze.gaussian import LOG_FLOOR
 
 SWEEP_N = range(2, 9)
 SWEEP_LAMBDA = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
@@ -251,3 +253,76 @@ def test_q_marginal_matches_determinants_and_quadrature():
                 point = PhasePoint(q=q, p=np.array([x1, x2]))
                 total += w1 * w2 * wigner_value(wig, point) * math.exp(x1**2 + x2**2)
         assert wigner_q_marginal(wig, q) == pytest.approx(total, rel=1e-8)
+
+
+def _per_point_values(wig, q, p):
+    """The oracle: one literal q @ qForm @ q + p @ pForm @ p per row, with
+    the log-space floor applied point by point."""
+    out = []
+    for q_row, p_row in zip(q, p):
+        quad = float(q_row @ wig.qForm @ q_row + p_row @ wig.pForm @ p_row)
+        below = -quad - wig.n * math.log(math.pi) < LOG_FLOOR
+        out.append(0.0 if below else wig.normConst * math.exp(-quad))
+    return np.array(out)
+
+
+def _scaled_points(n, lam, m, seed):
+    """Random rows scaled by exp(-2|lambda|), so the exponent stays O(n)
+    even along the most squeezed direction and the values are not 0."""
+    rng = np.random.default_rng(seed)
+    scale = math.exp(-2.0 * abs(lam))
+    return scale * rng.normal(size=(m, n)), scale * rng.normal(size=(m, n))
+
+
+@pytest.mark.parametrize("lam", [0.2, -0.2, 1.0, -1.0, 5.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_wigner_values_match_per_point_forms(n, lam):
+    wig = _wigner(n, lam)
+    q, p = _scaled_points(n, lam, 64, seed=n)
+    values = wigner_values(wig, q, p)
+    assert values.shape == (64,)
+    assert np.all(values > 0.0)
+    assert_allclose(values, _per_point_values(wig, q, p), rtol=1e-12, atol=0.0)
+    # and wigner_value, the one-row case, agrees with its row
+    assert wigner_value(wig, PhasePoint(q=q[5], p=p[5])) == values[5]
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 8), lam=st.floats(-20.0, 20.0), seed=st.integers(0, 2**32 - 1))
+def test_wigner_values_match_per_point_forms_over_accepted_range(n, lam, seed):
+    wig = _wigner(n, lam)
+    q, p = _scaled_points(n, lam, 8, seed)
+    assert_allclose(wigner_values(wig, q, p), _per_point_values(wig, q, p), rtol=1e-12, atol=0.0)
+
+
+def test_wigner_values_floor_and_origin_rows():
+    wig = _wigner(3, 0.4)
+    q = np.array([[0.0, 0.0, 0.0], [30.0, 30.0, 30.0], [0.1, 0.0, 0.0], [1e200, -1e200, 0.0]])
+    p = np.array([[0.0, 0.0, 0.0], [30.0, -30.0, 30.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.0]])
+    values = wigner_values(wig, q, p)
+    assert values[0] == wig.normConst == math.pi**-3
+    assert 0.0 < values[2] < wig.normConst
+    # far below exp(-700), and past the float range altogether: exactly 0
+    assert values[1] == 0.0 and values[3] == 0.0
+    assert wigner_log_value(wig, PhasePoint(q=q[1], p=p[1])) < LOG_FLOOR
+    # under the floor but not yet under the float range: exp(-710) > 0
+    vacuum = _wigner(2, 0.0)
+    assert math.pi**-2 * math.exp(-710.0) > 0.0
+    assert wigner_values(vacuum, np.array([[math.sqrt(710.0), 0.0]]), np.zeros((1, 2)))[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "q, p, message",
+    [
+        (np.zeros((4, 3)), np.zeros((4, 2)), "equal-length"),
+        (np.zeros((4, 3)), np.zeros((5, 3)), "equal-length"),
+        (np.zeros(3), np.zeros(3), "equal-length"),
+        (np.zeros((4, 1)), np.zeros((4, 1)), "at least 2 modes"),
+        (np.array([[0.0, np.nan, 0.0]]), np.zeros((1, 3)), "finite"),
+        (np.zeros((1, 3)), np.array([[0.0, 0.0, np.inf]]), "finite"),
+        (np.zeros((2, 4)), np.zeros((2, 4)), "point has 4 modes"),
+    ],
+)
+def test_wigner_values_rejects_bad_points(q, p, message):
+    with pytest.raises(ValueError, match=message):
+        wigner_values(_wigner(3, 0.1), q, p)

@@ -18,6 +18,7 @@ from nmodesqueeze import (
     wigner4_closed,
     wigner_from_kernel,
     wigner_value_alpha,
+    wigner_values,
 )
 
 SWEEP_N = range(2, 9)
@@ -228,3 +229,34 @@ def test_wigner4_closed_matches_generic():
         assert wigner4_closed(lam, alpha) == pytest.approx(
             wigner_value_alpha(wig, alpha), rel=1e-10
         )
+
+
+CLOSED_FORMS = {3: wigner3_closed, 4: wigner4_closed}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("lam", [0.0, 0.3, -0.8, 1.0])
+def test_wigner_closed_batched_rows_equal_scalar_calls(n, lam):
+    closed_fn = CLOSED_FORMS[n]
+    rng = np.random.default_rng(17 + n)
+    # scaled so no value falls under the generic form's exp(-700) floor
+    rows = (rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))) * math.exp(-2 * abs(lam))
+    rows[0] = 0.0
+    batched = closed_fn(lam, rows)
+    assert isinstance(batched, np.ndarray) and batched.shape == (50,)
+    for k, alpha in enumerate(rows):
+        single = closed_fn(lam, alpha)
+        assert type(single) is float
+        assert batched[k] == single
+    assert batched[0] == math.pi**-n
+    # the batch agrees with the generic Gaussian over the same rows
+    wig = wigner_from_kernel(_kernel(n, lam))
+    generic = wigner_values(wig, math.sqrt(2.0) * rows.real, math.sqrt(2.0) * rows.imag)
+    assert_allclose(batched, generic, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("shape", [(5,), (2, 5), (2,), (2, 2, 3), ()])
+def test_wigner_closed_rejects_wrong_shapes(n, shape):
+    with pytest.raises(ValueError, match=f"alpha must have length {n}"):
+        CLOSED_FORMS[n](0.1, np.zeros(shape))

@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -42,6 +43,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
+
+POINT_HELP = "phase-space point; one that starts with -inf or -nan needs --point=VALUE"
 
 
 class UsageError(ValueError):
@@ -491,6 +494,13 @@ def _parse_tolerance(raw: str) -> tuple[str, float]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read -1e-3 or -1.2e-100,0:0,0 as a value, not as an unknown flag
+        # (argparse itself only takes forms like -1 and -1.5); no flag of
+        # this CLI starts with a digit or a dot.
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):  # exit 2 without killing the calling process
         raise UsageError(message)
 
@@ -504,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--lambda", dest="lam", type=float, default=0.0, help="squeezing parameter")
         cmd.add_argument("--cutoff", type=int, help="per-mode Fock cutoff")
         cmd.add_argument("--grid", action="append", default=[], metavar="AXIS=lo:hi:steps")
-        cmd.add_argument("--point", action="append", default=[], metavar="q,..:p,..")
+        cmd.add_argument(
+            "--point", action="append", default=[], metavar="q,..:p,..", help=POINT_HELP
+        )
         cmd.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", help="output path (default stdout)")
         cmd.add_argument("--seed", type=int, help="seed for pseudo-random draws")
@@ -533,10 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
         text, exit_code = run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ModeCountError, ParameterRangeError, ValueError) as exc:
+    except (ModeCountError, ParameterRangeError, ValueError) as exc:  # UsageError is one too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

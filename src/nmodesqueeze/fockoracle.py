@@ -1,11 +1,12 @@
 """Truncated Fock-space brute force for cross-checking every closed form.
 
 States live on a per-mode-truncated basis |n_1 ... n_n> with n_i <= cutoff,
-flattened with mode 0 most significant.  Ladder operators are built
-sparsely by Kronecker products; the raising operator simply drops the
+flattened with mode 0 most significant.  Ladder operators are sparse
+matrices built by Kronecker products; the raising operator simply drops the
 cutoff -> cutoff+1 matrix element, so commutator identities hold exactly
 on the interior (n_i < cutoff) subspace and tail mass is *measured*, never
-assumed away.
+assumed away.  Every quadratic form sum_ij c_ij op_i op_j comes from one
+pair sum, and every exponential of a photon-pair block from one series.
 
 The squeeze itself is realised as the action exp(iH)|0> of the sparse
 quadratic generator on the vacuum (truncated Taylor series with Al-Mohy &
@@ -95,7 +96,7 @@ class FockTensor:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A (sparse) matrix acting on a truncated Fock basis."""
+    """The sparse generator together with the basis it acts on."""
 
     space: FockSpace
     mat: sp.spmatrix
@@ -141,7 +142,7 @@ def _single_mode_lowering(cutoff: int) -> sp.csr_matrix:
     return sp.diags(data, offsets=1, format="csr")
 
 
-def ladder_ops(space: FockSpace) -> tuple[list[FockOperator], list[FockOperator]]:
+def ladder_ops(space: FockSpace) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
     """Per-mode lowering and raising operators (exact transposes).
 
     The raising operator is truncated: its cutoff -> cutoff+1 element is
@@ -154,8 +155,8 @@ def ladder_ops(space: FockSpace) -> tuple[list[FockOperator], list[FockOperator]
         left = sp.identity(base**i, format="csr")
         right = sp.identity(base ** (space.n - 1 - i), format="csr")
         a_i = sp.kron(sp.kron(left, low, format="csr"), right, format="csr")
-        lowering.append(FockOperator(space=space, mat=a_i))
-        raising.append(FockOperator(space=space, mat=a_i.T.tocsr()))
+        lowering.append(a_i)
+        raising.append(a_i.T.tocsr())
     return lowering, raising
 
 
@@ -164,9 +165,36 @@ def quadrature_ops(space: FockSpace) -> tuple[list[sp.csr_matrix], list[sp.csr_m
     lowering, raising = ladder_ops(space)
     q_ops, p_ops = [], []
     for a_i, adag_i in zip(lowering, raising):
-        q_ops.append(((a_i.mat + adag_i.mat) / math.sqrt(2.0)).tocsr())
-        p_ops.append((-1j * (a_i.mat - adag_i.mat) / math.sqrt(2.0)).tocsr())
+        q_ops.append(((a_i + adag_i) / math.sqrt(2.0)).tocsr())
+        p_ops.append((-1j * (a_i - adag_i) / math.sqrt(2.0)).tocsr())
     return q_ops, p_ops
+
+
+def _pair_sum(coeff: np.ndarray, scale: float, left: list, right: list) -> sp.csr_matrix:
+    """sum_ij (scale * c_ij) * (left_i @ right_j) over the nonzero c_ij, added
+    term by term in row-major order: every quadratic form of the oracle."""
+    dim = left[0].shape[0]
+    total = sp.csr_matrix((dim, dim), dtype=np.result_type(left[0].dtype, right[0].dtype))
+    for i, left_i in enumerate(left):
+        for j, right_j in enumerate(right):
+            if coeff[i, j] != 0:
+                total = total + (scale * coeff[i, j]) * (left_i @ right_j)
+    return total.tocsr()
+
+
+def _terminating_series(
+    mat: sp.spmatrix | np.ndarray, start: np.ndarray, space: FockSpace
+) -> np.ndarray:
+    """exp(mat) @ start for a mat that only adds, or only removes, photon
+    pairs: on the truncated basis its Taylor series ends by order
+    n * cutoff / 2 + 1, and it stops at the first term that is exactly zero."""
+    result = term = start
+    for k in range(1, space.n * space.cutoff // 2 + 2):
+        term = mat @ term / k
+        if not np.any(term):
+            break
+        result = result + term
+    return result
 
 
 def generator(space: FockSpace, coupling: CouplingMatrix, lam: float) -> FockOperator:
@@ -178,13 +206,7 @@ def generator(space: FockSpace, coupling: CouplingMatrix, lam: float) -> FockOpe
     if coupling.n != space.n:
         raise ValueError(f"coupling has {coupling.n} modes, space has {space.n}")
     q_ops, p_ops = quadrature_ops(space)
-    mat = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(space.n):
-        for j in range(space.n):
-            aij = int(coupling.entries[i, j])
-            if aij:
-                mat = mat + (lam * aij) * (q_ops[i] @ p_ops[j])
-    return FockOperator(space=space, mat=mat.tocsr())
+    return FockOperator(space=space, mat=_pair_sum(coupling.entries, lam, q_ops, p_ops))
 
 
 def require_dense(space: FockSpace) -> None:
@@ -247,21 +269,8 @@ def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
     if np.max(np.abs(state.F - state.F.T)) > 1e-12:
         raise ValueError("two-photon matrix must be symmetric")
     _, raising = ladder_ops(space)
-    quad = sp.csr_matrix((space.dim, space.dim))
-    for i in range(space.n):
-        for j in range(space.n):
-            fij = state.F[i, j]
-            if fij != 0.0:
-                quad = quad + (0.5 * fij) * (raising[i].mat @ raising[j].mat)
-    quad = quad.tocsr()
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[0] = 1.0
-    term = amps.copy()
-    for k in range(1, space.n * space.cutoff // 2 + 2):
-        term = quad @ term / k
-        if not np.any(term):
-            break
-        amps = amps + term
+    quad = _pair_sum(state.F, 0.5, raising, raising)
+    amps = _terminating_series(quad, vacuum(space).amps, space)
     return FockTensor(space=space, amps=state.norm * amps)
 
 
@@ -291,10 +300,7 @@ def collective_quadrature(space: FockSpace, which: str) -> sp.csr_matrix:
     ops = q_ops if which == "X1" else p_ops if which == "X2" else None
     if ops is None:
         raise ValueError(f"which must be 'X1' or 'X2', got {which!r}")
-    total = ops[0]
-    for op in ops[1:]:
-        total = total + op
-    return (total / math.sqrt(2.0 * space.n)).tocsr()
+    return (sum(ops[1:], ops[0]) / math.sqrt(2.0 * space.n)).tocsr()
 
 
 def variance_numeric(psi: FockTensor, which: str) -> float:
@@ -377,40 +383,17 @@ def assemble_normal_form(form: NormalOrderedForm, space: FockSpace) -> np.ndarra
         raise ValueError(f"form has {n_modes} modes, space has {space.n}")
     require_dense(space)
     lowering, raising = ladder_ops(space)
-    adag = [op.mat.toarray() for op in raising]
-    alow = [op.mat.toarray() for op in lowering]
-
-    def quadratic(coeff: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
-        total = np.zeros((space.dim, space.dim))
-        for i in range(space.n):
-            for j in range(space.n):
-                if coeff[i, j] != 0.0:
-                    total += 0.5 * coeff[i, j] * (ops[i] @ ops[j])
-        return total
-
-    def nilpotent_exp(mat: np.ndarray) -> np.ndarray:
-        result = np.eye(space.dim)
-        term = np.eye(space.dim)
-        for k in range(1, space.n * space.cutoff // 2 + 2):
-            term = mat @ term / k
-            if not np.any(term):
-                break
-            result = result + term
-        return result
-
-    cre_factor = nilpotent_exp(quadratic(form.creMat, adag))
-    ann_factor = nilpotent_exp(quadratic(form.annMat, alow))
+    cre = _pair_sum(form.creMat, 0.5, raising, raising).toarray()
+    ann = _pair_sum(form.annMat, 0.5, lowering, lowering).toarray()
+    cre_factor = _terminating_series(cre, np.eye(space.dim), space)
+    ann_factor = _terminating_series(ann, np.eye(space.dim), space)
 
     one_body = np.eye(n_modes) + form.crossMat
     w, v = np.linalg.eigh(one_body)
     if np.min(w) <= 0.0:
         raise ValueError("middle factor needs a positive definite I + crossMat")
     log_one_body = (v * np.log(w)) @ v.T
-    dgamma = np.zeros((space.dim, space.dim))
-    for i in range(space.n):
-        for j in range(space.n):
-            if log_one_body[i, j] != 0.0:
-                dgamma += log_one_body[i, j] * (adag[i] @ alow[j])
+    dgamma = _pair_sum(log_one_body, 1.0, raising, lowering).toarray()
     wg, vg = np.linalg.eigh(dgamma)
     mid_factor = (vg * np.exp(wg)) @ vg.conj().T
 

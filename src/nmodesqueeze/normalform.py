@@ -170,8 +170,13 @@ def _alpha_rows(alpha: np.ndarray, n: int) -> np.ndarray:
     return alpha.reshape(-1, n)
 
 
-def _per_alpha(values: np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
-    """A float for one alpha of shape (n,), the array for alpha rows (m, n)."""
+def _closed_values(expo: np.ndarray, n: int, alpha: np.ndarray) -> float | np.ndarray:
+    """pi^-n exp(expo): a float for one alpha of shape (n,), the array for
+    alpha rows (m, n).  The exponent is a negative definite form, so a
+    non-finite one (inf - inf between overflowed terms at a far point) lies
+    below the float range and gives 0."""
+    expo[~np.isfinite(expo)] = -np.inf
+    values = math.pi**-n * np.exp(expo)
     return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
@@ -186,18 +191,20 @@ def wigner3_closed(lam: float, alpha: np.ndarray) -> float | np.ndarray:
     """
     rows = _alpha_rows(alpha, 3)
     a0, a1, a2 = rows.T
-    abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
-    alpha_sq = np.sum(rows**2, axis=1)
-    cross_mixed = a0 * a1.conjugate() + a0 * a2.conjugate() + a1 * a2.conjugate()
-    cross_plain = a0 * a1 + a0 * a2 + a1 * a2
-    first = -(2.0 / 3.0) * (math.cosh(4 * lam) + 2.0 * math.cosh(2 * lam)) * abs_sq
-    brace = -(1.0 / 3.0) * (math.sinh(4 * lam) - 2.0 * math.sinh(2 * lam)) * alpha_sq - (
-        2.0 / 3.0
-    ) * (
-        (math.cosh(4 * lam) - math.cosh(2 * lam)) * cross_mixed
-        + (math.sinh(2 * lam) + math.sinh(4 * lam)) * cross_plain
-    )
-    return _per_alpha(math.pi**-3 * np.exp(first + 2.0 * brace.real), alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
+        alpha_sq = np.sum(rows**2, axis=1)
+        cross_mixed = a0 * a1.conjugate() + a0 * a2.conjugate() + a1 * a2.conjugate()
+        cross_plain = a0 * a1 + a0 * a2 + a1 * a2
+        first = -(2.0 / 3.0) * (math.cosh(4 * lam) + 2.0 * math.cosh(2 * lam)) * abs_sq
+        brace = -(1.0 / 3.0) * (math.sinh(4 * lam) - 2.0 * math.sinh(2 * lam)) * alpha_sq - (
+            2.0 / 3.0
+        ) * (
+            (math.cosh(4 * lam) - math.cosh(2 * lam)) * cross_mixed
+            + (math.sinh(2 * lam) + math.sinh(4 * lam)) * cross_plain
+        )
+        expo = first + 2.0 * brace.real
+    return _closed_values(expo, 3, alpha)
 
 
 def four_mode_closed(lam: float) -> FourModeClosed:
@@ -222,9 +229,10 @@ def wigner4_closed(lam: float, alpha: np.ndarray) -> float | np.ndarray:
     shape (4,) gives a float, alpha rows of shape (m, 4) an array."""
     rows = _alpha_rows(alpha, 4)
     a0, a1, a2, a3 = rows.T
-    abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
-    opposite = a0 * a2.conjugate() + a1 * a3.conjugate()
-    ring = a0 * a1 + a0 * a3 + a1 * a2 + a2 * a3
     c2, t2 = math.cosh(2.0 * lam), math.tanh(2.0 * lam)
-    expo = -2.0 * c2**2 * (abs_sq + 2.0 * opposite.real * t2**2 + 2.0 * ring.real * t2)
-    return _per_alpha(math.pi**-4 * np.exp(expo), alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
+        opposite = a0 * a2.conjugate() + a1 * a3.conjugate()
+        ring = a0 * a1 + a0 * a3 + a1 * a2 + a2 * a3
+        expo = -2.0 * c2**2 * (abs_sq + 2.0 * opposite.real * t2**2 + 2.0 * ring.real * t2)
+    return _closed_values(expo, 4, alpha)

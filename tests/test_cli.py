@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from nmodesqueeze import cli
+from nmodesqueeze import cli, verification
 from nmodesqueeze import fockoracle as fo
 from nmodesqueeze.cli import (
     EXIT_CHECK_FAILED,
@@ -368,31 +368,27 @@ def _per_point_csv(entries: list[dict]) -> str:
 
 @pytest.mark.parametrize("config", LAYOUT_CONFIGS, ids=lambda c: f"n{c.n}")
 def test_points_rendering_matches_per_point_dicts(config, monkeypatch):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the 1e200 row overflows
-        text, code = run(config)
-        csv_text, csv_code = run(RunConfig(**{**vars(config), "fmt": "csv"}))
-        table = cli._results_wigner(config)["points"]
-        real = cli._results_wigner
+    text, code = run(config)
+    csv_text, csv_code = run(RunConfig(**{**vars(config), "fmt": "csv"}))
+    table = cli._results_wigner(config)["points"]
+    real = cli._results_wigner
 
-        def per_point(cfg):
-            results = real(cfg)
-            results["points"] = _entries(results["points"])
-            return results
+    def per_point(cfg):
+        results = real(cfg)
+        results["points"] = _entries(results["points"])
+        return results
 
-        monkeypatch.setattr(cli, "_results_wigner", per_point)
-        reference, _ = run(config)
+    monkeypatch.setattr(cli, "_results_wigner", per_point)
+    reference, _ = run(config)
     assert code == csv_code == EXIT_OK
     assert text == reference
     assert csv_text == _per_point_csv(_entries(table))
     assert len(json.loads(text)["results"]["points"]) == table.q.shape[0]
 
 
-def test_points_rendering_covers_wide_and_null_rows():
+def test_points_rendering_covers_wide_and_null_rows(monkeypatch):
     config = LAYOUT_CONFIGS[-1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        text, _ = run(config)
+    text, _ = run(config)
     results_block = text[text.index('"results"'):]
     assert f"\n          {WIDE_Q!r},\n" in results_block  # multiline q list
     assert "\n          -9.9999999999999997e+199,\n" in results_block
@@ -402,7 +398,19 @@ def test_points_rendering_covers_wide_and_null_rows():
     )
     points = json.loads(text)["results"]["points"]
     assert points[0]["value"] == 0.0  # past the float range: exactly 0
-    assert points[0]["value_closed"] is None  # the closed form is NaN there
+    assert points[0]["value_closed"] == 0.0  # the closed form is screened the same way
+    # A NaN renders as null both in a wide row and in a template row.
+    real_closed = cli.nf.wigner4_closed
+
+    def closed_with_nan(lam, alpha):
+        values = real_closed(lam, alpha)
+        values[[0, 2]] = math.nan
+        return values
+
+    monkeypatch.setattr(cli.nf, "wigner4_closed", closed_with_nan)
+    points = json.loads(run(config)[0])["results"]["points"]
+    assert points[0]["value_closed"] is None and points[2]["value_closed"] is None
+    assert points[3]["value_closed"] > 0.0
 
 
 def _strict_json(text: str) -> dict:
@@ -466,3 +474,51 @@ def test_main_truncation_in_fock_expansion_exit(monkeypatch, capsys):
     monkeypatch.setattr(fo, "two_photon_expand", truncated)
     assert main(["state", "--n", "2", "--lambda", "0.2", "--cutoff", "4"]) == EXIT_NUMERIC
     assert "cutoff too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n,point", [(3, "1e200,-1e200,0:0,0,0"), (4, "1e200,-1e200,0,0:0,0,0,0")]
+)
+def test_main_closed_wigner_past_float_range_is_zero(n, point, capsys):
+    # inf - inf between overflowed terms of the closed form reads as 0, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wigner", "--n", str(n), "--lambda", "0.3", f"--point={point}"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (entry,) = _strict_json(captured.out)["results"]["points"]
+    assert entry["value"] == 0.0
+    assert entry["value_closed"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--lambda", "-1e-3"), ("--lambda", "-1.5e+00"), ("--point", "-1.2e-100,0,0,0:0,0,0,0")],
+)
+def test_main_negative_values_in_exponent_notation(flag, value, capsys):
+    assert main(["wigner", "--n", "4", flag, value]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    config = json.loads(captured.out)["config"]
+    if flag == "--lambda":
+        assert config["lambda"] == float(value)
+    else:
+        assert config["points"][0]["q"][0] == -1.2e-100
+
+
+def test_verify_calls_every_check_through_the_module(monkeypatch):
+    """Wrappers set on the module after import see all 19 checks, as the
+    benchmark's tracer relies on."""
+    calls = []
+    for attr, obj in list(vars(verification).items()):
+        if attr.startswith(("check_", "probe_")) and callable(obj):
+
+            def traced(*args, _fn=obj, **kwargs):
+                record = _fn(*args, **kwargs)
+                calls.append(record.name)
+                return record
+
+            monkeypatch.setattr(verification, attr, traced)
+    report = verification.run_verification(seed=0)
+    assert calls == [rec.name for rec in report.checks]
+    assert len(calls) == len(set(calls)) == 19

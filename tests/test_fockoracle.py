@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from nmodesqueeze import (
@@ -86,14 +87,14 @@ def test_ladder_vacuum_expectation():
     space = build_space(2, 5)
     a_ops, adag_ops = ladder_ops(space)
     vac = vacuum(space).amps
-    assert np.vdot(vac, (a_ops[0].mat @ adag_ops[0].mat) @ vac) == pytest.approx(1.0)
+    assert np.vdot(vac, (a_ops[0] @ adag_ops[0]) @ vac) == pytest.approx(1.0)
 
 
 def test_raising_is_exact_transpose():
     space = build_space(2, 6)
     a_ops, adag_ops = ladder_ops(space)
     for a_i, adag_i in zip(a_ops, adag_ops):
-        assert (a_i.mat.T != adag_i.mat).nnz == 0
+        assert (a_i.T != adag_i).nnz == 0
 
 
 def test_commutators():
@@ -101,14 +102,14 @@ def test_commutators():
     a_ops, adag_ops = ladder_ops(space)
     occs = occupation_table(space)
     # same mode: identity on the interior n_i < cutoff
-    comm = (a_ops[0].mat @ adag_ops[0].mat - adag_ops[0].mat @ a_ops[0].mat).toarray()
+    comm = (a_ops[0] @ adag_ops[0] - adag_ops[0] @ a_ops[0]).toarray()
     interior = occs[:, 0] < space.cutoff
     assert_allclose(comm[interior], np.eye(space.dim)[interior], atol=1e-13)
     # the dropped cutoff -> cutoff+1 element shows up as -cutoff on the edge
     edge = ~interior
     assert_allclose(np.diag(comm)[edge], -space.cutoff, atol=1e-12)
     # distinct modes: exactly zero
-    cross = a_ops[0].mat @ adag_ops[1].mat - adag_ops[1].mat @ a_ops[0].mat
+    cross = a_ops[0] @ adag_ops[1] - adag_ops[1] @ a_ops[0]
     assert np.max(np.abs(cross.toarray())) == 0.0
 
 
@@ -367,3 +368,74 @@ def test_assemble_normal_form_dense_guard():
     assert build_space(2, cutoff).dim > DENSE_DIM_GUARD >= build_space(2, cutoff - 1).dim
     with pytest.raises(ResourceLimitError):
         assemble_normal_form(form, build_space(2, cutoff))
+
+
+def _loop_quadratic(coeff, scale, left, right, dense=False):
+    """The per-function double loops the pair sum replaced, kept as oracles."""
+    dim = left[0].shape[0]
+    if dense:
+        left = [op.toarray() for op in left]
+        right = [op.toarray() for op in right]
+        total = np.zeros((dim, dim))
+        for i in range(len(left)):
+            for j in range(len(right)):
+                if coeff[i, j] != 0.0:
+                    total += scale * coeff[i, j] * (left[i] @ right[j])
+        return total
+    total = sp.csr_matrix((dim, dim), dtype=np.result_type(left[0].dtype, right[0].dtype))
+    for i in range(len(left)):
+        for j in range(len(right)):
+            if coeff[i, j] != 0.0:
+                total = total + (scale * coeff[i, j]) * (left[i] @ right[j])
+    return total.tocsr()
+
+
+def _loop_series(mat, start, space):
+    result = start.copy()
+    term = start.copy()
+    for k in range(1, space.n * space.cutoff // 2 + 2):
+        term = mat @ term / k
+        if not np.any(term):
+            break
+        result = result + term
+    return result
+
+
+@pytest.mark.parametrize("config", [(3, 5, 0.3), (4, 4, 0.2)])
+def test_two_photon_expand_matches_loop_oracle_bits(config):
+    """F has a true diagonal at n = 3 and rounding-level entries off the ring at n = 4."""
+    n, cutoff, lam = config
+    space = build_space(n, cutoff)
+    state = squeezed_vacuum(build_kernel(build_coupling(n), lam))
+    _, raising = ladder_ops(space)
+    quad = _loop_quadratic(state.F, 0.5, raising, raising)
+    expected = state.norm * _loop_series(quad, vacuum(space).amps, space)
+    assert two_photon_expand(state, space).amps.tobytes() == expected.tobytes()
+
+
+def test_generator_matches_loop_oracle_bits():
+    """A has zero entries, so this also covers the skipped pairs."""
+    space = build_space(3, 5)
+    coupling = build_coupling(3)
+    q_ops, p_ops = quadrature_ops(space)
+    expected = _loop_quadratic(coupling.entries, 0.2, q_ops, p_ops)
+    ham = generator(space, coupling, 0.2).mat
+    assert (ham != expected).nnz == 0
+    assert ham.toarray().tobytes() == expected.toarray().tobytes()
+
+
+def test_assemble_normal_form_matches_loop_oracle_bits():
+    """The dense double loops and series of the assembly, in the test."""
+    n, cutoff, lam = 2, 12, 0.15
+    space = build_space(n, cutoff)
+    form = normal_form(build_kernel(build_coupling(n), lam))
+    lowering, raising = ladder_ops(space)
+    eye = np.eye(space.dim)
+    cre = _loop_series(_loop_quadratic(form.creMat, 0.5, raising, raising, True), eye, space)
+    ann = _loop_series(_loop_quadratic(form.annMat, 0.5, lowering, lowering, True), eye, space)
+    w, v = np.linalg.eigh(np.eye(n) + form.crossMat)
+    dgamma = _loop_quadratic((v * np.log(w)) @ v.T, 1.0, raising, lowering, True)
+    wg, vg = np.linalg.eigh(dgamma)
+    mid = (vg * np.exp(wg)) @ vg.conj().T
+    expected = form.prefactor * (cre @ mid @ ann)
+    assert assemble_normal_form(form, space).tobytes() == expected.tobytes()

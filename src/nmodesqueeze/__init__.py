@@ -4,7 +4,9 @@ Builds the nearest-neighbour cyclic coupling matrix, the squeeze kernel
 (matrix functions of the coupling), the normally ordered operator and its
 squeezed vacuum, collective quadrature variances, Gaussian Wigner
 functions, the hand-derived three- and four-mode closed forms, and a
-truncated Fock-space brute force that cross-checks all of it.
+truncated Fock-space brute force that cross-checks all of it.  The Fock
+names (``evolve_vacuum`` and the rest of ``fockoracle``) load on first use,
+so importing the package does not import scipy.
 """
 
 from .coupling import (
@@ -53,23 +55,36 @@ from .normalform import (
     wigner3_closed,
     wigner4_closed,
 )
-from .fockoracle import (
-    FockOperator,
-    FockSpace,
-    FockTensor,
-    assemble_normal_form,
-    build_space,
-    evolve_vacuum,
-    generator,
-    ladder_ops,
-    normalized,
-    overlap,
-    quadrature_ops,
-    tail_mass,
-    two_photon_expand,
-    vacuum,
-    variance_numeric,
-    wigner_numeric,
-)
+
+# The Fock oracle pulls in scipy.sparse, so its names load on first use.
+# Each access resolves through the module, never a copy in this namespace:
+# a wrapper set on a fockoracle attribute after import is what callers get.
+_FOCK_NAMES = frozenset({
+    "FockOperator",
+    "FockSpace",
+    "FockTensor",
+    "assemble_normal_form",
+    "build_space",
+    "evolve_vacuum",
+    "generator",
+    "ladder_ops",
+    "normalized",
+    "overlap",
+    "quadrature_ops",
+    "tail_mass",
+    "two_photon_expand",
+    "vacuum",
+    "variance_numeric",
+    "wigner_numeric",
+})
+
+
+def __getattr__(name: str):
+    if name in _FOCK_NAMES:
+        from . import fockoracle
+
+        return getattr(fockoracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

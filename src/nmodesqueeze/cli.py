@@ -19,11 +19,11 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import coupling as cp
-from . import fockoracle as fo
 from . import gaussian as ga
 from . import normalform as nf
 from .errors import (
@@ -33,7 +33,9 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
 )
-from .verification import CheckRecord, VerifyReport, resolve_tolerances, run_verification
+
+if TYPE_CHECKING:
+    from .verification import CheckRecord, VerifyReport
 
 SCHEMA = "nmode-squeeze/1"
 COMMANDS = ("coupling", "variances", "normal-form", "state", "wigner", "verify", "baseline")
@@ -285,6 +287,8 @@ def _results_state(config: RunConfig) -> dict:
         "two_photon_matrix": _matrix(state.F),
     }
     if config.cutoff is not None:
+        from . import fockoracle as fo  # scipy.sparse: only --cutoff pays for it
+
         space = fo.build_space(n, config.cutoff)
         psi = fo.two_photon_expand(state, space)
         amplitudes = []
@@ -390,6 +394,8 @@ def _record_doc(rec: CheckRecord) -> dict:
 
 def verify(config: RunConfig) -> VerifyReport:
     """Run the acceptance suite under this configuration."""
+    from .verification import resolve_tolerances, run_verification
+
     resolve_tolerances(config.tolerances)  # validate names before the long run
     return run_verification(
         seed=config.seed if config.seed is not None else 0,

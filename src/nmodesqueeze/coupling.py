@@ -28,16 +28,23 @@ LAMBDA_GUARD = 20.0
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Adjacency matrix of the cyclic coupling with its spectrum.
+    """The cyclic coupling A as its first row and its spectrum: O(n) data.
 
-    ``entries`` is integer and symmetric with zero diagonal and row sums 2;
-    ``eigenvalues`` is the DFT of its first row, in DFT order, so
-    ``eigenvalues[0] == 2`` belongs to the all-ones mode.
+    A is the symmetric circulant with first row ``row`` (integer, zero
+    diagonal, row sum 2); ``eigenvalues`` is the DFT of that row, in DFT
+    order, so ``eigenvalues[0] == 2`` belongs to the all-ones mode.  The
+    dense n x n ``entries`` is built on first use and then kept.
     """
 
     n: int
-    entries: np.ndarray
+    row: np.ndarray
     eigenvalues: np.ndarray
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """A itself, int64 and read-only: entry (i, j) is row[(j - i) mod n]."""
+        index = np.arange(self.n)
+        return _freeze(self.row[(index[None, :] - index[:, None]) % self.n])
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,10 @@ class SqueezeKernel:
 
     @cached_property
     def detLambda(self) -> float:
-        """det exp(-lambda A) = exp(-lambda tr A): a product over the
-        spectrum would underflow at large n and lambda."""
-        return math.exp(-self.lam * float(np.trace(self.coupling.entries)))
+        """det exp(-lambda A) = exp(-lambda tr A), with tr A = n row[0]: a
+        product over the spectrum would underflow at large n and lambda."""
+        coupling = self.coupling
+        return math.exp(-self.lam * float(coupling.n * coupling.row[0]))
 
     @cached_property
     def detN(self) -> float:
@@ -95,12 +103,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def build_coupling(n: int) -> CouplingMatrix:
-    """Accumulate the coupling matrix of the n-mode generator sum.
+    """Accumulate the first row of the coupling matrix of the generator sum.
 
     Each term Q_i P_{i+1} + Q_{i+1} P_i (indices mod n) adds 1 to A[i, i+1]
-    and A[i+1, i]; for n = 2 both loop passes hit the same pair, which is
+    and A[i+1, i]; in row 0 that is A[0, 1] from the first term and
+    A[0, n-1] from the last.  For n = 2 both hit the same entry, which is
     what makes the two-mode member twice as strong as the standard
-    two-mode squeeze.
+    two-mode squeeze.  The spectrum is the DFT of this row; the dense
+    ``entries`` is left until a caller asks for it.
 
     Raises
     ------
@@ -109,16 +119,10 @@ def build_coupling(n: int) -> CouplingMatrix:
     """
     if n < 2:
         raise ModeCountError(f"need at least 2 modes, got n={n}")
-    entries = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        j = (i + 1) % n
-        entries[i, j] += 1
-        entries[j, i] += 1
-    return CouplingMatrix(
-        n=n,
-        entries=_freeze(entries),
-        eigenvalues=_freeze(np.fft.fft(entries[0]).real),
-    )
+    row = np.zeros(n, dtype=np.int64)
+    row[1] += 1
+    row[-1] += 1
+    return CouplingMatrix(n=n, row=_freeze(row), eigenvalues=_freeze(np.fft.fft(row).real))
 
 
 def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

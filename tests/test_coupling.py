@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nmodesqueeze import (
     ParameterRangeError,
     build_coupling,
     build_kernel,
+    cli,
     entry_sum,
     expm_taylor,
     matrix_function,
@@ -37,16 +39,49 @@ def test_two_mode_wraparound_doubles():
     assert build_coupling(2).entries.tolist() == [[0, 2], [2, 0]]
 
 
-@pytest.mark.parametrize("n", SWEEP_N)
+def _accumulated(n):
+    """Oracle: A summed term by term, each Q_i P_{i+1} + Q_{i+1} P_i adding
+    1 to A[i, i+1] and A[i+1, i]; for n = 2 both passes hit one pair."""
+    entries = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        j = (i + 1) % n
+        entries[i, j] += 1
+        entries[j, i] += 1
+    return entries
+
+
+@pytest.mark.parametrize("n", range(2, 17))
 def test_structure_invariants(n):
     entries = build_coupling(n).entries
     assert entries.dtype == np.int64
+    assert np.array_equal(entries, _accumulated(n))
+    assert not entries.flags.writeable
     assert np.all(np.diag(entries) == 0)
     assert np.array_equal(entries, entries.T)
     assert np.all(entries.sum(axis=1) == 2)
     if n >= 3:
         assert set(np.unique(entries)) <= {0, 1}
         assert np.all((entries == 1).sum(axis=1) == 2)
+
+
+def test_variances_keep_the_coupling_o_n(monkeypatch):
+    """At n = 3000 the dense A alone would be 72 MB; variances never builds it."""
+    built = []
+
+    def recording(n):
+        built.append(build_coupling(n))
+        return built[-1]
+
+    monkeypatch.setattr(cli.cp, "build_coupling", recording)
+    tracemalloc.start()
+    try:
+        cli._results_variances(cli.RunConfig(command="variances", n=3000, lam=0.3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [coupling.n for coupling in built] == [3000]
+    assert "entries" not in vars(built[0])
 
 
 @pytest.mark.parametrize("n", [0, 1, -3])

@@ -86,8 +86,7 @@ class SqueezeKernel:
     def detLambda(self) -> float:
         """det exp(-lambda A) = exp(-lambda tr A), with tr A = n row[0]: a
         product over the spectrum would underflow at large n and lambda."""
-        coupling = self.coupling
-        return math.exp(-self.lam * float(coupling.n * coupling.row[0]))
+        return math.exp(-self.lam * float(self.coupling.n * self.coupling.row[0]))
 
     @cached_property
     def detN(self) -> float:

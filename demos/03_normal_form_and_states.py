@@ -3,9 +3,9 @@
 The squeeze factors into a pure-creation exponential, a normally ordered
 mixed factor, and a pure-annihilation exponential.  On the vacuum only
 the creation block survives, giving a two-photon state
-norm * exp(at~ F at / 2)|0> whose matrix F turns out to be
--tanh(lambda A).  The hand-derived three- and four-mode scalars are compared
-against the generic pipeline at the end.
+norm * exp(at~ F at / 2)|0> whose matrix F is -tanh(lambda A).  The
+hand-derived three- and four-mode scalars are compared against the generic
+pipeline at the end.
 """
 import numpy as np
 
@@ -24,12 +24,12 @@ np.set_printoptions(precision=6, suppress=True)
 kernel = build_kernel(build_coupling(3), 0.2)
 form = normal_form(kernel)
 print("n = 3, lambda = 0.2")
-print(f"prefactor (det Lambda / det N)^1/2 = {form.prefactor:.9f}")
-print("creation block (equals -tanh(lambda A)):")
+print(f"prefactor prod_k sech(lambda a_k)^1/2 = {form.prefactor:.9f}")
+print("creation block -tanh(lambda A):")
 print(form.creMat)
-print("mixed block Lambda N^-1 - I:")
+print("mixed block sech(lambda A) - I:")
 print(form.crossMat)
-print("annihilation block N^-1 - I:")
+print("annihilation block tanh(lambda A):")
 print(form.annMat)
 print()
 

@@ -49,11 +49,11 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class SqueezeKernel:
-    """lambda together with every matrix function of A used downstream.
+    """lambda with the dense matrix functions of A and two determinants.
 
-    Lambda = exp(-lambda A) (symmetric, so it equals its transpose),
-    gram = Lambda~ Lambda = exp(-2 lambda A), gramInv = exp(+2 lambda A),
-    Nmat = (1 + gram)/2.  Each is built on first use and then kept.
+    Lambda = exp(-lambda A) (symmetric, so it equals its transpose), gram =
+    exp(-2 lambda A), gramInv = exp(+2 lambda A), NmatInv = ((1 + gram)/2)^-1,
+    each built on first use; the normal form's product-form oracle uses them.
     """
 
     coupling: CouplingMatrix
@@ -73,10 +73,6 @@ class SqueezeKernel:
     @cached_property
     def gramInv(self) -> np.ndarray:
         return self._function(lambda a: np.exp(2.0 * self.lam * a))
-
-    @cached_property
-    def Nmat(self) -> np.ndarray:
-        return _freeze((np.eye(self.coupling.n) + self.gram) / 2.0)
 
     @cached_property
     def NmatInv(self) -> np.ndarray:

@@ -3,12 +3,14 @@ three- and four-mode closed forms.
 
 The squeeze factors into
     prefactor * exp(at~ creMat at / 2) * :exp(at~ crossMat a): * exp(a~ annMat a / 2)
-with creMat = Lambda Ninv Lambda~ - I, crossMat = Lambda Ninv - I and
-annMat = Ninv - I.  Acting on the vacuum only the creation factor
-survives, giving the two-photon state norm * exp(at~ F at / 2)|0> with
-F = creMat.  The coefficient matrices are assembled from the kernel's
-matrix products here; the equivalent form F = -tanh(lambda A) is left to
-the tests to confirm rather than assumed.
+with the paper's creMat = Lambda Ninv Lambda~ - I = -tanh(lambda A), crossMat =
+Lambda Ninv - I = sech(lambda A) - I, annMat = Ninv - I = tanh(lambda A) and,
+as sum_k a_k = 0, prefactor = prod_k sech(lambda a_k)^(1/2).  Each block is one
+circulant built from the spectrum a_k, the prefactor a sum of log sech; verify
+checks creMat against its product.  On the vacuum only the creation factor
+survives: norm * exp(at~ F at / 2)|0> with F = creMat, norm = prefactor.  Both
+carry and are validated through sech2 = 1 - f_k^2, which float64 holds where
+f_k = tanh rounds to 1.
 
 ``three_mode_closed`` / ``four_mode_closed`` carry the hand-derived n = 3
 and n = 4 scalars (Gram entries, state coefficients, inverse-N pattern) as
@@ -22,51 +24,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import SqueezeKernel
+from .coupling import LAMBDA_GUARD, SqueezeKernel, matrix_function
 from .errors import ParameterRangeError
+
+
+def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
+    """Symmetric matrices and a normalizable vacuum image, 0 < sech2 <= 1."""
+    for name, mat in mats.items():
+        if np.max(np.abs(mat - mat.T)) > 1e-12:
+            raise ValueError(f"{name} must be symmetric")
+    if not np.all((sech2 > 0.0) & (sech2 <= 1.0)):
+        raise ValueError("two-photon spectrum 1 - f^2 must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class NormalOrderedForm:
-    """Prefactor and coefficient matrices of the factored squeeze."""
+    """Prefactor and coefficient matrices of the factored squeeze, and the
+    spectrum sech2 = 1 - f_k^2 of the creation block."""
 
     prefactor: float
     creMat: np.ndarray
     crossMat: np.ndarray
     annMat: np.ndarray
+    sech2: np.ndarray
 
     def __post_init__(self):
-        for name in ("creMat", "annMat"):
-            mat = getattr(self, name)
-            if np.max(np.abs(mat - mat.T)) > 1e-12:
-                raise ValueError(f"{name} must be symmetric")
-        # Normalizability of the vacuum image: spectral radius of the
-        # creation block strictly below 1.
-        if np.max(np.abs(np.linalg.eigvalsh(self.creMat))) >= 1.0:
-            raise ValueError("creation coefficients must lie strictly inside (-1, 1)")
+        _validate(self.sech2, creMat=self.creMat, annMat=self.annMat)
 
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """norm * exp(at~ F at / 2)|0> with symmetric two-photon matrix F."""
+    """norm * exp(at~ F at / 2)|0> with symmetric two-photon matrix F and
+    sech2 = 1 - f_k^2 over its eigenvalues f_k."""
 
     n: int
     norm: float
     F: np.ndarray
+    sech2: np.ndarray
 
     def __post_init__(self):
-        if self.F.shape != (self.n, self.n):
-            raise ValueError("F must be n x n")
-        if np.max(np.abs(self.F - self.F.T)) > 1e-12:
-            raise ValueError("two-photon matrix must be symmetric")
-        f_eigs = np.linalg.eigvalsh(self.F)
-        if np.max(np.abs(f_eigs)) >= 1.0:
-            raise ValueError("two-photon matrix needs spectral radius < 1")
-        unit_norm = float(np.prod(1.0 - f_eigs**2) ** 0.25)
-        if abs(self.norm - unit_norm) > 1e-8:
-            raise ValueError(
-                f"norm {self.norm} does not match det(1 - F F~)^(1/4) = {unit_norm}"
-            )
+        if self.F.shape != (self.n, self.n) or self.sech2.shape != (self.n,):
+            raise ValueError("F must be n x n and sech2 of length n")
+        _validate(self.sech2, F=self.F)
+        # det(1 - F F~)^(1/4) as a sum of logs; past the float range both sides are 0
+        unit_norm = math.exp(0.25 * float(np.sum(np.log(self.sech2))))
+        if not math.isclose(self.norm, unit_norm, rel_tol=1e-8, abs_tol=np.finfo(float).tiny):
+            raise ValueError(f"norm {self.norm} does not match det(1 - F F~)^(1/4) = {unit_norm}")
 
 
 @dataclass(frozen=True)
@@ -113,21 +116,18 @@ class FourModeClosed:
 
 
 def normal_form(kernel: SqueezeKernel) -> NormalOrderedForm:
-    """Coefficient matrices of the normally ordered squeeze.
-
-    Everything is built from the kernel's Lambda and Nmat by plain matrix
-    products; symmetry of Lambda collapses Lambda~ to Lambda.
-    """
-    n = kernel.coupling.n
-    eye = np.eye(n)
-    lam_ninv = kernel.Lambda @ kernel.NmatInv
-    cre = lam_ninv @ kernel.Lambda.T - eye
-    cre = (cre + cre.T) / 2.0  # symmetrize away products' rounding skew
+    """Coefficient matrices of the normally ordered squeeze, each one
+    circulant function of A, and the prefactor as a sum of log sech."""
+    lam, coupling = kernel.lam, kernel.coupling
+    x = np.abs(lam * coupling.eigenvalues)
+    log_sech = math.log(2.0) - x - np.log1p(np.exp(-2.0 * x))  # finite at every finite x
+    tanh = matrix_function(coupling, lambda a: np.tanh(lam * a))
     return NormalOrderedForm(
-        prefactor=math.sqrt(kernel.detLambda / kernel.detN),
-        creMat=cre,
-        crossMat=lam_ninv - eye,
-        annMat=kernel.NmatInv - eye,
+        prefactor=math.exp(0.5 * float(np.sum(log_sech))),
+        creMat=-tanh,
+        crossMat=matrix_function(coupling, lambda a: 1.0 / np.cosh(lam * a) - 1.0),
+        annMat=tanh,
+        sech2=np.cosh(x) ** -2.0,
     )
 
 
@@ -135,19 +135,21 @@ def squeezed_vacuum(kernel: SqueezeKernel) -> TwoPhotonState:
     """Squeezed vacuum as a two-photon state: F is the creation block of
     the normal form and the norm is its prefactor."""
     form = normal_form(kernel)
-    return TwoPhotonState(n=kernel.coupling.n, norm=form.prefactor, F=form.creMat)
+    return TwoPhotonState(n=kernel.coupling.n, norm=form.prefactor, F=form.creMat, sech2=form.sech2)
 
 
 def baseline_two_mode(lam: float) -> TwoPhotonState:
     """Standard two-mode squeezed vacuum sech(lambda) exp(-a1~ a2~ tanh lambda)|00>.
 
     Comparison target for the enhancement claim: the n = 2 member of the
-    cyclic family at lambda reproduces this baseline at 2 lambda.
+    cyclic family at lambda reproduces this baseline at 2 lambda, so the
+    accepted range is that of the doubled member, |lambda| <= 2 LAMBDA_GUARD.
     """
-    if not math.isfinite(lam):
-        raise ParameterRangeError(f"lambda must be finite, got {lam}")
+    if not math.isfinite(lam) or abs(lam) > 2 * LAMBDA_GUARD:
+        raise ParameterRangeError(f"|lambda| <= {2 * LAMBDA_GUARD} required, got {lam}")
     F = np.array([[0.0, -math.tanh(lam)], [-math.tanh(lam), 0.0]])
-    return TwoPhotonState(n=2, norm=1.0 / math.cosh(lam), F=F)
+    sech2 = np.full(2, math.cosh(lam) ** -2)
+    return TwoPhotonState(n=2, norm=1.0 / math.cosh(lam), F=F, sech2=sech2)
 
 
 def three_mode_closed(lam: float) -> ThreeModeClosed:

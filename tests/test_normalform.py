@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nmodesqueeze import normalform, verification
 from nmodesqueeze import (
     TwoPhotonState,
     baseline_two_mode,
@@ -20,6 +23,7 @@ from nmodesqueeze import (
     wigner_value_alpha,
     wigner_values,
 )
+from nmodesqueeze.errors import ParameterRangeError
 
 SWEEP_N = range(2, 9)
 
@@ -50,9 +54,45 @@ def test_normal_form_four_mode_prefactor():
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", [0.5, -0.5, 0.1, -0.1])
 def test_cremat_equals_minus_tanh(n, lam):
+    # tanh(lambda A) from a dense eigendecomposition, not the circulant route
     coupling = build_coupling(n)
+    w, v = np.linalg.eigh(coupling.entries.astype(float))
     form = normal_form(build_kernel(coupling, lam))
-    assert_allclose(form.creMat, -matrix_function(coupling, lambda a: np.tanh(lam * a)), atol=1e-10)
+    assert_allclose(form.creMat, -(v * np.tanh(lam * w)) @ v.T, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", SWEEP_N)
+@pytest.mark.parametrize("lam", [0.5, -0.5, 0.1, -1.0])
+def test_blocks_equal_paper_products(n, lam):
+    # the paper's dense products, independent of the circulant route
+    kernel = _kernel(n, lam)
+    form = normal_form(kernel)
+    lam_ninv = kernel.Lambda @ kernel.NmatInv
+    assert_allclose(form.creMat, lam_ninv @ kernel.Lambda - np.eye(n), atol=1e-10)
+    assert_allclose(form.crossMat, lam_ninv - np.eye(n), atol=1e-10)
+    assert_allclose(form.annMat, kernel.NmatInv - np.eye(n), atol=1e-10)
+
+
+def test_cremat_record_fails_on_a_perturbed_block(monkeypatch):
+    assert verification.check_cremat_identity(1e-10).passed
+
+    def shifted(coupling, fn):
+        return matrix_function(coupling, fn) + 1e-9
+
+    monkeypatch.setattr(normalform, "matrix_function", shifted)
+    record = verification.check_cremat_identity(1e-10)
+    assert record.passed is False
+    assert record.actual > 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_creation_block_exact_zeros_at_even_distance(n):
+    F = squeezed_vacuum(_kernel(n, 0.3)).F
+    index = np.arange(n)
+    even = (index[:, None] - index[None, :]) % 2 == 0
+    assert np.all(F[even] == 0.0)
+    if n == 4:
+        assert np.count_nonzero(F) == 8
 
 
 @pytest.mark.parametrize("n", SWEEP_N)
@@ -102,12 +142,19 @@ def test_two_photon_unit_norm_invariant(n, lam):
 
 
 def test_two_photon_state_validation():
-    with pytest.raises(ValueError):
-        TwoPhotonState(n=2, norm=1.0, F=np.array([[0.0, 0.5], [0.2, 0.0]]))
-    with pytest.raises(ValueError):
-        TwoPhotonState(n=2, norm=0.9, F=np.array([[0.0, 0.5], [0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        TwoPhotonState(n=2, norm=0.0, F=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    half = np.array([[0.0, 0.5], [0.5, 0.0]])
+    sech2 = np.full(2, 0.75)  # 1 - f^2 for the eigenvalues +-0.5
+    assert TwoPhotonState(n=2, norm=math.sqrt(0.75), F=half, sech2=sech2).norm > 0
+    with pytest.raises(ValueError, match="symmetric"):
+        TwoPhotonState(
+            n=2, norm=math.sqrt(0.75), F=np.array([[0.0, 0.5], [0.2, 0.0]]), sech2=sech2
+        )
+    with pytest.raises(ValueError, match="does not match"):
+        TwoPhotonState(n=2, norm=0.9, F=half, sech2=sech2)
+    with pytest.raises(ValueError, match="must lie in"):
+        TwoPhotonState(
+            n=2, norm=0.0, F=np.array([[0.0, 1.0], [1.0, 0.0]]), sech2=np.zeros(2)
+        )
 
 
 def test_baseline_values():
@@ -115,6 +162,29 @@ def test_baseline_values():
     assert state.F[0, 1] == pytest.approx(-math.tanh(0.6), rel=1e-12)
     assert state.norm == pytest.approx(1 / math.cosh(0.6), rel=1e-12)
     assert baseline_two_mode(0.0).norm == 1.0
+
+
+@pytest.mark.parametrize("lam", [40.5, -800.0, math.inf, math.nan])
+def test_baseline_rejects_past_the_doubled_guard(lam):
+    with pytest.raises(ParameterRangeError):
+        baseline_two_mode(lam)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
+def test_normal_form_over_accepted_range(n, lam):
+    form = normal_form(_kernel(n, lam))
+    assert np.array_equal(form.creMat, -form.annMat)
+    for mat in (form.creMat, form.annMat):
+        assert np.array_equal(mat, mat.T)
+    assert np.all((form.sech2 > 0.0) & (form.sech2 <= 1.0))
+    member = squeezed_vacuum(_kernel(2, lam))
+    target = baseline_two_mode(2 * lam)
+    assert np.max(np.abs(member.F - target.F)) <= 1e-12
+    assert member.norm == pytest.approx(target.norm, rel=1e-12)
+    assert squeezed_vacuum(_kernel(4, lam)).norm == pytest.approx(
+        1 / math.cosh(2 * lam), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 1.0])

@@ -1,10 +1,11 @@
 """Walkthrough: the truncated Fock-space brute force.
 
 Nothing here trusts a closed form: the squeeze generator is built from
-truncated ladder matrices and its exponential is applied to the vacuum
-as a sparse matrix action.  The result is compared against the analytic
-two-photon state, the variance formulas, and the displaced-parity
-Wigner values.  Tail masses are measured and reported so every tolerance
+truncated ladder operators, each one diagonal of the flat-index matrix,
+and its exponential is applied to the vacuum as a truncated Taylor series
+of matrix-vector products, in numpy alone.  The result is compared
+against the analytic two-photon state, the variance formulas, and the
+displaced-parity Wigner values.  Tail masses are measured and reported so every tolerance
 is accounted for.
 """
 import math

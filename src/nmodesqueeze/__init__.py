@@ -6,7 +6,8 @@ squeezed vacuum, collective quadrature variances, Gaussian Wigner
 functions, the hand-derived three- and four-mode closed forms, and a
 truncated Fock-space brute force that cross-checks all of it.  The Fock
 names (``evolve_vacuum`` and the rest of ``fockoracle``) load on first use,
-so importing the package does not import scipy.
+so importing the package does not import the oracle.  numpy is the only
+dependency.
 """
 
 from .coupling import (
@@ -56,7 +57,8 @@ from .normalform import (
     wigner4_closed,
 )
 
-# The Fock oracle pulls in scipy.sparse, so its names load on first use.
+# Only verify and state --cutoff need the Fock oracle, so its names load on
+# first use.
 # Each access resolves through the module, never a copy in this namespace:
 # a wrapper set on a fockoracle attribute after import is what callers get.
 _FOCK_NAMES = frozenset({

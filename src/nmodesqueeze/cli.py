@@ -287,7 +287,7 @@ def _results_state(config: RunConfig) -> dict:
         "two_photon_matrix": _matrix(state.F),
     }
     if config.cutoff is not None:
-        from . import fockoracle as fo  # scipy.sparse: only --cutoff pays for it
+        from . import fockoracle as fo  # only --cutoff loads the oracle
 
         space = fo.build_space(n, config.cutoff)
         psi = fo.two_photon_expand(state, space)

@@ -1,20 +1,24 @@
 """Truncated Fock-space brute force for cross-checking every closed form.
 
 States live on a per-mode-truncated basis |n_1 ... n_n> with n_i <= cutoff,
-flattened with mode 0 most significant.  Ladder operators are sparse
-matrices built by Kronecker products; the raising operator simply drops the
+flattened with mode 0 most significant.  The lowering operator of mode i
+is one diagonal of the flat-index matrix, at offset stride_i, with entries
+sqrt(n_i + 1) read off the occupation table; the raising operator is the
+same diagonal at -stride_i.  The raising operator simply drops the
 cutoff -> cutoff+1 matrix element, so commutator identities hold exactly
 on the interior (n_i < cutoff) subspace and tail mass is *measured*, never
 assumed away.  Every quadratic form sum_ij c_ij op_i op_j comes from one
-pair sum, and every exponential of a photon-pair block from one series.
+pair sum of diagonals, and every exponential of a photon-pair block from
+one series.
 
-The squeeze itself is realised as the action exp(iH)|0> of the sparse
+The squeeze itself is realised as the action exp(iH)|0> of the banded
 quadratic generator on the vacuum (truncated Taylor series with Al-Mohy &
 Higham's step selection), never as a dense matrix.  Its unitarity is not
 given by construction: the evolved norm is measured, and `verify` holds it
 to 1e-10.  Wigner values come from the displaced-parity expectation
     W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>,
-with the displacement factored into per-mode unitaries.
+with the displacement factored into per-mode unitaries.  Only numpy is
+needed.
 """
 
 from __future__ import annotations
@@ -23,17 +27,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coupling import CouplingMatrix
 from .errors import NumericFailureError, ResourceLimitError, TruncationError
 from .normalform import NormalOrderedForm, TwoPhotonState
 
-# Largest truncated basis any Fock computation accepts.  The sparse paths
-# hold the generator (at most 9 nonzeros per row, measured for n = 2..8) and
-# a few state vectors: building the generator and evolving the vacuum stayed
-# under 250 MB peak RSS up to 2e5 states (n = 2..8, 2 vCPUs).  Their run time
-# grows with |lambda| * cutoff, which sets the number of Taylor terms.
+# Largest truncated basis any Fock computation accepts.  The banded paths
+# hold the generator (4 diagonals per coupled mode pair: 4 at n = 2, 4n
+# from n = 3) and a few state vectors: building the generator and evolving
+# the vacuum at lambda = 0.1 peaked at 82, 131, 152 and 101 MB RSS for
+# n = 2, 3, 5 and 8 at dims 199 809, 195 112, 161 051 and 65 536 (2 vCPUs),
+# under 250 MB.  Their run time grows with |lambda| * cutoff, which sets the
+# number of Taylor terms.
 DIM_GUARD = 200_000
 # Byte budget of one dense complex dim x dim matrix.  Only
 # assemble_normal_form and the eigh reference that checks it build dense
@@ -42,12 +47,19 @@ DIM_GUARD = 200_000
 # refuse rather than ask for GB-sized arrays.
 DENSE_MATRIX_BYTES = 64 * 2**20
 DENSE_DIM_GUARD = math.isqrt(DENSE_MATRIX_BYTES // 16)
-# Largest 1-norm of iH handed to one expm_multiply call.  Above
-# 2 ell p_max (p_max + 3) theta_55 / 55 = 63.36 (condition 3.13 of Al-Mohy &
-# Higham, ell = 2, p_max = 8, one vector) scipy picks the Taylor degree with
-# onenormest, which draws from NumPy's unseeded global RNG, so the result
-# would differ from run to run.  Below it the choice uses the exact 1-norm.
-STEP_NORM = 60.0
+# Taylor degree m -> largest 1-norm theta_m of one step whose degree-m
+# series meets double-precision backward error: m <= 30 from Higham,
+# "Functions of Matrices", Table A.3; the rest from Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 @dataclass(frozen=True)
@@ -95,11 +107,56 @@ class FockTensor:
 
 
 @dataclass(frozen=True)
+class BandedOperator:
+    """A dim x dim matrix stored as a few of its diagonals.
+
+    ``diagonals[o]`` holds M[k + max(-o, 0), k + max(o, 0)] for
+    k < dim - |o| (numpy.diag's convention); offsets are kept ascending,
+    so a row's entries are met in column order.
+    """
+
+    dim: int
+    diagonals: dict[int, np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "diagonals", dict(sorted(self.diagonals.items())))
+
+    @property
+    def nnz(self) -> int:
+        """Count of nonzero matrix elements."""
+        return sum(int(np.count_nonzero(diag)) for diag in self.diagonals.values())
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        """M @ vec for a vector, each row summed in column order from 0."""
+        out = np.zeros(self.dim, dtype=np.result_type(vec, *self.diagonals.values()))
+        for offset, diag in self.diagonals.items():
+            rows, cols = max(-offset, 0), max(offset, 0)
+            out[rows : rows + diag.size] += diag * vec[cols : cols + diag.size]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dtype = np.result_type(float, *self.diagonals.values())
+        out = np.zeros((self.dim, self.dim), dtype=dtype)
+        for offset, diag in self.diagonals.items():
+            k = np.arange(diag.size)
+            out[k + max(-offset, 0), k + max(offset, 0)] = diag
+        return out
+
+    def onenorm(self) -> float:
+        """Exact 1-norm: the largest column sum of |M|."""
+        sums = np.zeros(self.dim)
+        for offset, diag in self.diagonals.items():
+            cols = max(offset, 0)
+            sums[cols : cols + diag.size] += np.abs(diag)
+        return float(np.max(sums))
+
+
+@dataclass(frozen=True)
 class FockOperator:
-    """The sparse generator together with the basis it acts on."""
+    """The banded generator together with the basis it acts on."""
 
     space: FockSpace
-    mat: sp.spmatrix
+    mat: BandedOperator
 
 
 def build_space(n: int, cutoff: int) -> FockSpace:
@@ -109,7 +166,7 @@ def build_space(n: int, cutoff: int) -> FockSpace:
     ------
     ResourceLimitError
         If (cutoff + 1)**n exceeds DIM_GUARD (2e5 states), the size up to
-        which the sparse generator, the vacuum evolution and the state
+        which the banded generator, the vacuum evolution and the state
         vectors stay small.  Dense matrices have their own, far smaller
         guard (see require_dense).
     """
@@ -137,53 +194,79 @@ def vacuum(space: FockSpace) -> FockTensor:
     return FockTensor(space=space, amps=amps)
 
 
-def _single_mode_lowering(cutoff: int) -> sp.csr_matrix:
-    data = np.sqrt(np.arange(1.0, cutoff + 1.0))
-    return sp.diags(data, offsets=1, format="csr")
-
-
-def ladder_ops(space: FockSpace) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
+def ladder_ops(space: FockSpace) -> tuple[list[BandedOperator], list[BandedOperator]]:
     """Per-mode lowering and raising operators (exact transposes).
 
-    The raising operator is truncated: its cutoff -> cutoff+1 element is
-    dropped, so [a_i, a_i~] equals the identity only on n_i < cutoff.
+    Lowering mode i maps flat index k + stride_i to k with amplitude
+    sqrt(n_i + 1), n_i the occupation of mode i at k; rows with
+    n_i = cutoff get 0, since k + stride_i belongs to another occupation
+    of the modes before i.  The raising operator is the same diagonal
+    below the main one, so its cutoff -> cutoff+1 element is dropped and
+    [a_i, a_i~] equals the identity only on n_i < cutoff.
     """
-    base = space.cutoff + 1
-    low = _single_mode_lowering(space.cutoff)
+    occs = occupation_table(space)
     lowering, raising = [], []
     for i in range(space.n):
-        left = sp.identity(base**i, format="csr")
-        right = sp.identity(base ** (space.n - 1 - i), format="csr")
-        a_i = sp.kron(sp.kron(left, low, format="csr"), right, format="csr")
-        lowering.append(a_i)
-        raising.append(a_i.T.tocsr())
+        stride = (space.cutoff + 1) ** (space.n - 1 - i)
+        occ = occs[: space.dim - stride, i]
+        amp = np.where(occ < space.cutoff, np.sqrt(occ + 1.0), 0.0)
+        lowering.append(BandedOperator(space.dim, {stride: amp}))
+        raising.append(BandedOperator(space.dim, {-stride: amp}))
     return lowering, raising
 
 
-def quadrature_ops(space: FockSpace) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
+def quadrature_ops(space: FockSpace) -> tuple[list[BandedOperator], list[BandedOperator]]:
     """Truncated Q_i = (a_i + a_i~)/sqrt(2) and P_i = (a_i - a_i~)/(i sqrt(2))."""
-    lowering, raising = ladder_ops(space)
+    lowering, _ = ladder_ops(space)
+    scale = 1 / math.sqrt(2.0)
     q_ops, p_ops = [], []
-    for a_i, adag_i in zip(lowering, raising):
-        q_ops.append(((a_i + adag_i) / math.sqrt(2.0)).tocsr())
-        p_ops.append((-1j * (a_i - adag_i) / math.sqrt(2.0)).tocsr())
+    for a_i in lowering:
+        ((stride, amp),) = a_i.diagonals.items()
+        q_ops.append(BandedOperator(space.dim, {stride: amp * scale, -stride: amp * scale}))
+        p_ops.append(
+            BandedOperator(
+                space.dim, {stride: (-1j * amp) * scale, -stride: (-1j * -amp) * scale}
+            )
+        )
     return q_ops, p_ops
 
 
-def _pair_sum(coeff: np.ndarray, scale: float, left: list, right: list) -> sp.csr_matrix:
+def _product(left: BandedOperator, right: BandedOperator) -> dict[int, np.ndarray]:
+    """Diagonals of left @ right: (LR)[r, r+a+b] = L[r, r+a] R[r+a, r+a+b],
+    each element summed from 0 in ascending a (the column order of L)."""
+    dim = left.dim
+    out = {}
+    for a, diag_a in left.diagonals.items():
+        for b, diag_b in right.diagonals.items():
+            c = a + b
+            lo, hi = max(0, -a, -c), min(dim, dim - a, dim - c)
+            if lo >= hi:
+                continue
+            if c not in out:
+                out[c] = np.zeros(dim - abs(c), dtype=np.result_type(diag_a, diag_b))
+            row_a, row_b, row_c = max(-a, 0), max(-b, 0), max(-c, 0)
+            out[c][lo - row_c : hi - row_c] += (
+                diag_a[lo - row_a : hi - row_a] * diag_b[lo + a - row_b : hi + a - row_b]
+            )
+    return out
+
+
+def _pair_sum(
+    coeff: np.ndarray, scale: float, left: list[BandedOperator], right: list[BandedOperator]
+) -> BandedOperator:
     """sum_ij (scale * c_ij) * (left_i @ right_j) over the nonzero c_ij, added
     term by term in row-major order: every quadratic form of the oracle."""
-    dim = left[0].shape[0]
-    total = sp.csr_matrix((dim, dim), dtype=np.result_type(left[0].dtype, right[0].dtype))
+    total = {}
     for i, left_i in enumerate(left):
         for j, right_j in enumerate(right):
             if coeff[i, j] != 0:
-                total = total + (scale * coeff[i, j]) * (left_i @ right_j)
-    return total.tocsr()
+                for offset, diag in _product(left_i, right_j).items():
+                    total[offset] = total.get(offset, 0) + (scale * coeff[i, j]) * diag
+    return BandedOperator(left[0].dim, total)
 
 
 def _terminating_series(
-    mat: sp.spmatrix | np.ndarray, start: np.ndarray, space: FockSpace
+    mat: BandedOperator | np.ndarray, start: np.ndarray, space: FockSpace
 ) -> np.ndarray:
     """exp(mat) @ start for a mat that only adds, or only removes, photon
     pairs: on the truncated basis its Taylor series ends by order
@@ -226,34 +309,55 @@ def require_dense(space: FockSpace) -> None:
 
 
 def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
-    """exp(iH)|0> as the action of the sparse exponential on the vacuum.
+    """exp(iH)|0> as the action of the banded exponential on the vacuum.
 
-    scipy's expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)) is applied in equal steps of 1-norm at most STEP_NORM, which
-    keeps its parameter choice deterministic.  The result is unitary only
-    to the accuracy of the series: callers measure the norm rather than
-    assume it.
+    The truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
+    33, 488 (2011), algorithm 3.2): s steps of degree at most m, with
+    (m, s) minimising m * ceil(|iH|_1 / theta_m) over _THETA, and each
+    step's series stopped once two consecutive terms fall below 2^-53 of
+    the partial sum.  The exact 1-norm sets (m, s), so the result does not
+    depend on any random state.  The generator has no main diagonal, so
+    the algorithm's trace shift is zero and left out.  The result is
+    unitary only to the accuracy of the series: callers measure the norm
+    rather than assume it.
 
     Raises
     ------
     NumericFailureError
         If the generator or any amplitude is non-finite.
     """
-    # Deferred: importing scipy.sparse.linalg takes about 0.13 s (2 vCPUs),
-    # which every CLI command would pay, and most never evolve anything.
-    from scipy.sparse.linalg import expm_multiply, norm
-
-    h_norm = norm(hamiltonian.mat, 1)
-    if not math.isfinite(h_norm):
-        raise NumericFailureError(f"generator has 1-norm {h_norm}")
-    steps = max(1, math.ceil(h_norm / STEP_NORM))
-    step = (1j / steps) * hamiltonian.mat
-    amps = vacuum(hamiltonian.space).amps
-    for _ in range(steps):
-        amps = expm_multiply(step, amps)
+    space = hamiltonian.space
+    diagonals = {offset: 1j * diag for offset, diag in hamiltonian.mat.diagonals.items()}
+    # iH is real for every generator (Q_i is real, P_j imaginary), and so
+    # is the vacuum.  The series then runs in real arithmetic: every
+    # imaginary part it would carry is an exact zero, so the bits agree
+    # with the complex run at half the work and memory.
+    if not any(np.any(diag.imag) for diag in diagonals.values()):
+        diagonals = {offset: diag.real for offset, diag in diagonals.items()}
+    step = BandedOperator(space.dim, diagonals)
+    norm = step.onenorm()
+    if not math.isfinite(norm):
+        raise NumericFailureError(f"generator has 1-norm {norm}")
+    amps = np.zeros(space.dim, dtype=np.result_type(float, *diagonals.values()))
+    amps[0] = 1.0
+    if norm > 0.0:
+        degree, steps = min(
+            ((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
+            key=lambda pair: pair[0] * pair[1],
+        )
+        for _ in range(steps):
+            term = amps
+            prev = np.max(np.abs(term))
+            for k in range(1, degree + 1):
+                term = (1.0 / (steps * k)) * (step @ term)
+                size = np.max(np.abs(term))
+                amps = amps + term
+                if prev + size <= 2.0**-53 * np.max(np.abs(amps)):
+                    break
+                prev = size
     if not np.all(np.isfinite(amps)):
         raise NumericFailureError("vacuum evolution produced non-finite amplitudes")
-    return FockTensor(space=hamiltonian.space, amps=amps)
+    return FockTensor(space=space, amps=amps.astype(complex))
 
 
 def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
@@ -294,13 +398,18 @@ def overlap(left: FockTensor, right: FockTensor) -> complex:
     return complex(np.vdot(left.amps, right.amps))
 
 
-def collective_quadrature(space: FockSpace, which: str) -> sp.csr_matrix:
+def collective_quadrature(space: FockSpace, which: str) -> BandedOperator:
     """X1 = sum Q_i / sqrt(2n) or X2 = sum P_i / sqrt(2n) as a matrix."""
     q_ops, p_ops = quadrature_ops(space)
     ops = q_ops if which == "X1" else p_ops if which == "X2" else None
     if ops is None:
         raise ValueError(f"which must be 'X1' or 'X2', got {which!r}")
-    return (sum(ops[1:], ops[0]) / math.sqrt(2.0 * space.n)).tocsr()
+    total = {}
+    for op in ops:
+        for offset, diag in op.diagonals.items():
+            total[offset] = total.get(offset, 0) + diag
+    scale = 1 / math.sqrt(2.0 * space.n)
+    return BandedOperator(space.dim, {offset: diag * scale for offset, diag in total.items()})
 
 
 def variance_numeric(psi: FockTensor, which: str) -> float:
@@ -324,7 +433,7 @@ def _single_mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     The truncated generator stays anti-Hermitian, so this matrix is
     exactly unitary on the truncated mode.
     """
-    low = _single_mode_lowering(cutoff).toarray().astype(complex)
+    low = np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1).astype(complex)
     gen = alpha * low.T - np.conj(alpha) * low
     w, v = np.linalg.eigh(1j * gen)
     return (v * np.exp(-1j * w)) @ v.conj().T

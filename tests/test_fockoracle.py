@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import expm_multiply
 
 from nmodesqueeze import (
     NumericFailureError,
@@ -31,9 +32,43 @@ from nmodesqueeze import (
 )
 from nmodesqueeze.fockoracle import (
     DENSE_DIM_GUARD,
+    BandedOperator,
+    FockOperator,
     assemble_normal_form,
+    collective_quadrature,
     occupation_table,
 )
+from nmodesqueeze.verification import CONFIG_OVERLAP_N2, CONFIG_OVERLAP_N3
+
+# scipy appears only here, as the oracle the banded operators and the
+# in-package propagator are held to.
+
+
+def _csr_ladder(space):
+    """Ladder matrices as Kronecker products of the single-mode lowering
+    matrix, the construction the banded operators replaced."""
+    base = space.cutoff + 1
+    low = sp.diags(np.sqrt(np.arange(1.0, base)), offsets=1, format="csr")
+    lowering = []
+    for i in range(space.n):
+        left = sp.identity(base**i, format="csr")
+        right = sp.identity(base ** (space.n - 1 - i), format="csr")
+        lowering.append(sp.kron(sp.kron(left, low, format="csr"), right, format="csr"))
+    return lowering, [a_i.T.tocsr() for a_i in lowering]
+
+
+def _csr_quadratures(space):
+    lowering, raising = _csr_ladder(space)
+    q_ops = [((a_i + adag_i) / math.sqrt(2.0)).tocsr() for a_i, adag_i in zip(lowering, raising)]
+    p_ops = [
+        (-1j * (a_i - adag_i) / math.sqrt(2.0)).tocsr() for a_i, adag_i in zip(lowering, raising)
+    ]
+    return q_ops, p_ops
+
+
+def _csr_generator(n, cutoff, lam):
+    q_ops, p_ops = _csr_quadratures(build_space(n, cutoff))
+    return _loop_quadratic(build_coupling(n).entries, lam, q_ops, p_ops)
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +122,48 @@ def test_ladder_vacuum_expectation():
     space = build_space(2, 5)
     a_ops, adag_ops = ladder_ops(space)
     vac = vacuum(space).amps
-    assert np.vdot(vac, (a_ops[0] @ adag_ops[0]) @ vac) == pytest.approx(1.0)
+    assert np.vdot(vac, a_ops[0] @ (adag_ops[0] @ vac)) == pytest.approx(1.0)
 
 
 def test_raising_is_exact_transpose():
     space = build_space(2, 6)
     a_ops, adag_ops = ladder_ops(space)
     for a_i, adag_i in zip(a_ops, adag_ops):
-        assert (a_i.T != adag_i).nnz == 0
+        assert np.array_equal(a_i.toarray().T, adag_i.toarray())
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (1, 5), (2, 6), (3, 4), (4, 3)])
+def test_banded_ops_match_kron_oracle(shape):
+    """Ladder, quadrature and collective operators, element by element and
+    nonzero count, against the Kronecker-product csr matrices."""
+    space = build_space(*shape)
+    csr_q, csr_p = _csr_quadratures(space)
+    pairs = [
+        *zip(ladder_ops(space)[0], _csr_ladder(space)[0]),
+        *zip(ladder_ops(space)[1], _csr_ladder(space)[1]),
+        *zip(quadrature_ops(space)[0], csr_q),
+        *zip(quadrature_ops(space)[1], csr_p),
+        (collective_quadrature(space, "X1"), sum(csr_q[1:], csr_q[0]) / math.sqrt(2.0 * space.n)),
+        (collective_quadrature(space, "X2"), sum(csr_p[1:], csr_p[0]) / math.sqrt(2.0 * space.n)),
+    ]
+    rng = np.random.default_rng(7)
+    vec = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    for banded, csr in pairs:
+        assert banded.dim == space.dim
+        assert list(banded.diagonals) == sorted(banded.diagonals)
+        assert banded.nnz == csr.nnz
+        assert np.array_equal(banded.toarray(), csr.toarray())
+        assert (banded @ vec).tobytes() == (csr @ vec).tobytes()
 
 
 def test_commutators():
     space = build_space(2, 4)
-    a_ops, adag_ops = ladder_ops(space)
+    a_ops, adag_ops = (
+        [op.toarray() for op in ops] for ops in ladder_ops(space)
+    )
     occs = occupation_table(space)
     # same mode: identity on the interior n_i < cutoff
-    comm = (a_ops[0] @ adag_ops[0] - adag_ops[0] @ a_ops[0]).toarray()
+    comm = a_ops[0] @ adag_ops[0] - adag_ops[0] @ a_ops[0]
     interior = occs[:, 0] < space.cutoff
     assert_allclose(comm[interior], np.eye(space.dim)[interior], atol=1e-13)
     # the dropped cutoff -> cutoff+1 element shows up as -cutoff on the edge
@@ -110,7 +171,7 @@ def test_commutators():
     assert_allclose(np.diag(comm)[edge], -space.cutoff, atol=1e-12)
     # distinct modes: exactly zero
     cross = a_ops[0] @ adag_ops[1] - adag_ops[1] @ a_ops[0]
-    assert np.max(np.abs(cross.toarray())) == 0.0
+    assert np.max(np.abs(cross)) == 0.0
 
 
 def test_quadratures_hermitian():
@@ -130,10 +191,10 @@ def test_generator_zero_lambda():
 def test_generator_two_mode_structure():
     space = build_space(2, 5)
     lam = 0.3
-    q_ops, p_ops = quadrature_ops(space)
+    q_ops, p_ops = _csr_quadratures(space)
     direct = 2 * lam * (q_ops[0] @ p_ops[1] + q_ops[1] @ p_ops[0])
     ham = generator(space, build_coupling(2), lam)
-    assert np.max(np.abs((ham.mat - direct).toarray())) == 0.0
+    assert np.max(np.abs(ham.mat.toarray() - direct.toarray())) == 0.0
 
 
 def test_generator_hermiticity():
@@ -148,19 +209,64 @@ def test_evolve_identity_at_zero():
     assert np.max(np.abs(state.amps[1:])) < 1e-14
 
 
-@pytest.mark.parametrize("config", [(2, 10, 0.3), (3, 5, 0.2)])
+@pytest.mark.parametrize(
+    "config", [(2, 10, 0.3), (3, 5, 0.2), (3, 6, 2.0), (4, 4, 2.5), (2, 25, 1.0)]
+)
 def test_evolve_matches_dense_eigh(config):
-    """Sparse action against exp(iH)|0> from a dense eigendecomposition."""
+    """Banded action against exp(iH)|0> from a dense eigendecomposition;
+    the last three have |iH|_1 = 66, 70 and 98, past the range where
+    expm_multiply is the bitwise oracle."""
     n, cutoff, lam = config
     ham = generator(build_space(n, cutoff), build_coupling(n), lam)
+    assert (ham.mat.onenorm() > 60.0) == (lam >= 1.0)
     w, v = np.linalg.eigh(ham.mat.toarray())
     reference = v @ (np.exp(1j * w) * v[0, :].conj())
     assert np.max(np.abs(evolve_vacuum(ham).amps - reference)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        *((n, cutoff, lam) for n, cutoff in ((2, 20), (3, 9), (4, 6)) for lam in (0.05, 0.2)),
+        CONFIG_OVERLAP_N2,
+        CONFIG_OVERLAP_N3,
+        (2, 6, 0.0),
+    ],
+)
+def test_evolve_matches_expm_multiply_bits(config):
+    """Up to |iH|_1 = 60 scipy's expm_multiply chooses its Taylor degree
+    from the exact 1-norm, as evolve_vacuum does: the amplitudes agree to
+    the bit, and so do the generator's nonzeros."""
+    n, cutoff, lam = config
+    ham = generator(build_space(n, cutoff), build_coupling(n), lam)
+    oracle = _csr_generator(n, cutoff, lam)
+    assert ham.mat.nnz == oracle.nnz
+    assert ham.mat.toarray().tobytes() == oracle.toarray().tobytes()
+    step = 1j * oracle
+    assert abs(step).sum(axis=0).max() <= 60.0
+    expected = expm_multiply(step, vacuum(ham.space).amps)
+    assert evolve_vacuum(ham).amps.tobytes() == expected.tobytes()
+
+
+def test_evolve_complex_step_matches_dense_eigh():
+    """A real Hermitian H (here 0.3 (Q_0 Q_1 + Q_1 Q_0)) makes iH complex,
+    which the generators never do: the series then runs in complex numbers."""
+    space = build_space(2, 8)
+    q_ops, _ = quadrature_ops(space)
+    mat = q_ops[0].toarray() @ q_ops[1].toarray() * 0.6
+    diagonals = {o: np.diag(mat, o).astype(complex) for o in range(1 - space.dim, space.dim)}
+    banded = BandedOperator(space.dim, {o: d for o, d in diagonals.items() if np.any(d)})
+    assert banded.toarray().tobytes() == mat.astype(complex).tobytes()
+    w, v = np.linalg.eigh(mat)
+    reference = v @ (np.exp(1j * w) * v[0, :].conj())
+    evolved = evolve_vacuum(FockOperator(space, banded))
+    assert np.max(np.abs(evolved.amps - reference)) <= 1e-12
+
+
 def test_evolve_independent_of_global_rng():
-    """At |iH|_1 = 66 a single expm_multiply call would estimate norms with
-    NumPy's global RNG; the stepped evolution must not depend on it."""
+    """At |iH|_1 = 66 scipy's expm_multiply would estimate norms with
+    NumPy's global RNG; evolve_vacuum takes its steps from the exact
+    1-norm and must not depend on it."""
     ham = generator(build_space(4, 6), build_coupling(4), 1.5)
     np.random.seed(0)
     first = evolve_vacuum(ham).amps
@@ -407,7 +513,7 @@ def test_two_photon_expand_matches_loop_oracle_bits(config):
     n, cutoff, lam = config
     space = build_space(n, cutoff)
     state = squeezed_vacuum(build_kernel(build_coupling(n), lam))
-    _, raising = ladder_ops(space)
+    _, raising = _csr_ladder(space)
     quad = _loop_quadratic(state.F, 0.5, raising, raising)
     expected = state.norm * _loop_series(quad, vacuum(space).amps, space)
     assert two_photon_expand(state, space).amps.tobytes() == expected.tobytes()
@@ -417,10 +523,10 @@ def test_generator_matches_loop_oracle_bits():
     """A has zero entries, so this also covers the skipped pairs."""
     space = build_space(3, 5)
     coupling = build_coupling(3)
-    q_ops, p_ops = quadrature_ops(space)
+    q_ops, p_ops = _csr_quadratures(space)
     expected = _loop_quadratic(coupling.entries, 0.2, q_ops, p_ops)
     ham = generator(space, coupling, 0.2).mat
-    assert (ham != expected).nnz == 0
+    assert ham.nnz == expected.nnz
     assert ham.toarray().tobytes() == expected.toarray().tobytes()
 
 
@@ -429,7 +535,7 @@ def test_assemble_normal_form_matches_loop_oracle_bits():
     n, cutoff, lam = 2, 12, 0.15
     space = build_space(n, cutoff)
     form = normal_form(build_kernel(build_coupling(n), lam))
-    lowering, raising = ladder_ops(space)
+    lowering, raising = _csr_ladder(space)
     eye = np.eye(space.dim)
     cre = _loop_series(_loop_quadratic(form.creMat, 0.5, raising, raising, True), eye, space)
     ann = _loop_series(_loop_quadratic(form.annMat, 0.5, lowering, lowering, True), eye, space)

@@ -404,12 +404,11 @@ def collective_quadrature(space: FockSpace, which: str) -> BandedOperator:
     ops = q_ops if which == "X1" else p_ops if which == "X2" else None
     if ops is None:
         raise ValueError(f"which must be 'X1' or 'X2', got {which!r}")
-    total = {}
-    for op in ops:
-        for offset, diag in op.diagonals.items():
-            total[offset] = total.get(offset, 0) + diag
     scale = 1 / math.sqrt(2.0 * space.n)
-    return BandedOperator(space.dim, {offset: diag * scale for offset, diag in total.items()})
+    # Each mode has its own stride, so no two operators share a diagonal.
+    return BandedOperator(
+        space.dim, {offset: diag * scale for op in ops for offset, diag in op.diagonals.items()}
+    )
 
 
 def variance_numeric(psi: FockTensor, which: str) -> float:

@@ -158,9 +158,7 @@ def test_banded_ops_match_kron_oracle(shape):
 
 def test_commutators():
     space = build_space(2, 4)
-    a_ops, adag_ops = (
-        [op.toarray() for op in ops] for ops in ladder_ops(space)
-    )
+    a_ops, adag_ops = ([op.toarray() for op in ops] for ops in ladder_ops(space))
     occs = occupation_table(space)
     # same mode: identity on the interior n_i < cutoff
     comm = a_ops[0] @ adag_ops[0] - adag_ops[0] @ a_ops[0]

@@ -33,7 +33,7 @@ from .errors import NumericFailureError, ResourceLimitError, TruncationError
 from .normalform import NormalOrderedForm, TwoPhotonState
 
 # Largest truncated basis any Fock computation accepts.  The banded paths
-# hold the generator (4 diagonals per coupled mode pair: 4 at n = 2, 4n
+# hold the generator (2 diagonals per coupled mode pair: 2 at n = 2, 2n
 # from n = 3) and a few state vectors: building the generator and evolving
 # the vacuum at lambda = 0.1 peaked at 82, 131, 152 and 101 MB RSS for
 # n = 2, 3, 5 and 8 at dims 199 809, 195 112, 161 051 and 65 536 (2 vCPUs),
@@ -262,7 +262,9 @@ def _pair_sum(
             if coeff[i, j] != 0:
                 for offset, diag in _product(left_i, right_j).items():
                     total[offset] = total.get(offset, 0) + (scale * coeff[i, j]) * diag
-    return BandedOperator(left[0].dim, total)
+    # Diagonals that cancel to exact zeros are dropped: in the generator,
+    # the photon-number conserving a_i a_j~ parts of Q_i P_j + Q_j P_i.
+    return BandedOperator(left[0].dim, {o: diag for o, diag in total.items() if np.any(diag)})
 
 
 def _terminating_series(

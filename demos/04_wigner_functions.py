@@ -61,8 +61,9 @@ print(f"closed 4-mode form: {wigner4_closed(0.2, alpha4):.12f}")
 print(f"generic form:       {wigner_value_alpha(wig4, alpha4):.12f}")
 print()
 
-# Unit normalization over all of phase space, by a full 2n-dimensional
-# Gauss-Hermite tensor rule.
+# Unit normalization over all of phase space by Gauss-Hermite quadrature.
+# W has no q-p cross block, so the 2n-axis rule is a q-block rule times a
+# p-block rule, each over n axes.
 wig2 = wigner_from_kernel(build_kernel(build_coupling(2), 0.2))
 total = normalization_by_quadrature(wig2, nodes_per_axis=40)
 print(f"quadrature of W over 4-dimensional phase space: {total:.12f}")

@@ -394,9 +394,8 @@ def _record_doc(rec: CheckRecord) -> dict:
 
 def verify(config: RunConfig) -> VerifyReport:
     """Run the acceptance suite under this configuration."""
-    from .verification import resolve_tolerances, run_verification
+    from .verification import run_verification
 
-    resolve_tolerances(config.tolerances)  # validate names before the long run
     return run_verification(
         seed=config.seed if config.seed is not None else 0,
         cutoff=config.cutoff,

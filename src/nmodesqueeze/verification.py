@@ -100,10 +100,14 @@ class VerifyReport:
 def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
     """Apply CLI overrides onto the default tolerance table.
 
-    Raises ValueError for unknown names so typos surface as usage errors.
+    Raises ValueError for unknown names and for values that are not finite
+    numbers (a NaN bound fails every comparison), so both surface as usage
+    errors.
     """
     tols = dict(DEFAULT_TOLERANCES)
     for name, value in (overrides or {}).items():
+        if not math.isfinite(value):
+            raise ValueError(f"tolerance {name} must be a finite number, got {value}")
         if name in TOLERANCE_ALIASES:
             for target in TOLERANCE_ALIASES[name]:
                 tols[target] = value
@@ -347,20 +351,27 @@ def check_four_mode_ninv(tol: float) -> CheckRecord:
 
 
 def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> CheckRecord:
+    draws = [
+        (float(rng.uniform(-0.5, 0.5)), _draw_alpha(rng, 3, 1.5), _draw_alpha(rng, 4, 1.5))
+        for _ in range(200)
+    ]
+    lams, alphas3, alphas4 = zip(*draws)
+    lam_column = np.array(lams)[:, None]
     worst = 0.0
-    base3 = cp.build_coupling(3)
-    base4 = cp.build_coupling(4)
-    for _ in range(200):
-        lam = float(rng.uniform(-0.5, 0.5))
-        alpha3 = _draw_alpha(rng, 3, 1.5)
-        alpha4 = _draw_alpha(rng, 4, 1.5)
-        wig3 = ga.wigner_from_kernel(cp.build_kernel(base3, lam))
-        wig4 = ga.wigner_from_kernel(cp.build_kernel(base4, lam))
-        worst = max(
-            worst,
-            _rel_err(nf.wigner3_closed(lam, alpha3), ga.wigner_value_alpha(wig3, alpha3)),
-            _rel_err(nf.wigner4_closed(lam, alpha4), ga.wigner_value_alpha(wig4, alpha4)),
+    for closed_fn, alphas in ((nf.wigner3_closed, alphas3), (nf.wigner4_closed, alphas4)):
+        n = alphas[0].size
+        base = cp.build_coupling(n)
+        # the kernels' gramInv and gram at every drawn lambda, as (200, n, n) stacks
+        wig = ga.GaussianWigner(
+            n=n,
+            qForm=cp.matrix_function(base, lambda a: np.exp(2.0 * lam_column * a)),
+            pForm=cp.matrix_function(base, lambda a: np.exp(-2.0 * lam_column * a)),
+            normConst=math.pi ** (-n),
         )
+        points = np.array(alphas)
+        generic = ga.wigner_values(wig, math.sqrt(2.0) * points.real, math.sqrt(2.0) * points.imag)
+        for lam, alpha, value in zip(lams, alphas, generic.tolist()):
+            worst = max(worst, _rel_err(closed_fn(lam, alpha), value))
     return _record(
         "wigner_closed_vs_generic", "closed 3- and 4-mode Wigner forms = generic Gaussian form",
         {"draws": 200, "|lambda| <=": 0.5, "|alpha| <=": 1.5}, worst, tol,
@@ -452,7 +463,11 @@ def run_verification(
     truncated dimension would exceed a resource guard (DIM_GUARD, or
     DENSE_DIM_GUARD for the dense normal-form check) are marked skipped
     rather than run, and a check that raises anything else is marked failed.
+    A negative cutoff or a bad tolerance raises ValueError before any check
+    runs.
     """
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     tols = resolve_tolerances(tolerances)
     rng = np.random.default_rng(seed)
     report = VerifyReport(seed=seed)

@@ -317,6 +317,22 @@ def test_main_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--cutoff", "-3"], "cutoff must be nonnegative, got -3"),
+        (["verify", "--tolerance", "wigner_norm=nan"], "wigner_norm must be a finite number"),
+        (["verify", "--tolerance", "overlap=inf"], "overlap must be a finite number"),
+        (["verify", "--tolerance", "power=-inf", "--format", "csv"], "must be a finite number"),
+    ],
+)
+def test_main_verify_bad_inputs_are_usage_errors(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 @pytest.mark.parametrize("n,lam", [("4", "5"), ("3000", "20")])
 def test_main_variances_across_lambda_range(n, lam, capsys):
     # nothing is left over to overflow: no warning, and the document is exact

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nmodesqueeze import (
+    GaussianWigner,
     PhasePoint,
     VariancePair,
     build_coupling,
     build_kernel,
     covariance_matrix,
     heisenberg_transforms,
+    matrix_function,
     normalization_by_quadrature,
     variances_closed,
     variances_matrix_sum,
@@ -57,6 +61,15 @@ def test_heisenberg_two_mode_hyperbolic():
 def test_heisenberg_symplectic(n, lam):
     q_t, p_t = heisenberg_transforms(build_kernel(build_coupling(n), lam))
     assert_allclose(q_t @ p_t.T, np.eye(n), atol=1e-10)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
+def test_heisenberg_symplectic_over_accepted_range(n, lam):
+    # the rounding bound of a length-n product, fixed before any run
+    q_t, p_t = heisenberg_transforms(build_kernel(build_coupling(n), lam))
+    bound = n * np.finfo(float).eps * np.linalg.norm(q_t, 2) * np.linalg.norm(p_t, 2)
+    assert np.max(np.abs(q_t @ p_t.T - np.eye(n))) <= bound
 
 
 def test_variance_examples():
@@ -231,6 +244,56 @@ def test_normalization_by_quadrature():
         normalization_by_quadrature(_wigner(4, 0.1))
 
 
+def _tensor_grid_normalization(wig, nodes_per_axis):
+    """The oracle: the Gauss-Hermite rule over the full 2n-axis tensor
+    grid, with no use of the q-p block structure.  The trailing three axes
+    are vectorised and the rest looped over."""
+    nodes, weights = np.polynomial.hermite.hermgauss(nodes_per_axis)
+    naxes = 2 * wig.n
+    form = np.zeros((naxes, naxes))
+    form[: wig.n, : wig.n] = wig.qForm
+    form[wig.n :, wig.n :] = wig.pForm
+    shifted = form - np.eye(naxes)
+    nvec = min(3, naxes)
+    nloop = naxes - nvec
+    grids = np.meshgrid(*([nodes] * nvec), indexing="ij")
+    tail = np.stack([g.ravel() for g in grids], axis=0)
+    wgrids = np.meshgrid(*([weights] * nvec), indexing="ij")
+    tail_weight = np.prod(np.stack([g.ravel() for g in wgrids], axis=0), axis=0)
+    total = 0.0
+    for head_idx in itertools.product(range(nodes_per_axis), repeat=nloop):
+        head = nodes[list(head_idx)]
+        head_weight = float(np.prod(weights[list(head_idx)]))
+        pts = np.vstack([np.tile(head[:, None], tail.shape[1]), tail])
+        expo = -np.einsum("ik,ij,jk->k", pts, shifted, pts)
+        total += head_weight * float(tail_weight @ np.exp(expo))
+    return wig.normConst * total
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, -0.5, 1.0])
+@pytest.mark.parametrize("n,nodes", [(2, 40), (3, 8)])
+def test_normalization_block_rule_matches_tensor_grid(n, nodes, lam):
+    # 40 nodes at n = 3 would be 40**6 = 4e9 oracle points, hence 8 there;
+    # at n = 2, lambda = 1 the rule itself is not converged (1.375), and
+    # the two still agree
+    wig = _wigner(n, lam)
+    assert normalization_by_quadrature(wig, nodes_per_axis=nodes) == pytest.approx(
+        _tensor_grid_normalization(wig, nodes), rel=1e-14, abs=0.0
+    )
+
+
+def test_normalization_by_quadrature_stays_small():
+    """Two blocks of 40**2 points; the full 40**4 grid peaked at 9.8 MB."""
+    wig = _wigner(2, 0.2)
+    tracemalloc.start()
+    try:
+        normalization_by_quadrature(wig, nodes_per_axis=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_q_marginal_origin_at_large_lambda(n):
     # det(qForm) is exactly 1, but an LU determinant of it at lambda = 5
@@ -293,6 +356,56 @@ def test_wigner_values_match_per_point_forms_over_accepted_range(n, lam, seed):
     wig = _wigner(n, lam)
     q, p = _scaled_points(n, lam, 8, seed)
     assert_allclose(wigner_values(wig, q, p), _per_point_values(wig, q, p), rtol=1e-12, atol=0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
+def test_wigner_origin_over_accepted_range(n, lam):
+    origin = np.zeros((1, n))
+    assert wigner_values(_wigner(n, lam), origin, origin)[0] == math.pi ** (-n)
+
+
+def _stacked_wigner(n, lams):
+    """One GaussianWigner whose forms are the (m, n, n) stacks of the
+    kernels' gramInv and gram over the m values in lams."""
+    coupling = build_coupling(n)
+    column = np.asarray(lams)[:, None]
+    return GaussianWigner(
+        n=n,
+        qForm=matrix_function(coupling, lambda a: np.exp(2.0 * column * a)),
+        pForm=matrix_function(coupling, lambda a: np.exp(-2.0 * column * a)),
+        normConst=math.pi ** (-n),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_wigner_values_form_stack_matches_per_row_calls(n):
+    lams = np.linspace(-1.0, 1.0, 17)
+    q, p = _scaled_points(n, 1.0, lams.size, seed=n)
+    stacked = wigner_values(_stacked_wigner(n, lams), q, p)
+    per_row = np.array(
+        [
+            wigner_values(_wigner(n, lam), q[k : k + 1], p[k : k + 1])[0]
+            for k, lam in enumerate(lams.tolist())
+        ]
+    )
+    if n == 2:
+        # a shared 2 x 2 form goes through einsum's two-element kernel,
+        # which groups the four products differently: rounding only
+        assert_allclose(stacked, per_row, rtol=1e-14, atol=0.0)
+    else:
+        assert stacked.tobytes() == per_row.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 64, 40401])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_wigner_values_shared_form_bits(n, m):
+    """A shared (n, n) form keeps the bits of the per-form einsum
+    "ki,ij,kj->k" that the grid documents were written with."""
+    wig = _wigner(n, 0.3)
+    q, p = _scaled_points(n, 0.3, m, seed=m)
+    quad = np.einsum("ki,ij,kj->k", q, wig.qForm, q) + np.einsum("ki,ij,kj->k", p, wig.pForm, p)
+    assert wigner_values(wig, q, p).tobytes() == (wig.normConst * np.exp(-quad)).tobytes()
 
 
 def test_wigner_values_floor_and_origin_rows():

@@ -271,6 +271,34 @@ def test_four_mode_closed_matches_generic(lam):
     assert kernel.detN == pytest.approx(closed.detN, rel=1e-12)
 
 
+def _closed_vs_generic_per_draw(rng):
+    """The check's worst relative error as a loop over the draws: a kernel
+    pair and two one-point generic values per draw."""
+    worst = 0.0
+    base3, base4 = build_coupling(3), build_coupling(4)
+    for _ in range(200):
+        lam = float(rng.uniform(-0.5, 0.5))
+        alpha3 = verification._draw_alpha(rng, 3, 1.5)
+        alpha4 = verification._draw_alpha(rng, 4, 1.5)
+        generic3 = wigner_value_alpha(wigner_from_kernel(build_kernel(base3, lam)), alpha3)
+        generic4 = wigner_value_alpha(wigner_from_kernel(build_kernel(base4, lam)), alpha4)
+        worst = max(
+            worst,
+            abs(wigner3_closed(lam, alpha3) - generic3) / abs(generic3),
+            abs(wigner4_closed(lam, alpha4) - generic4) / abs(generic4),
+        )
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_wigner_closed_vs_generic_check_matches_per_draw_loop(seed):
+    batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    record = verification.check_wigner_closed_vs_generic(1e-10, batched_rng)
+    assert record.actual == _closed_vs_generic_per_draw(loop_rng)
+    # the parity oracle draws next from the same generator
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 def test_wigner4_closed_origin_and_zero_lambda():
     assert wigner4_closed(0.2, np.zeros(4)) == math.pi**-4
     rng = np.random.default_rng(6)

@@ -8,13 +8,16 @@ exact bits; a non-finite float (NaN, +-inf) is written as null.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard, 4 numeric failure (a solver broke down or a Fock cutoff was too
 small for the state).
+
+The document is rendered into a list of text chunks, and written out
+chunk by chunk, only after every result is computed, so a run that ends
+in an error writes nothing to stdout or --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import re
 import sys
@@ -45,6 +48,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
+
+# Largest grid, counted in coordinates (points x modes), that `wigner`
+# builds.  Peak RSS grew by 214, 358, 339, 608 and 1604 bytes per grid
+# point at n = 2, 3, 4, 16 and 64 (641 601 and 40 401 points against each
+# other at n <= 4, 90 601 and 10 201 above; JSON to a file, 2 vCPUs): at
+# most 120 bytes per coordinate, so a grid at the guard stays near 0.5 GB.
+# It admits 1024 x 1024 points at n = 4, which peaked at 371 MB.
+GRID_GUARD = 1 << 22
 
 POINT_HELP = "phase-space point; one that starts with -inf or -nan needs --point=VALUE"
 
@@ -82,7 +93,7 @@ class PointTable:
     value_closed: np.ndarray | None
 
     def columns(self) -> list[np.ndarray]:
-        """q1..qn, p1..pn, value and value_closed (if any): the CSV columns."""
+        """q1..qn, p1..pn, value and value_closed (if any), in CSV column order."""
         cols = [*self.q.T, *self.p.T, self.value]
         if self.value_closed is not None:
             cols.append(self.value_closed)
@@ -101,6 +112,22 @@ class PointTable:
 
 # A list whose items all render shorter than this stays on one line.
 _INLINE_WIDTH = 24
+# Rows of the points table filled by one % operation: 1024 rows of a
+# four-mode grid make a chunk of about 200 KB.
+_BLOCK_ROWS = 1024
+# main writes the document in whole multiples of this size, the capacity
+# of a Linux pipe, so a reader draining the pipe gets full reads.  Writes
+# of uneven size leave it a short read at every write boundary; the
+# benchmark's reader fragmented its heap on those, and since each child
+# it starts inherits its peak RSS as ru_maxrss, that crept up 1-2 MB a job.
+_WRITE_BYTES = 1 << 16
+
+
+class _Chunks(list):
+    """A rendered document as a list of text chunks, in order.  It has a
+    ``write`` method, so a ``csv.writer`` can add its rows to it."""
+
+    write = list.append
 
 
 def _fmt_float(value: float) -> str:
@@ -109,56 +136,97 @@ def _fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _column_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """``_fmt_float`` of every entry, and which of them are at least
-    ``_INLINE_WIDTH`` long.  Each distinct bit pattern (so 0.0 and -0.0
-    apart) is formatted once: grid coordinates repeat across the rows."""
+def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_fmt_float`` text of each distinct bit pattern of values (so
+    0.0 and -0.0 apart), as an object array, and the index of every
+    entry's text in it.  Grid coordinates repeat across the rows, so each
+    is formatted once."""
     bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
-    texts = [_fmt_float(v) for v in bits.view(np.float64).tolist()]
-    wide = np.array([len(text) >= _INLINE_WIDTH for text in texts])
-    return np.array(texts, dtype=object)[inverse].tolist(), wide[inverse]
+    return np.array([_fmt_float(v) for v in bits.view(np.float64).tolist()], dtype=object), inverse
 
 
-def _render_points(table: PointTable, indent: int) -> str:
-    """The points list, laid out as ``_render_json`` lays out the list of
-    ``table.entry`` dicts, from one row template.  A row with a coordinate
-    too wide for an inline q/p list is handed to ``_render_json`` itself."""
-    n = table.q.shape[1]
-    texts, wide = zip(*(_column_texts(col) for col in table.columns()))
-    wide_rows = np.any(wide[: 2 * n], axis=0)
+def _cells(columns: list[tuple[np.ndarray, np.ndarray]], start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the ``_distinct_texts`` columns, as a
+    (stop - start, len(columns)) object array of texts."""
+    cells = np.empty((stop - start, len(columns)), dtype=object)
+    for j, (texts, inverse) in enumerate(columns):
+        cells[:, j] = texts.take(inverse[start:stop])
+    return cells
+
+
+def _render_points(table: PointTable, indent: int, out: list[str]) -> None:
+    """Append the points list, laid out as ``_render_json`` lays out the
+    list of ``table.entry`` dicts.  A column with one text is written into
+    the row template; the others fill its %s slots, one % operation per
+    block of rows.  A row with a coordinate too wide for an inline q/p list
+    is handed to ``_render_json`` itself."""
+    m, n = table.q.shape
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
-    rows = []
-    has_closed = table.value_closed is not None
-    for k, row in enumerate(zip(*texts)):
-        if wide_rows[k]:
-            rows.append(row_pad + _render_json(table.entry(k), indent + 1))
-            continue
-        closed = f',\n{key_pad}"value_closed": {row[-1]}' if has_closed else ""
-        rows.append(
-            f'{row_pad}{{\n{key_pad}"q": [{", ".join(row[:n])}],\n'
-            f'{key_pad}"p": [{", ".join(row[n:2 * n])}],\n'
-            f'{key_pad}"value": {row[2 * n]}{closed}\n{row_pad}}}'
-        )
-    return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    slots, varying = [], []
+    wide = np.zeros(m, dtype=bool)
+    for c, (texts, inverse) in enumerate(map(_distinct_texts, table.columns())):
+        if c < 2 * n:
+            wide |= np.array([len(text) >= _INLINE_WIDTH for text in texts])[inverse]
+        if texts.size == 1:
+            slots.append(texts[0])
+        else:
+            slots.append("%s")
+            varying.append((texts, inverse))
+    closed = f',\n{key_pad}"value_closed": {slots[-1]}' if table.value_closed is not None else ""
+    row = (
+        f'{row_pad}{{\n{key_pad}"q": [{", ".join(slots[:n])}],\n'
+        f'{key_pad}"p": [{", ".join(slots[n:2 * n])}],\n'
+        f'{key_pad}"value": {slots[2 * n]}{closed}\n{row_pad}}}'
+    )
+    out.append("[\n")
+    sep = ""
+    start = 0
+    for stop in [*np.flatnonzero(wide).tolist(), m]:
+        for first in range(start, stop, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, stop)
+            template = sep + ",\n".join([row] * (last - first))
+            out.append(template % tuple(_cells(varying, first, last).ravel().tolist()))
+            sep = ",\n"
+        if stop < m:
+            out.append(sep + row_pad + _json_text(table.entry(stop), indent + 1))
+            sep = ",\n"
+        start = stop + 1
+    out.append("\n" + pad + "]")
 
 
-def _render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _render_json(obj, indent: int, out: list[str]) -> None:
+    """Append the JSON text of obj, nested ``indent`` levels deep, to out.
+    Dicts and ``PointTable``s append as they go; any other value is
+    appended as one ``_json_text`` string."""
     if isinstance(obj, PointTable):
-        return _render_points(obj, indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f'{inner}"{key}": {_render_json(val, indent + 1)}' for key, val in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        _render_points(obj, indent, out)
+    elif isinstance(obj, dict):
+        inner = "  " * (indent + 1)
+        sep = "{\n"
+        for key, val in obj.items():
+            out.append(f'{sep}{inner}"{key}": ')
+            _render_json(val, indent + 1, out)
+            sep = ",\n"
+        out.append("\n" + "  " * indent + "}" if obj else "{}")
+    else:
+        out.append(_json_text(obj, indent))
+
+
+def _json_text(obj, indent: int = 0) -> str:
+    """The JSON text of obj, nested ``indent`` levels deep, as one string.
+    A list renders its items first, to decide whether it fits on one line."""
+    if isinstance(obj, (dict, PointTable)):
+        out: list[str] = []
+        _render_json(obj, indent, out)
+        return "".join(out)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rendered = [_render_json(val, indent + 1) for val in obj]
+        rendered = [_json_text(val, indent + 1) for val in obj]
         if all(len(r) < _INLINE_WIDTH and "\n" not in r for r in rendered):
             return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
+        inner = "  " * (indent + 1)
+        return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + "  " * indent + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -200,9 +268,9 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
-def _render_csv(doc: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _render_csv(doc: dict, out: _Chunks) -> None:
+    """Append the CSV document to out, one chunk per row."""
+    writer = csv.writer(out, lineterminator="\n")
     results = doc["results"]
     if doc["command"] == "wigner":
         table = results["points"]
@@ -212,7 +280,10 @@ def _render_csv(doc: dict) -> str:
         if table.value_closed is not None:
             header.append("value_closed")
         writer.writerow(header)
-        writer.writerows(zip(*(_column_texts(col)[0] for col in table.columns())))
+        columns = [_distinct_texts(col) for col in table.columns()]
+        m = table.q.shape[0]
+        for first in range(0, m, _BLOCK_ROWS):
+            writer.writerows(_cells(columns, first, min(first + _BLOCK_ROWS, m)).tolist())
     elif doc["command"] == "verify":
         header = ["name", "paper_ref", "expected", "actual", "tol", "pass", "tail_mass", "skipped", "note"]
         writer.writerow(header)
@@ -226,7 +297,6 @@ def _render_csv(doc: dict) -> str:
         writer.writerow(["name", "value"])
         for name, value in _flatten(results):
             writer.writerow([name, _scalar_csv(value)])
-    return buf.getvalue()
 
 
 def _matrix(mat: np.ndarray) -> list:
@@ -335,10 +405,17 @@ def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     if config.grid:
         if len(config.grid) > 2:
             raise UsageError("at most 2 grid axes (other coordinates are pinned to 0)")
-        axes_values = []
-        for axis, lo, hi, steps in config.grid:
-            kind, index = _parse_axis(axis, n)
-            axes_values.append((kind, index, np.linspace(lo, hi, steps)))
+        axes = [_parse_axis(axis, n) for axis, _, _, _ in config.grid]
+        size = math.prod(steps for _, _, _, steps in config.grid)
+        if size * n > GRID_GUARD:
+            raise ResourceLimitError(
+                f"grid of {size} points at n={n} holds {size * n} coordinates, "
+                f"over the guard of {GRID_GUARD}"
+            )
+        axes_values = [
+            (kind, index, np.linspace(lo, hi, steps))
+            for (kind, index), (_, lo, hi, steps) in zip(axes, config.grid)
+        ]
         mesh = np.meshgrid(*[vals for _, _, vals in axes_values], indexing="ij")
         q = np.zeros((mesh[0].size, n))
         p = np.zeros((mesh[0].size, n))
@@ -411,6 +488,12 @@ def _require_n(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configuration; returns (serialized document, exit code)."""
+    chunks, exit_code = _execute(config)
+    return "".join(chunks), exit_code
+
+
+def _execute(config: RunConfig) -> tuple[list[str], int]:
+    """Execute one configuration; returns (document chunks, exit code)."""
     checks: list[dict] = []
     exit_code = EXIT_OK
     if config.command == "coupling":
@@ -460,8 +543,13 @@ def run(config: RunConfig) -> tuple[str, int]:
         "results": results,
         "checks": checks,
     }
-    text = _render_json(doc) + "\n" if config.fmt == "json" else _render_csv(doc)
-    return text, exit_code
+    chunks = _Chunks()
+    if config.fmt == "json":
+        _render_json(doc, 0, chunks)
+        chunks.append("\n")
+    else:
+        _render_csv(doc, chunks)
+    return chunks, exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
-        text, exit_code = run(config)
+        chunks, exit_code = _execute(config)
     except (ModeCountError, ParameterRangeError, ValueError) as exc:  # UsageError is one too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -561,10 +649,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write(chunks, handle)
     else:
-        sys.stdout.write(text)
+        _write(chunks, sys.stdout)
     return exit_code
+
+
+def _write(chunks: list[str], handle) -> None:
+    """Write chunks in order, in pieces of whole multiples of
+    ``_WRITE_BYTES`` (bar the last)."""
+    pending = ""
+    for chunk in chunks:
+        pending += chunk
+        cut = len(pending) - len(pending) % _WRITE_BYTES
+        if cut:
+            handle.write(pending[:cut])
+            pending = pending[cut:]
+    handle.write(pending)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,12 @@ import io
 import json
 import math
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmodesqueeze import cli, verification
 from nmodesqueeze import fockoracle as fo
@@ -18,7 +22,7 @@ from nmodesqueeze.cli import (
     main,
     run,
 )
-from nmodesqueeze.errors import NumericFailureError, TruncationError
+from nmodesqueeze.errors import NumericFailureError, ResourceLimitError, TruncationError
 from nmodesqueeze.verification import run_verification
 
 TOP_LEVEL_KEYS = {"schema", "command", "config", "results", "checks"}
@@ -456,6 +460,125 @@ def test_points_rendering_covers_wide_and_null_rows(monkeypatch):
     assert points[3]["value_closed"] > 0.0
 
 
+# Values the property below draws table entries from: signed zeros, NaN,
+# infinities, subnormals, the ends of the float range and 24-character texts.
+TABLE_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300,
+    -1e-300, WIDE_Q, WIDE_P, 0.5, -1.25, 0.1, 2.0 / 3.0,
+]
+
+
+@st.composite
+def point_tables(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    value = st.sampled_from(TABLE_VALUES)
+
+    def column():
+        if draw(st.booleans()):  # one text down the whole column
+            return np.full(m, draw(value))
+        return np.array(draw(st.lists(value, min_size=m, max_size=m)))
+
+    q = np.column_stack([column() for _ in range(n)])
+    p = np.column_stack([column() for _ in range(n)])
+    closed = column() if draw(st.booleans()) else None
+    return cli.PointTable(q, p, column(), closed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(table=point_tables(), indent=st.integers(0, 3), block_rows=st.sampled_from([1, 2, 7, 1024]))
+def test_points_renderer_matches_per_point_dicts_property(table, indent, block_rows):
+    entries = _entries(table)
+    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+        text = cli._json_text(table, indent)
+        chunks = cli._Chunks()
+        cli._render_csv({"command": "wigner", "results": {"points": table}}, chunks)
+    assert text == cli._json_text(entries, indent)
+    assert "".join(chunks) == _per_point_csv(entries)
+
+
+def test_points_grid_formats_each_distinct_pattern_once(monkeypatch):
+    config = RunConfig(
+        command="wigner", n=4, lam=0.3, grid=[("q2", -2.0, 2.0, 61), ("p4", -1.5, 1.5, 61)]
+    )
+    table = cli._results_wigner(config)["points"]
+    formatted = []
+    real = cli._fmt_float
+
+    def counting(value):
+        formatted.append(value)
+        return real(value)
+
+    monkeypatch.setattr(cli, "_fmt_float", counting)
+    text = cli._json_text(table, 2)
+    monkeypatch.setattr(cli, "_fmt_float", real)
+    assert text == cli._json_text(_entries(table), 2)
+    distinct = [np.unique(col.view(np.int64)) for col in table.columns()]
+    assert [len(bits) for bits in distinct[:8]] == [1, 61, 1, 1, 1, 1, 1, 61]
+    assert sorted(np.array(formatted).view(np.int64)) == sorted(np.concatenate(distinct))
+
+
+GRID_ARGV = ["wigner", "--n", "4", "--lambda", "0.3", "--grid", "q1=-2:2:41", "--grid", "p3=-2:2:41"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_main_writes_the_run_document(fmt, tmp_path, capfdbinary):
+    argv = [*GRID_ARGV, "--format", fmt]
+    text, code = run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    assert len(text) > 2 * cli._WRITE_BYTES  # several writes
+    assert main(argv) == code == EXIT_OK
+    assert capfdbinary.readouterr().out == text.encode()
+    out = tmp_path / f"grid.{fmt}"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert capfdbinary.readouterr().out == b""
+    assert out.read_bytes() == text.encode()
+
+
+def test_write_sends_whole_multiples_of_the_pipe_size():
+    chunks = ["a" * 10, "b" * 70000, "c" * 5, "d" * 200000, "e" * 3]
+    sink = cli._Chunks()
+    cli._write(chunks, sink)
+    assert "".join(sink) == "".join(chunks)
+    assert [len(piece) for piece in sink] == [65536, 196608, 7874]
+
+
+def test_main_wigner_numeric_failure_writes_nothing(monkeypatch, tmp_path, capsys):
+    def failing(*args, **kwargs):
+        raise NumericFailureError("solver broke down")
+
+    monkeypatch.setattr(cli.ga, "wigner_values", failing)
+    out = tmp_path / "grid.json"
+    assert main(GRID_ARGV) == EXIT_NUMERIC
+    assert main([*GRID_ARGV, "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid", [["q1=-2:2:1000000000000"], ["q1=-2:2:100000", "p1=-2:2:100000"]]
+)
+def test_main_oversize_grid_is_refused(grid, capsys):
+    argv = ["wigner", "--n", "4"] + [f"--grid={axis}" for axis in grid]
+    assert main(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("resource error: grid of ")
+
+
+def test_grid_guard_counts_coordinates():
+    n = 4096  # a wide grid row keeps the accepted grid at the guard small
+    steps = cli.GRID_GUARD // n
+
+    def grid(steps):
+        return RunConfig(command="wigner", n=n, grid=[("p7", -1.0, 1.0, steps)])
+
+    q, p = cli._wigner_points(grid(steps), n)
+    assert q.shape == p.shape == (steps, n)
+    assert p[-1, 6] == 1.0
+    with pytest.raises(ResourceLimitError, match="over the guard"):
+        cli._wigner_points(grid(steps + 1), n)
+
+
 def _strict_json(text: str) -> dict:
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -495,7 +618,9 @@ def test_main_non_finite_points_exit_usage(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # linspace over inf
         assert main(argv) == EXIT_USAGE
-    assert "phase point entries must be finite" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "phase point entries must be finite" in captured.err
 
 
 @pytest.mark.parametrize("error", [NumericFailureError, TruncationError])

@@ -6,23 +6,32 @@ baseline.  Every run emits one document, JSON by default (schema tag
 significant digits so a parse on any IEEE-754 platform reproduces the
 exact bits; a non-finite float (NaN, +-inf) is written as null.  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard, 4 numeric failure (a solver broke down or a Fock cutoff was too
-small for the state).
+guard or a document that cannot be written (a closed pipe, a full disk,
+an --out path in a missing directory), 4 numeric failure (a solver broke
+down or a Fock cutoff was too small for the state).  Exits 2, 3 and 4
+write one line to stderr.
 
 The document is rendered into a list of text chunks, and written out
 chunk by chunk, only after every result is computed, so a run that ends
 in an error writes nothing to stdout or --out.
+
+``main`` returns the exit code, for callers that run it in process.
+``console_main``, the entry point of the installed script and of
+``python -m nmodesqueeze``, runs ``main``, flushes stdout and stderr and
+ends the process at once with ``os._exit``, skipping interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -361,16 +370,14 @@ def _results_state(config: RunConfig) -> dict:
 
         space = fo.build_space(n, config.cutoff)
         psi = fo.two_photon_expand(state, space)
-        amplitudes = []
-        for idx in np.flatnonzero(psi.amps):
-            amp = psi.amps[idx]
-            amplitudes.append(
-                {
-                    "occupation": list(space.occupation(int(idx))),
-                    "re": float(amp.real),
-                    "im": float(amp.imag),
-                }
+        nonzero = np.flatnonzero(psi.amps)
+        amps = psi.amps[nonzero]
+        amplitudes = [
+            {"occupation": occupation, "re": real, "im": imag}
+            for occupation, real, imag in zip(
+                fo.occupation_table(space)[nonzero].tolist(), amps.real.tolist(), amps.imag.tolist()
             )
+        ]
         results["fock"] = {
             "cutoff": config.cutoff,
             "tail_mass": fo.tail_mass(psi),
@@ -647,12 +654,35 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericFailureError, TruncationError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            _write(chunks, handle)
-    else:
-        _write(chunks, sys.stdout)
+    try:
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                _write(chunks, handle)
+        else:
+            _write(chunks, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk, a missing --out directory
+        print(f"resource error: cannot write the document: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     return exit_code
+
+
+def console_main() -> NoReturn:
+    """Entry point of ``nmode-squeeze`` and ``python -m nmodesqueeze``.
+
+    Runs ``main``, flushes stdout and stderr, and ends the process with
+    ``os._exit``, which skips interpreter teardown (0.05-0.07 s of module
+    and object clean-up after a run, 2 vCPUs).  Nothing registered with
+    ``atexit`` runs, so whatever must happen at exit happens before the
+    flush.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        # main flushed the document and reported any failure to write it;
+        # a flush that fails here retries data whose loss is already reported.
+        with contextlib.suppress(OSError):
+            stream.flush()
+    os._exit(code)
 
 
 def _write(chunks: list[str], handle) -> None:
@@ -669,4 +699,4 @@ def _write(chunks: list[str], handle) -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -11,11 +11,12 @@ assumed away.  Every quadratic form sum_ij c_ij op_i op_j comes from one
 pair sum of diagonals, and every exponential of a photon-pair block from
 one series.
 
-The squeeze itself is realised as the action exp(iH)|0> of the banded
-quadratic generator on the vacuum (truncated Taylor series with Al-Mohy &
-Higham's step selection), never as a dense matrix.  Its unitarity is not
-given by construction: the evolved norm is measured, and `verify` holds it
-to 1e-10.  Wigner values come from the displaced-parity expectation
+The squeeze itself is realised as the action of exp(iH), for the banded
+quadratic generator H, on the vacuum or on a block of start columns
+(truncated Taylor series with Al-Mohy & Higham's step selection), never
+as a dense matrix.  Its unitarity is not given by construction: the
+evolved norm is measured, and `verify` holds it to 1e-10.  Wigner values
+come from the displaced-parity expectation
     W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>,
 with the displacement factored into per-mode unitaries.  Only numpy is
 needed.
@@ -41,10 +42,8 @@ from .normalform import NormalOrderedForm, TwoPhotonState
 # number of Taylor terms.
 DIM_GUARD = 200_000
 # Byte budget of one dense complex dim x dim matrix.  Only
-# assemble_normal_form and the eigh reference that checks it build dense
-# matrices, each holding several at once (the normal_form_assembly check
-# peaked at 590 MB RSS at dim 2025); above DENSE_DIM_GUARD states they
-# refuse rather than ask for GB-sized arrays.
+# assemble_normal_form builds dense matrices, several at once; above
+# DENSE_DIM_GUARD states it refuses rather than ask for GB-sized arrays.
 DENSE_MATRIX_BYTES = 64 * 2**20
 DENSE_DIM_GUARD = math.isqrt(DENSE_MATRIX_BYTES // 16)
 # Taylor degree m -> largest 1-norm theta_m of one step whose degree-m
@@ -127,11 +126,14 @@ class BandedOperator:
         return sum(int(np.count_nonzero(diag)) for diag in self.diagonals.values())
 
     def __matmul__(self, vec: np.ndarray) -> np.ndarray:
-        """M @ vec for a vector, each row summed in column order from 0."""
-        out = np.zeros(self.dim, dtype=np.result_type(vec, *self.diagonals.values()))
+        """M @ vec for a vector or a (dim, k) block, each row summed in
+        column order from 0; a block column gets the bits of M @ that column."""
+        dtype = np.result_type(vec, *self.diagonals.values())
+        out = np.zeros((self.dim, *vec.shape[1:]), dtype=dtype)
+        column = (-1,) + (1,) * (vec.ndim - 1)
         for offset, diag in self.diagonals.items():
             rows, cols = max(-offset, 0), max(offset, 0)
-            out[rows : rows + diag.size] += diag * vec[cols : cols + diag.size]
+            out[rows : rows + diag.size] += diag.reshape(column) * vec[cols : cols + diag.size]
         return out
 
     def toarray(self) -> np.ndarray:
@@ -157,6 +159,65 @@ class FockOperator:
 
     space: FockSpace
     mat: BandedOperator
+
+    def evolve(self, start: np.ndarray) -> np.ndarray:
+        """exp(iH) @ start for a start vector (dim,) or a (dim, k) block.
+
+        The truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci.
+        Comput. 33, 488 (2011), algorithm 3.2): s steps of degree at most
+        m, with (m, s) minimising m * ceil(|iH|_1 / theta_m) over _THETA,
+        and each step's series stopped, column by column, once two
+        consecutive terms fall below 2^-53 of the partial sum.  A column
+        therefore gets the bits it would get alone.  The exact 1-norm sets
+        (m, s), so the result does not depend on any random state.  The
+        generator has no main diagonal, so the algorithm's trace shift is
+        zero and left out.  The result is unitary only to the accuracy of
+        the series: callers measure the norm rather than assume it.
+
+        Raises
+        ------
+        NumericFailureError
+            If the generator or any amplitude is non-finite.
+        """
+        diagonals = {offset: 1j * diag for offset, diag in self.mat.diagonals.items()}
+        # iH is real for every generator (Q_i is real, P_j imaginary).  For
+        # a real start the series then runs in real arithmetic: every
+        # imaginary part it would carry is an exact zero, so the bits agree
+        # with the complex run at half the work and memory.
+        if not any(np.any(diag.imag) for diag in diagonals.values()) and not np.any(
+            np.imag(start)
+        ):
+            diagonals = {offset: diag.real for offset, diag in diagonals.items()}
+            start = np.real(start)
+        step = BandedOperator(self.space.dim, diagonals)
+        norm = step.onenorm()
+        if not math.isfinite(norm):
+            raise NumericFailureError(f"generator has 1-norm {norm}")
+        dtype = np.result_type(float, start, *diagonals.values())
+        amps = np.array(start, dtype=dtype)
+        if norm > 0.0:
+            degree, steps = min(
+                ((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
+                key=lambda pair: pair[0] * pair[1],
+            )
+            for _ in range(steps):
+                live = slice(None)  # the columns whose series is still running
+                term = amps
+                prev = np.max(np.abs(term), axis=0)
+                for k in range(1, degree + 1):
+                    term = (1.0 / (steps * k)) * (step @ term)
+                    size = np.max(np.abs(term), axis=0)
+                    amps[..., live] += term
+                    done = prev + size <= 2.0**-53 * np.max(np.abs(amps[..., live]), axis=0)
+                    if done.all():
+                        break
+                    if amps.ndim == 2 and done.any():  # drop the finished columns
+                        live = np.arange(amps.shape[1])[live][~done]
+                        term, size = term[:, ~done], size[~done]
+                    prev = size
+        if not np.all(np.isfinite(amps)):
+            raise NumericFailureError("evolution produced non-finite amplitudes")
+        return amps.astype(complex)
 
 
 def build_space(n: int, cutoff: int) -> FockSpace:
@@ -311,17 +372,7 @@ def require_dense(space: FockSpace) -> None:
 
 
 def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
-    """exp(iH)|0> as the action of the banded exponential on the vacuum.
-
-    The truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
-    33, 488 (2011), algorithm 3.2): s steps of degree at most m, with
-    (m, s) minimising m * ceil(|iH|_1 / theta_m) over _THETA, and each
-    step's series stopped once two consecutive terms fall below 2^-53 of
-    the partial sum.  The exact 1-norm sets (m, s), so the result does not
-    depend on any random state.  The generator has no main diagonal, so
-    the algorithm's trace shift is zero and left out.  The result is
-    unitary only to the accuracy of the series: callers measure the norm
-    rather than assume it.
+    """exp(iH)|0>, the vacuum case of ``FockOperator.evolve``.
 
     Raises
     ------
@@ -329,37 +380,9 @@ def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
         If the generator or any amplitude is non-finite.
     """
     space = hamiltonian.space
-    diagonals = {offset: 1j * diag for offset, diag in hamiltonian.mat.diagonals.items()}
-    # iH is real for every generator (Q_i is real, P_j imaginary), and so
-    # is the vacuum.  The series then runs in real arithmetic: every
-    # imaginary part it would carry is an exact zero, so the bits agree
-    # with the complex run at half the work and memory.
-    if not any(np.any(diag.imag) for diag in diagonals.values()):
-        diagonals = {offset: diag.real for offset, diag in diagonals.items()}
-    step = BandedOperator(space.dim, diagonals)
-    norm = step.onenorm()
-    if not math.isfinite(norm):
-        raise NumericFailureError(f"generator has 1-norm {norm}")
-    amps = np.zeros(space.dim, dtype=np.result_type(float, *diagonals.values()))
-    amps[0] = 1.0
-    if norm > 0.0:
-        degree, steps = min(
-            ((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
-            key=lambda pair: pair[0] * pair[1],
-        )
-        for _ in range(steps):
-            term = amps
-            prev = np.max(np.abs(term))
-            for k in range(1, degree + 1):
-                term = (1.0 / (steps * k)) * (step @ term)
-                size = np.max(np.abs(term))
-                amps = amps + term
-                if prev + size <= 2.0**-53 * np.max(np.abs(amps)):
-                    break
-                prev = size
-    if not np.all(np.isfinite(amps)):
-        raise NumericFailureError("vacuum evolution produced non-finite amplitudes")
-    return FockTensor(space=space, amps=amps.astype(complex))
+    start = np.zeros(space.dim)
+    start[0] = 1.0
+    return FockTensor(space=space, amps=hamiltonian.evolve(start))
 
 
 def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
@@ -428,50 +451,68 @@ def variance_numeric(psi: FockTensor, which: str) -> float:
     return second - mean**2
 
 
-def _single_mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    """exp(alpha a~ - conj(alpha) a) on one truncated mode, by eigh.
+def _single_mode_displacements(alpha: np.ndarray, cutoff: int) -> np.ndarray:
+    """exp(alpha_k a~ - conj(alpha_k) a) on one truncated mode for each entry
+    of the 1-D array alpha, as a (len(alpha), cutoff + 1, cutoff + 1) stack
+    from one stacked eigh.
 
-    The truncated generator stays anti-Hermitian, so this matrix is
+    The truncated generators stay anti-Hermitian, so each matrix is
     exactly unitary on the truncated mode.
     """
     low = np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1).astype(complex)
+    alpha = alpha[:, None, None]
     gen = alpha * low.T - np.conj(alpha) * low
     w, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
-def wigner_numeric(psi: FockTensor, alpha: np.ndarray, max_boundary_mass: float = 1e-6) -> float:
+def wigner_numeric(
+    psi: FockTensor, alpha: np.ndarray, max_boundary_mass: float = 1e-6
+) -> float | np.ndarray:
     """Displaced-parity Wigner value pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>.
 
-    The displacement factorises over modes, so D(alpha)~ psi is computed
-    by contracting one small per-mode unitary along each tensor axis.
+    alpha is one point, shape (n,), giving a float, or one point per row,
+    shape (m, n), giving an array of m values; each row gets the bits of
+    its own one-point call.  The displacement factorises over modes, so
+    D(alpha)~ psi is computed by contracting one small per-mode unitary
+    along each tensor axis, every row at once.
 
     Raises
     ------
     TruncationError
-        If the displaced state carries more than ``max_boundary_mass``
+        If any displaced state carries more than ``max_boundary_mass``
         weight on the outermost shell (some n_i = cutoff), i.e. the
-        cutoff is too small for this displacement.
+        cutoff is too small for that displacement.
     """
     space = psi.space
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (space.n,):
+    rows = np.asarray(alpha, dtype=complex)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != space.n:
         raise ValueError(f"alpha must have length {space.n}")
-    base = space.cutoff + 1
-    tensor = psi.amps.reshape((base,) * space.n)
+    rows = rows.reshape(-1, space.n)
+    m, base = len(rows), space.cutoff + 1
+    disp_dag = _single_mode_displacements(-rows.reshape(-1), space.cutoff).reshape(
+        m, space.n, base, base
+    )
+    tensor = np.broadcast_to(psi.amps, (m, space.dim)).reshape((m,) + (base,) * space.n)
     for i in range(space.n):
-        disp_dag = _single_mode_displacement(-alpha[i], space.cutoff)
-        tensor = np.moveaxis(np.tensordot(disp_dag, tensor, axes=(1, i)), 0, i)
-    displaced = tensor.reshape(space.dim)
+        # mode i's axis first after the row axis, the other modes flattened
+        moved = np.moveaxis(tensor, i + 1, 1)
+        product = disp_dag[:, i] @ moved.reshape(m, base, -1)
+        tensor = np.moveaxis(product.reshape(moved.shape), 1, i + 1)
+    displaced = tensor.reshape(m, space.dim)
     occs = occupation_table(space)
     boundary = np.any(occs == space.cutoff, axis=1)
-    boundary_mass = float(np.sum(np.abs(displaced[boundary]) ** 2))
-    if boundary_mass > max_boundary_mass:
+    boundary_mass = np.sum(np.abs(displaced[:, boundary]) ** 2, axis=1)
+    over = np.flatnonzero(boundary_mass > max_boundary_mass)
+    if over.size:
+        row = int(over[0])
+        where = f" at alpha row {row}" if np.ndim(alpha) == 2 else ""
         raise TruncationError(
-            f"displaced state has {boundary_mass:.3e} mass on the cutoff shell"
+            f"displaced state has {boundary_mass[row]:.3e} mass on the cutoff shell{where}"
         )
     parity = 1.0 - 2.0 * (np.sum(occs, axis=1) % 2)
-    return math.pi ** (-space.n) * float(np.sum(parity * np.abs(displaced) ** 2))
+    values = math.pi ** (-space.n) * np.sum(parity * np.abs(displaced) ** 2, axis=1)
+    return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
 def assemble_normal_form(form: NormalOrderedForm, space: FockSpace) -> np.ndarray:

@@ -182,30 +182,44 @@ def _closed_values(expo: np.ndarray, n: int, alpha: np.ndarray) -> float | np.nd
     return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
-def wigner3_closed(lam: float, alpha: np.ndarray) -> float | np.ndarray:
+def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
+    """coefficients(lam) for one lambda; for lam of shape (m,), one lambda
+    per alpha row, each coefficient stacked into an (m,) array.  Every
+    lambda goes through the same math calls as a scalar one, so each row
+    keeps the bits of the call at its own lambda."""
+    if np.ndim(lam) == 0:
+        return coefficients(lam)
+    lams = np.asarray(lam, dtype=float)
+    if lams.shape != rows.shape[:1]:
+        raise ValueError(f"lambda must be a scalar or hold one value per alpha row ({len(rows)})")
+    return tuple(np.array(col) for col in zip(*map(coefficients, lams.tolist())))
+
+
+def _wigner3_coefficients(lam: float) -> tuple[float, float, float, float]:
+    c2, c4 = math.cosh(2 * lam), math.cosh(4 * lam)
+    s2, s4 = math.sinh(2 * lam), math.sinh(4 * lam)
+    return -(2.0 / 3.0) * (c4 + 2.0 * c2), -(1.0 / 3.0) * (s4 - 2.0 * s2), c4 - c2, s2 + s4
+
+
+def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
     """Three-mode Wigner function in its hand-derived closed form.
 
     alpha is one point, shape (3,), giving a float, or one point per row,
-    shape (m, 3), giving an array of m values.  The trailing complex
-    conjugate applies to the whole secondexponent brace (both the alpha^2
-    sum and the cross terms); the generic Gaussian form is the test that
-    pins this reading down.
+    shape (m, 3), giving an array of m values; lam is one lambda, or one
+    per row, shape (m,).  The trailing complex conjugate applies to the
+    whole secondexponent brace (both the alpha^2 sum and the cross terms);
+    the generic Gaussian form is the test that pins this reading down.
     """
     rows = _alpha_rows(alpha, 3)
+    k_abs, k_sq, k_mixed, k_plain = _per_row(lam, _wigner3_coefficients, rows)
     a0, a1, a2 = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
         alpha_sq = np.sum(rows**2, axis=1)
         cross_mixed = a0 * a1.conjugate() + a0 * a2.conjugate() + a1 * a2.conjugate()
         cross_plain = a0 * a1 + a0 * a2 + a1 * a2
-        first = -(2.0 / 3.0) * (math.cosh(4 * lam) + 2.0 * math.cosh(2 * lam)) * abs_sq
-        brace = -(1.0 / 3.0) * (math.sinh(4 * lam) - 2.0 * math.sinh(2 * lam)) * alpha_sq - (
-            2.0 / 3.0
-        ) * (
-            (math.cosh(4 * lam) - math.cosh(2 * lam)) * cross_mixed
-            + (math.sinh(2 * lam) + math.sinh(4 * lam)) * cross_plain
-        )
-        expo = first + 2.0 * brace.real
+        brace = k_sq * alpha_sq - (2.0 / 3.0) * (k_mixed * cross_mixed + k_plain * cross_plain)
+        expo = k_abs * abs_sq + 2.0 * brace.real
     return _closed_values(expo, 3, alpha)
 
 
@@ -226,15 +240,21 @@ def four_mode_closed(lam: float) -> FourModeClosed:
     )
 
 
-def wigner4_closed(lam: float, alpha: np.ndarray) -> float | np.ndarray:
-    """Four-mode Wigner function in its hand-derived closed form; alpha of
-    shape (4,) gives a float, alpha rows of shape (m, 4) an array."""
-    rows = _alpha_rows(alpha, 4)
-    a0, a1, a2, a3 = rows.T
+def _wigner4_coefficients(lam: float) -> tuple[float, float, float]:
     c2, t2 = math.cosh(2.0 * lam), math.tanh(2.0 * lam)
+    return -2.0 * c2**2, t2**2, t2
+
+
+def wigner4_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
+    """Four-mode Wigner function in its hand-derived closed form; alpha of
+    shape (4,) gives a float, alpha rows of shape (m, 4) an array, and lam
+    is one lambda or one per row, shape (m,)."""
+    rows = _alpha_rows(alpha, 4)
+    scale, t2_sq, t2 = _per_row(lam, _wigner4_coefficients, rows)
+    a0, a1, a2, a3 = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
         abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
         opposite = a0 * a2.conjugate() + a1 * a3.conjugate()
         ring = a0 * a1 + a0 * a3 + a1 * a2 + a2 * a3
-        expo = -2.0 * c2**2 * (abs_sq + 2.0 * opposite.real * t2**2 + 2.0 * ring.real * t2)
+        expo = scale * (abs_sq + 2.0 * opposite.real * t2_sq + 2.0 * ring.real * t2)
     return _closed_values(expo, 4, alpha)

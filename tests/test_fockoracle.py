@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nmodesqueeze import (
@@ -290,6 +291,50 @@ def test_evolve_beyond_dense_reach():
     assert 1.0 - abs(overlap(evolved, analytic)) <= 1e-4
 
 
+def _start_block(space, rng):
+    """The vacuum, three more basis states, a random unit column and a
+    complex one: columns whose series stop at different terms."""
+    block = np.zeros((space.dim, 6), dtype=complex)
+    block[[0, 1, space.cutoff + 1, 2 * space.cutoff + 3], [0, 1, 2, 3]] = 1.0
+    for j in (4, 5):
+        col = rng.normal(size=space.dim) + (j - 4) * 1j * rng.normal(size=space.dim)
+        block[:, j] = col / np.linalg.norm(col)
+    return block
+
+
+@pytest.mark.parametrize("config", [(2, 12, 0.15), (3, 5, 0.2), (2, 10, 1.0)])
+def test_evolve_block_matches_vacuum_and_dense_references(config):
+    n, cutoff, lam = config
+    space = build_space(n, cutoff)
+    ham = generator(space, build_coupling(n), lam)
+    block = _start_block(space, np.random.default_rng(909))
+    real = block[:, :5].real
+    evolved = ham.evolve(real)
+    assert evolved.shape == (space.dim, 5) and evolved.dtype == complex
+    # each column gets the bits of its own vector run; column 0 is the vacuum
+    assert evolved[:, 0].tobytes() == evolve_vacuum(ham).amps.tobytes()
+    for j in range(5):
+        assert evolved[:, j].tobytes() == ham.evolve(real[:, j]).tobytes()
+    dense = ham.mat.toarray()
+    w, v = np.linalg.eigh(dense)
+    by_eigh = (v * np.exp(1j * w)) @ (v.conj().T @ block)
+    by_expm = expm(1j * dense) @ block
+    complex_run = ham.evolve(block)
+    for reference in (by_eigh, by_expm):
+        assert np.max(np.abs(complex_run - reference)) <= 1e-12
+        assert np.max(np.abs(evolved - reference[:, :5])) <= 1e-12
+
+
+def test_banded_matmul_block_columns_equal_vector_products():
+    space = build_space(3, 4)
+    ham = generator(space, build_coupling(3), 0.3).mat
+    block = _start_block(space, np.random.default_rng(11))
+    product = ham @ block
+    assert product.shape == block.shape
+    for j in range(block.shape[1]):
+        assert product[:, j].tobytes() == (ham @ block[:, j]).tobytes()
+
+
 def test_evolved_norm_is_unit(two_mode_run, three_mode_run):
     for run in (two_mode_run, three_mode_run):
         assert abs(run[1].norm - 1.0) < 1e-10
@@ -416,6 +461,48 @@ def test_wigner_numeric_matches_gaussian_at_random_points():
         assert wigner_numeric(psi, alpha) == pytest.approx(
             wigner_value_alpha(wig, alpha), abs=1e-3
         )
+
+
+def _wigner_numeric_loop(psi, alpha):
+    """One point, one mode at a time: a tensordot of each per-mode unitary,
+    built by its own eigh, along that mode's axis."""
+    space = psi.space
+    low = np.diag(np.sqrt(np.arange(1.0, space.cutoff + 1.0)), 1).astype(complex)
+    tensor = psi.amps.reshape((space.cutoff + 1,) * space.n)
+    for i in range(space.n):
+        gen = -alpha[i] * low.T + np.conj(alpha[i]) * low
+        w, v = np.linalg.eigh(1j * gen)
+        disp_dag = (v * np.exp(-1j * w)) @ v.conj().T
+        tensor = np.moveaxis(np.tensordot(disp_dag, tensor, axes=(1, i)), 0, i)
+    occs = occupation_table(space)
+    parity = 1.0 - 2.0 * (np.sum(occs, axis=1) % 2)
+    return math.pi ** (-space.n) * float(np.sum(parity * np.abs(tensor.reshape(-1)) ** 2))
+
+
+@pytest.mark.parametrize("config", [(3, 8, 0.1), (2, 20, 0.2)])
+def test_wigner_numeric_rows_equal_point_calls(config):
+    n, cutoff, lam = config
+    space = build_space(n, cutoff)
+    psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(n), lam)), space)
+    rng = np.random.default_rng(505)
+    rows = rng.normal(size=(12, n)) + 1j * rng.normal(size=(12, n))
+    rows *= 0.6 * rng.random((12, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    batched = wigner_numeric(psi, rows)
+    assert isinstance(batched, np.ndarray) and batched.shape == (12,)
+    singles = [wigner_numeric(psi, alpha) for alpha in rows]
+    assert all(type(value) is float for value in singles)
+    assert batched.tobytes() == np.array(singles).tobytes()
+    assert batched.tolist() == [_wigner_numeric_loop(psi, alpha) for alpha in rows]
+
+
+def test_wigner_numeric_rows_raise_when_any_row_is_truncated():
+    space = build_space(2, 4)
+    rows = np.array([[0.1, 0.0], [2.5, 0.0], [0.0, 0.2j]])
+    assert wigner_numeric(vacuum(space), rows[[0, 2]]).shape == (2,)
+    with pytest.raises(TruncationError, match="at alpha row 1"):
+        wigner_numeric(vacuum(space), rows)
+    with pytest.raises(ValueError, match="alpha must have length 2"):
+        wigner_numeric(vacuum(space), np.zeros((2, 3)))
 
 
 def test_wigner_numeric_rejects_excessive_displacement():

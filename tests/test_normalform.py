@@ -354,6 +354,26 @@ def test_wigner_closed_batched_rows_equal_scalar_calls(n, lam):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_wigner_closed_lambda_rows_equal_scalar_calls(n):
+    closed_fn = CLOSED_FORMS[n]
+    rng = np.random.default_rng(31 + n)
+    lams = rng.uniform(-1.0, 1.0, 60)
+    rows = (rng.normal(size=(60, n)) + 1j * rng.normal(size=(60, n))) * 0.3
+    batched = closed_fn(lams, rows)
+    singles = np.array([closed_fn(float(lam), alpha) for lam, alpha in zip(lams, rows)])
+    assert batched.tobytes() == singles.tobytes()
+    # a one-row lambda with one point gives the float of the scalar call
+    assert closed_fn(lams[:1], rows[0]) == singles[0]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("lam_shape", [(4,), (5, 1), (5, 5)])
+def test_wigner_closed_rejects_misaligned_lambda(n, lam_shape):
+    with pytest.raises(ValueError, match="one value per alpha row"):
+        CLOSED_FORMS[n](np.zeros(lam_shape), np.zeros((5, n)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("shape", [(5,), (2, 5), (2,), (2, 2, 3), ()])
 def test_wigner_closed_rejects_wrong_shapes(n, shape):
     with pytest.raises(ValueError, match=f"alpha must have length {n}"):

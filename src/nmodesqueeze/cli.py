@@ -658,6 +658,8 @@ def main(argv: list[str] | None = None) -> int:
         if config.out:
             with open(config.out, "w", encoding="utf-8") as handle:
                 _write(chunks, handle)
+        elif sys.stdout is None:  # the process was started with stdout closed
+            raise OSError("stdout is closed")
         else:
             _write(chunks, sys.stdout)
             sys.stdout.flush()
@@ -677,7 +679,7 @@ def console_main() -> NoReturn:
     flush.
     """
     code = main()
-    for stream in (sys.stdout, sys.stderr):
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # a closed stream is None
         # main flushed the document and reported any failure to write it;
         # a flush that fails here retries data whose loss is already reported.
         with contextlib.suppress(OSError):

@@ -3,6 +3,7 @@ and failures to write them, through the console entry that ends the
 process with ``os._exit``."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,17 @@ def test_console_full_device_is_a_resource_error(argv):
         )
     assert proc.returncode == EXIT_RESOURCE
     _assert_one_resource_line(proc.stderr)
+
+
+def test_console_closed_stdout_is_a_resource_error():
+    command = shlex.join([sys.executable, "-m", "nmodesqueeze", "variances", "--n", "3"])
+    proc = subprocess.run(
+        f"{command} >&-", shell=True, stderr=subprocess.PIPE,
+        env=_env(), cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    _assert_one_resource_line(proc.stderr)
+    assert b"stdout is closed" in proc.stderr
 
 
 def test_console_out_in_missing_directory_is_a_resource_error(tmp_path):

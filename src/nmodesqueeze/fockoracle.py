@@ -184,9 +184,8 @@ class FockOperator:
         # a real start the series then runs in real arithmetic: every
         # imaginary part it would carry is an exact zero, so the bits agree
         # with the complex run at half the work and memory.
-        if not any(np.any(diag.imag) for diag in diagonals.values()) and not np.any(
-            np.imag(start)
-        ):
+        real_step = not any(np.any(diag.imag) for diag in diagonals.values())
+        if real_step and not np.any(np.imag(start)):
             diagonals = {offset: diag.real for offset, diag in diagonals.items()}
             start = np.real(start)
         step = BandedOperator(self.space.dim, diagonals)
@@ -380,9 +379,7 @@ def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
         If the generator or any amplitude is non-finite.
     """
     space = hamiltonian.space
-    start = np.zeros(space.dim)
-    start[0] = 1.0
-    return FockTensor(space=space, amps=hamiltonian.evolve(start))
+    return FockTensor(space=space, amps=hamiltonian.evolve(vacuum(space).amps))
 
 
 def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:

@@ -640,19 +640,27 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _report(line: str) -> None:
+    """Write one line to stderr; a closed or failing stderr loses the line,
+    not the exit code."""
+    if sys.stderr is not None:  # None: the process was started with stderr closed
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
         chunks, exit_code = _execute(config)
     except (ModeCountError, ParameterRangeError, ValueError) as exc:  # UsageError is one too
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_USAGE
     except ResourceLimitError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        _report(f"resource error: {exc}")
         return EXIT_RESOURCE
     except (NumericFailureError, TruncationError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        _report(f"numeric error: {exc}")
         return EXIT_NUMERIC
     try:
         if config.out:
@@ -664,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(chunks, sys.stdout)
             sys.stdout.flush()
     except OSError as exc:  # a closed pipe, a full disk, a missing --out directory
-        print(f"resource error: cannot write the document: {exc}", file=sys.stderr)
+        _report(f"resource error: cannot write the document: {exc}")
         return EXIT_RESOURCE
     return exit_code
 

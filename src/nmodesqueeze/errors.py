@@ -14,7 +14,7 @@ class ParameterRangeError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested truncated Fock space, or a dense matrix on it, exceeds its guard."""
+    """Requested truncated Fock space, or a Wigner grid, exceeds its guard."""
 
 
 class TruncationError(RuntimeError):

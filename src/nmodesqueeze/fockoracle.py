@@ -15,8 +15,12 @@ The squeeze itself is realised as the action of exp(iH), for the banded
 quadratic generator H, on the vacuum or on a block of start columns
 (truncated Taylor series with Al-Mohy & Higham's step selection), never
 as a dense matrix.  Its unitarity is not given by construction: the
-evolved norm is measured, and `verify` holds it to 1e-10.  Wigner values
-come from the displaced-parity expectation
+evolved norm is measured, and `verify` holds it to 1e-10.  The paper's
+factored form, checked against it, is applied to a block of columns
+without exp(iH): two terminating series around the middle factor, which
+IWOP (integration within an ordered product) turns into the substitution
+a_i~ -> sum_j (I + X)_ji a_j~.  Wigner values come from the
+displaced-parity expectation
     W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>,
 with the displacement factored into per-mode unitaries.  Only numpy is
 needed.
@@ -41,11 +45,6 @@ from .normalform import NormalOrderedForm, TwoPhotonState
 # under 250 MB.  Their run time grows with |lambda| * cutoff, which sets the
 # number of Taylor terms.
 DIM_GUARD = 200_000
-# Byte budget of one dense complex dim x dim matrix.  Only
-# assemble_normal_form builds dense matrices, several at once; above
-# DENSE_DIM_GUARD states it refuses rather than ask for GB-sized arrays.
-DENSE_MATRIX_BYTES = 64 * 2**20
-DENSE_DIM_GUARD = math.isqrt(DENSE_MATRIX_BYTES // 16)
 # Taylor degree m -> largest 1-norm theta_m of one step whose degree-m
 # series meets double-precision backward error: m <= 30 from Higham,
 # "Functions of Matrices", Table A.3; the rest from Al-Mohy & Higham,
@@ -227,8 +226,7 @@ def build_space(n: int, cutoff: int) -> FockSpace:
     ResourceLimitError
         If (cutoff + 1)**n exceeds DIM_GUARD (2e5 states), the size up to
         which the banded generator, the vacuum evolution and the state
-        vectors stay small.  Dense matrices have their own, far smaller
-        guard (see require_dense).
+        vectors stay small.
     """
     if n < 1:
         raise ValueError(f"need at least one mode, got n={n}")
@@ -327,9 +325,7 @@ def _pair_sum(
     return BandedOperator(left[0].dim, {o: diag for o, diag in total.items() if np.any(diag)})
 
 
-def _terminating_series(
-    mat: BandedOperator | np.ndarray, start: np.ndarray, space: FockSpace
-) -> np.ndarray:
+def _terminating_series(mat: BandedOperator, start: np.ndarray, space: FockSpace) -> np.ndarray:
     """exp(mat) @ start for a mat that only adds, or only removes, photon
     pairs: on the truncated basis its Taylor series ends by order
     n * cutoff / 2 + 1, and it stops at the first term that is exactly zero."""
@@ -352,22 +348,6 @@ def generator(space: FockSpace, coupling: CouplingMatrix, lam: float) -> FockOpe
         raise ValueError(f"coupling has {coupling.n} modes, space has {space.n}")
     q_ops, p_ops = quadrature_ops(space)
     return FockOperator(space=space, mat=_pair_sum(coupling.entries, lam, q_ops, p_ops))
-
-
-def require_dense(space: FockSpace) -> None:
-    """Refuse a dense dim x dim matrix above DENSE_DIM_GUARD states.
-
-    Raises
-    ------
-    ResourceLimitError
-        If one dense complex matrix on ``space`` would exceed
-        DENSE_MATRIX_BYTES.
-    """
-    if space.dim > DENSE_DIM_GUARD:
-        raise ResourceLimitError(
-            f"dim {space.dim} exceeds dense guard {DENSE_DIM_GUARD} "
-            f"({16 * space.dim**2 / 2**20:.0f} MiB per dense matrix)"
-        )
 
 
 def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
@@ -512,37 +492,41 @@ def wigner_numeric(
     return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
-def assemble_normal_form(form: NormalOrderedForm, space: FockSpace) -> np.ndarray:
-    """Dense matrix of the factored squeeze on the truncated basis.
+def assemble_normal_form(
+    form: NormalOrderedForm, space: FockSpace, start: np.ndarray
+) -> np.ndarray:
+    """prefactor exp(at~ cre at / 2) :exp(at~ X a): exp(a ann a / 2) @ start,
+    the factored squeeze applied to a (dim, k) block of start columns.
 
     The creation and annihilation exponentials are nilpotent on a
     truncated basis, so their series terminate exactly.  The middle
-    normally ordered factor :exp(at~ X a): equals exp(at~ log(I + X) a),
-    which is photon-number conserving and therefore untouched by the
-    per-mode cutoff on any sector it is compared on.
-
-    Raises
-    ------
-    ResourceLimitError
-        Above DENSE_DIM_GUARD states (see require_dense).
+    normally ordered factor is applied by IWOP: it substitutes
+    a_i~ -> B_i = sum_j (I + X)_ji a_j~ and leaves the vacuum alone, so it
+    maps each basis state |k> in the block's support to
+    prod_i B_i^k_i / sqrt(k_i!) |0>.  That conserves photon number, so the
+    per-mode cutoff leaves it untouched on states of at most cutoff
+    photons.  No exp(iH) is taken, so this side stays independent of the
+    propagator it is checked against.
     """
     n_modes = form.creMat.shape[0]
     if n_modes != space.n:
         raise ValueError(f"form has {n_modes} modes, space has {space.n}")
-    require_dense(space)
     lowering, raising = ladder_ops(space)
-    cre = _pair_sum(form.creMat, 0.5, raising, raising).toarray()
-    ann = _pair_sum(form.annMat, 0.5, lowering, lowering).toarray()
-    cre_factor = _terminating_series(cre, np.eye(space.dim), space)
-    ann_factor = _terminating_series(ann, np.eye(space.dim), space)
+    amps = _terminating_series(_pair_sum(form.annMat, 0.5, lowering, lowering), start, space)
 
+    support = np.flatnonzero(np.any(amps, axis=1))
+    occs = occupation_table(space)[support]
     one_body = np.eye(n_modes) + form.crossMat
-    w, v = np.linalg.eigh(one_body)
-    if np.min(w) <= 0.0:
-        raise ValueError("middle factor needs a positive definite I + crossMat")
-    log_one_body = (v * np.log(w)) @ v.T
-    dgamma = _pair_sum(log_one_body, 1.0, raising, lowering).toarray()
-    wg, vg = np.linalg.eigh(dgamma)
-    mid_factor = (vg * np.exp(wg)) @ vg.conj().T
+    images = np.zeros((space.dim, support.size), dtype=one_body.dtype)
+    images[0] = 1.0  # every image is built up from the vacuum
+    for i, mix in enumerate(one_body.T):
+        b_i = BandedOperator(  # sum_j (I + X)_ji a_j~: one raising diagonal per mode
+            space.dim, {o: c * d for c, a_j in zip(mix, raising) for o, d in a_j.diagonals.items()}
+        )
+        for power in range(1, occs[:, i].max(initial=0) + 1):
+            cols = occs[:, i] >= power
+            images[:, cols] = (b_i @ images[:, cols]) / math.sqrt(power)
+    middle = images @ amps[support]
 
-    return form.prefactor * (cre_factor @ mid_factor @ ann_factor)
+    cre = _pair_sum(form.creMat, 0.5, raising, raising)
+    return form.prefactor * _terminating_series(cre, middle, space)

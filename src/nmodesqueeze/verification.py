@@ -239,11 +239,12 @@ def check_normal_form_assembly(tol: float, cutoff: int | None = None) -> CheckRe
     n, cutoff, lam = _cutoff(CONFIG_ASSEMBLY, cutoff)
     space = fo.build_space(n, cutoff)
     base = cp.build_coupling(n)
-    assembled = fo.assemble_normal_form(nf.normal_form(cp.build_kernel(base, lam)), space)
     low = np.flatnonzero(fo.occupation_table(space).sum(axis=1) <= 4)
-    # the exact side: exp(iH) applied to the low-photon basis columns
-    exact = fo.generator(space, base, lam).evolve(np.eye(space.dim)[:, low])
-    worst = float(np.max(np.abs(exact[low] - assembled[np.ix_(low, low)])))
+    cols = np.zeros((space.dim, low.size))  # the low-photon basis columns
+    cols[low, np.arange(low.size)] = 1.0
+    assembled = fo.assemble_normal_form(nf.normal_form(cp.build_kernel(base, lam)), space, cols)
+    exact = fo.generator(space, base, lam).evolve(cols)
+    worst = float(np.max(np.abs(exact[low] - assembled[low])))
     return _record(
         "normal_form_assembly", "prefactor exp(cre/2) :exp(cross): exp(ann/2) = exp(iH)",
         {"n": n, "cutoff": cutoff, "lambda": lam, "subspace": "total photons <= 4"}, worst, tol,
@@ -456,9 +457,9 @@ def run_verification(
     """Run every check once and collect the report.
 
     ``cutoff`` overrides the per-config Fock cutoffs; configurations whose
-    truncated dimension would exceed a resource guard (DIM_GUARD, or
-    DENSE_DIM_GUARD for the dense normal-form check) are marked skipped
-    rather than run, and a check that raises anything else is marked failed.
+    truncated dimension would exceed the resource guard (DIM_GUARD) are
+    marked skipped rather than run, and a check that raises anything else
+    is marked failed.
     A negative cutoff or a bad tolerance raises ValueError before any check
     runs.
     """

@@ -149,3 +149,24 @@ def test_console_out_in_missing_directory_is_a_resource_error(tmp_path):
     assert proc.stdout == b""
     _assert_one_resource_line(proc.stderr)
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command,redirect,code",
+    [
+        ("variances", "2>&-", EXIT_USAGE),
+        ("variances", "2>/dev/full", EXIT_USAGE),
+        ("verify", "2>&- >/dev/full", EXIT_RESOURCE),
+        ("verify", "2>/dev/full >/dev/full", EXIT_RESOURCE),
+    ],
+)
+def test_console_lost_stderr_keeps_the_exit_code(command, redirect, code):
+    """With stderr closed, or failing every write, the error line is lost
+    but the exit code is not, and nothing reaches stdout instead."""
+    argv = shlex.join([sys.executable, "-m", "nmodesqueeze", command])
+    proc = subprocess.run(
+        f"{argv} {redirect}", shell=True, stdout=subprocess.PIPE, env=_env(), cwd=ROOT, timeout=120
+    )
+    assert proc.returncode == code
+    assert proc.stdout == b""

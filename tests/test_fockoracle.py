@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from nmodesqueeze import (
     wigner_value_alpha,
 )
 from nmodesqueeze.fockoracle import (
-    DENSE_DIM_GUARD,
     BandedOperator,
     FockOperator,
     assemble_normal_form,
@@ -540,26 +540,41 @@ def test_conjugation_matches_heisenberg_transforms():
             assert np.max(np.abs(residual)) < 1e-12
 
 
-def test_assembled_normal_form_matches_evolution():
-    space = build_space(2, 12)
-    base = build_coupling(2)
-    lam = 0.15
-    ham = generator(space, base, lam).mat.toarray()
-    w, v = np.linalg.eigh(ham)
-    exact = (v * np.exp(1j * w)) @ v.conj().T
-    assembled = assemble_normal_form(normal_form(build_kernel(base, lam)), space)
+def _low_columns(space):
+    """Flat indices of the states with at most 4 photons, and the (dim, k)
+    block of their unit columns."""
     low = np.flatnonzero(occupation_table(space).sum(axis=1) <= 4)
-    block_err = np.max(np.abs(exact[np.ix_(low, low)] - assembled[np.ix_(low, low)]))
-    assert block_err < 5e-6
+    cols = np.zeros((space.dim, low.size))
+    cols[low, np.arange(low.size)] = 1.0
+    return low, cols
 
 
-def test_assemble_normal_form_dense_guard():
-    base = build_coupling(2)
-    form = normal_form(build_kernel(base, 0.15))
-    cutoff = math.isqrt(DENSE_DIM_GUARD)  # smallest cutoff past the guard
-    assert build_space(2, cutoff).dim > DENSE_DIM_GUARD >= build_space(2, cutoff - 1).dim
-    with pytest.raises(ResourceLimitError):
-        assemble_normal_form(form, build_space(2, cutoff))
+@pytest.mark.parametrize("config", [(2, 12, 0.15), (3, 9, 0.15)])
+def test_assembled_normal_form_matches_evolution(config):
+    """At n = 3 crossMat has off-diagonal entries, so the IWOP
+    substitution mixes modes."""
+    n, cutoff, lam = config
+    space = build_space(n, cutoff)
+    base = build_coupling(n)
+    low, cols = _low_columns(space)
+    exact = generator(space, base, lam).evolve(cols)
+    assembled = assemble_normal_form(normal_form(build_kernel(base, lam)), space, cols)
+    assert np.max(np.abs(exact[low] - assembled[low])) < 5e-6
+
+
+def test_assemble_normal_form_stays_small_at_cutoff_100():
+    """dim 10 201: one dense complex matrix would take 1.6 GB."""
+    space = build_space(2, 100)
+    form = normal_form(build_kernel(build_coupling(2), 0.15))
+    low, cols = _low_columns(space)
+    tracemalloc.start()
+    try:
+        assembled = assemble_normal_form(form, space, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assembled.shape == (space.dim, low.size)
+    assert peak < 32 * 2**20
 
 
 def _loop_quadratic(coeff, scale, left, right, dense=False):
@@ -616,9 +631,13 @@ def test_generator_matches_loop_oracle_bits():
     assert ham.toarray().tobytes() == expected.toarray().tobytes()
 
 
-def test_assemble_normal_form_matches_loop_oracle_bits():
-    """The dense double loops and series of the assembly, in the test."""
-    n, cutoff, lam = 2, 12, 0.15
+@pytest.mark.parametrize("config", [(2, 12, 0.15), (3, 5, 0.15)])
+def test_assemble_normal_form_matches_loop_oracle(config):
+    """The dense double loops and series of the old assembly, with the
+    middle factor exp(at~ log(I + X) a) from two eighs, in the test.  On
+    the columns of at most 4 <= cutoff photons both are exact, so they
+    agree to rounding; at n = 3 the IWOP substitution mixes modes."""
+    n, cutoff, lam = config
     space = build_space(n, cutoff)
     form = normal_form(build_kernel(build_coupling(n), lam))
     lowering, raising = _csr_ladder(space)
@@ -630,4 +649,5 @@ def test_assemble_normal_form_matches_loop_oracle_bits():
     wg, vg = np.linalg.eigh(dgamma)
     mid = (vg * np.exp(wg)) @ vg.conj().T
     expected = form.prefactor * (cre @ mid @ ann)
-    assert assemble_normal_form(form, space).tobytes() == expected.tobytes()
+    low, cols = _low_columns(space)
+    assert np.max(np.abs(assemble_normal_form(form, space, cols) - expected[:, low])) < 1e-14

@@ -549,17 +549,23 @@ def _low_columns(space):
     return low, cols
 
 
-@pytest.mark.parametrize("config", [(2, 12, 0.15), (3, 9, 0.15)])
-def test_assembled_normal_form_matches_evolution(config):
-    """At n = 3 crossMat has off-diagonal entries, so the IWOP
-    substitution mixes modes."""
-    n, cutoff, lam = config
+def _assembly_error_vs_evolution(n, cutoff, lam):
     space = build_space(n, cutoff)
     base = build_coupling(n)
     low, cols = _low_columns(space)
     exact = generator(space, base, lam).evolve(cols)
     assembled = assemble_normal_form(normal_form(build_kernel(base, lam)), space, cols)
-    assert np.max(np.abs(exact[low] - assembled[low])) < 5e-6
+    return np.max(np.abs(exact[low] - assembled[low]))
+
+
+def test_assembled_normal_form_matches_evolution():
+    assert _assembly_error_vs_evolution(2, 12, 0.15) < 5e-6
+
+
+def test_assembled_normal_form_mixing_modes_matches_evolution():
+    """At n = 3 crossMat has off-diagonal entries, so the IWOP
+    substitution mixes modes."""
+    assert _assembly_error_vs_evolution(3, 9, 0.15) < 5e-6
 
 
 def test_assemble_normal_form_stays_small_at_cutoff_100():
@@ -631,13 +637,11 @@ def test_generator_matches_loop_oracle_bits():
     assert ham.toarray().tobytes() == expected.toarray().tobytes()
 
 
-@pytest.mark.parametrize("config", [(2, 12, 0.15), (3, 5, 0.15)])
-def test_assemble_normal_form_matches_loop_oracle(config):
+def _assembly_error_vs_loop_oracle(n, cutoff, lam):
     """The dense double loops and series of the old assembly, with the
     middle factor exp(at~ log(I + X) a) from two eighs, in the test.  On
     the columns of at most 4 <= cutoff photons both are exact, so they
-    agree to rounding; at n = 3 the IWOP substitution mixes modes."""
-    n, cutoff, lam = config
+    agree to rounding."""
     space = build_space(n, cutoff)
     form = normal_form(build_kernel(build_coupling(n), lam))
     lowering, raising = _csr_ladder(space)
@@ -650,4 +654,15 @@ def test_assemble_normal_form_matches_loop_oracle(config):
     mid = (vg * np.exp(wg)) @ vg.conj().T
     expected = form.prefactor * (cre @ mid @ ann)
     low, cols = _low_columns(space)
-    assert np.max(np.abs(assemble_normal_form(form, space, cols) - expected[:, low])) < 1e-14
+    return np.max(np.abs(assemble_normal_form(form, space, cols) - expected[:, low]))
+
+
+def test_assemble_normal_form_matches_loop_oracle_bits():
+    """The bitwise dense product is gone; the block is held to the dense
+    oracle's columns within rounding."""
+    assert _assembly_error_vs_loop_oracle(2, 12, 0.15) < 1e-14
+
+
+def test_assemble_normal_form_mixing_modes_matches_loop_oracle():
+    """At n = 3 the IWOP substitution mixes modes."""
+    assert _assembly_error_vs_loop_oracle(3, 5, 0.15) < 1e-14

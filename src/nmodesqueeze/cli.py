@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: coupling, variances, normal-form, state, wigner, verify,
+Commands, given first or among the flags, which are the same for every
+command: coupling, variances, normal-form, state, wigner, verify,
 baseline.  Every run emits one document, JSON by default (schema tag
 "nmode-squeeze/1") or CSV with --format csv.  Floats are printed with 17
 significant digits so a parse on any IEEE-754 platform reproduces the
@@ -11,9 +12,12 @@ an --out path in a missing directory), 4 numeric failure (a solver broke
 down or a Fock cutoff was too small for the state).  Exits 2, 3 and 4
 write one line to stderr.
 
-The document is rendered into a list of text chunks, and written out
-chunk by chunk, only after every result is computed, so a run that ends
-in an error writes nothing to stdout or --out.
+Every result is computed before the first piece of the document is
+rendered, so a run that ends in a usage, resource or numeric error writes
+nothing to stdout or --out.  The document then streams: it is rendered
+piece by piece (the points of a wigner run one block of rows at a time)
+and written as it is rendered, in whole multiples of 64 KiB.  An
+exception while rendering is a bug, and may leave a partial document.
 
 ``main`` returns the exit code, for callers that run it in process.
 ``console_main``, the entry point of the installed script and of
@@ -26,10 +30,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NoReturn
 
@@ -65,6 +71,13 @@ EXIT_NUMERIC = 4
 # most 120 bytes per coordinate, so a grid at the guard stays near 0.5 GB.
 # It admits 1024 x 1024 points at n = 4, which peaked at 371 MB.
 GRID_GUARD = 1 << 22
+
+# Largest n x n matrix, counted in entries, that coupling, normal-form,
+# state and wigner build; variances is O(n) and has no such guard.  Peak
+# RSS grew by 253, 220, 140 and 34 bytes per entry for normal-form,
+# coupling, state and wigner at n = 2000 (JSON to a file, 2 vCPUs), so a
+# normal-form at the guard, n = 1448, stays near 0.55 GB.
+DENSE_GUARD = 1 << 21
 
 POINT_HELP = "phase-space point; one that starts with -inf or -nan needs --point=VALUE"
 
@@ -121,8 +134,8 @@ class PointTable:
 
 # A list whose items all render shorter than this stays on one line.
 _INLINE_WIDTH = 24
-# Rows of the points table filled by one % operation: 1024 rows of a
-# four-mode grid make a chunk of about 200 KB.
+# Rows of the points table rendered as one piece: 1024 rows of a
+# four-mode grid make a piece of about 190 KB.
 _BLOCK_ROWS = 1024
 # main writes the document in whole multiples of this size, the capacity
 # of a Linux pipe, so a reader draining the pipe gets full reads.  Writes
@@ -133,8 +146,8 @@ _WRITE_BYTES = 1 << 16
 
 
 class _Chunks(list):
-    """A rendered document as a list of text chunks, in order.  It has a
-    ``write`` method, so a ``csv.writer`` can add its rows to it."""
+    """A list of text pieces with a ``write`` method, so a ``csv.writer``
+    can add its rows to it."""
 
     write = list.append
 
@@ -145,89 +158,154 @@ def _fmt_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_fmt_float`` text of each distinct bit pattern of values (so
-    0.0 and -0.0 apart), as an object array, and the index of every
-    entry's text in it.  Grid coordinates repeat across the rows, so each
-    is formatted once."""
-    bits, inverse = np.unique(values.astype(np.float64).view(np.int64), return_inverse=True)
-    return np.array([_fmt_float(v) for v in bits.view(np.float64).tolist()], dtype=object), inverse
+def _fmt_floats(values: np.ndarray) -> list[str]:
+    """``_fmt_float`` of each value, in one % operation."""
+    texts = ("\n".join(["%.17g"] * values.size) % tuple(values.tolist())).split("\n")
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = "null"
+    return texts
 
 
-def _cells(columns: list[tuple[np.ndarray, np.ndarray]], start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the ``_distinct_texts`` columns, as a
-    (stop - start, len(columns)) object array of texts."""
-    cells = np.empty((stop - start, len(columns)), dtype=object)
-    for j, (texts, inverse) in enumerate(columns):
-        cells[:, j] = texts.take(inverse[start:stop])
-    return cells
+class _ColumnTexts:
+    """The texts of one column of a PointTable, formatted block by block.
+
+    The distinct bit patterns of the column (so 0.0 and -0.0 apart) are
+    numbered in order of first appearance, and ``codes`` holds the number
+    of every row.  The rows of a block then use the patterns numbered
+    below the largest number among them, so the block formats only the
+    contiguous slice of patterns that it is the first to use.  With
+    ``measure``, the column also notes which texts are too wide for an
+    inline list.
+    """
+
+    def __init__(self, values: np.ndarray, measure: bool = False):
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        if (bits == bits[0]).all():  # a pinned coordinate needs no sort
+            self.codes = np.zeros(bits.size, dtype=np.intp)
+            self.values = bits[:1].view(np.float64)
+        else:
+            distinct, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            self.codes = rank[inverse]
+            self.values = distinct[order].view(np.float64)
+        self.texts = np.empty(self.values.size, dtype=object)
+        self.wide = np.zeros(self.values.size, dtype=bool) if measure else None
+        self.ready = 0
+        if self.values.size == 1:
+            self._format(1)
+
+    def _format(self, stop: int) -> None:
+        texts = _fmt_floats(self.values[self.ready:stop])
+        self.texts[self.ready:stop] = texts
+        if self.wide is not None:
+            self.wide[self.ready:stop] = [len(text) >= _INLINE_WIDTH for text in texts]
+        self.ready = stop
+
+    def rows(self, first: int, last: int) -> np.ndarray:
+        """The codes of rows first..last-1, with their texts formatted."""
+        codes = self.codes[first:last]
+        stop = int(codes.max()) + 1
+        if stop > self.ready:
+            self._format(stop)
+        return codes
 
 
-def _render_points(table: PointTable, indent: int, out: list[str]) -> None:
-    """Append the points list, laid out as ``_render_json`` lays out the
-    list of ``table.entry`` dicts.  A column with one text is written into
-    the row template; the others fill its %s slots, one % operation per
-    block of rows.  A row with a coordinate too wide for an inline q/p list
-    is handed to ``_render_json`` itself."""
+def _row_template(parts: list) -> tuple[list[str], list[_ColumnTexts]]:
+    """Split a row template, a list of texts and columns, into its literal
+    texts and its varying columns, one literal before, between and after
+    them.  A column with one text is written into the literal around it."""
+    literals, varying = [""], []
+    for part in parts:
+        if isinstance(part, str):
+            literals[-1] += part
+        elif part.texts.size == 1:
+            literals[-1] += part.texts[0]
+        else:
+            varying.append(part)
+            literals.append("")
+    return literals, varying
+
+
+def _row_pieces(literals: list[str], varying: list[_ColumnTexts], first: int, last: int) -> np.ndarray:
+    """Rows first..last-1 as a (rows, 2 * len(varying) + 1) object array of
+    the literals interleaved with the columns' texts: the "".join of its
+    ravel is their text."""
+    pieces = np.empty((last - first, len(literals) + len(varying)), dtype=object)
+    pieces[:, 0::2] = np.array(literals, dtype=object)
+    for j, column in enumerate(varying):
+        pieces[:, 2 * j + 1] = column.texts.take(column.rows(first, last))
+    return pieces
+
+
+def _interleave(columns: list[_ColumnTexts], sep: str) -> list:
+    """The columns with sep between each two, as row-template parts."""
+    parts: list = []
+    for column in columns:
+        parts += [sep, column]
+    return parts[1:]
+
+
+def _render_points(table: PointTable, indent: int) -> Iterator[str]:
+    """The points list, laid out as ``_render_json`` lays out the list of
+    ``table.entry`` dicts, one piece per block of rows.  A row with a
+    coordinate too wide for an inline q/p list is handed to ``_json_text``
+    itself."""
     m, n = table.q.shape
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
-    slots, varying = [], []
-    wide = np.zeros(m, dtype=bool)
-    for c, (texts, inverse) in enumerate(map(_distinct_texts, table.columns())):
-        if c < 2 * n:
-            wide |= np.array([len(text) >= _INLINE_WIDTH for text in texts])[inverse]
-        if texts.size == 1:
-            slots.append(texts[0])
-        else:
-            slots.append("%s")
-            varying.append((texts, inverse))
-    closed = f',\n{key_pad}"value_closed": {slots[-1]}' if table.value_closed is not None else ""
-    row = (
-        f'{row_pad}{{\n{key_pad}"q": [{", ".join(slots[:n])}],\n'
-        f'{key_pad}"p": [{", ".join(slots[n:2 * n])}],\n'
-        f'{key_pad}"value": {slots[2 * n]}{closed}\n{row_pad}}}'
-    )
-    out.append("[\n")
-    sep = ""
-    start = 0
-    for stop in [*np.flatnonzero(wide).tolist(), m]:
-        for first in range(start, stop, _BLOCK_ROWS):
-            last = min(first + _BLOCK_ROWS, stop)
-            template = sep + ",\n".join([row] * (last - first))
-            out.append(template % tuple(_cells(varying, first, last).ravel().tolist()))
-            sep = ",\n"
-        if stop < m:
-            out.append(sep + row_pad + _json_text(table.entry(stop), indent + 1))
-            sep = ",\n"
-        start = stop + 1
-    out.append("\n" + pad + "]")
+    columns = [_ColumnTexts(values, measure=c < 2 * n) for c, values in enumerate(table.columns())]
+    parts = [
+        f',\n{row_pad}{{\n{key_pad}"q": [', *_interleave(columns[:n], ", "),
+        f'],\n{key_pad}"p": [', *_interleave(columns[n:2 * n], ", "),
+        f'],\n{key_pad}"value": ', columns[2 * n],
+    ]
+    if table.value_closed is not None:
+        parts += [f',\n{key_pad}"value_closed": ', columns[-1]]
+    parts.append(f"\n{row_pad}}}")
+    literals, varying = _row_template(parts)
+    yield "[\n"
+    for first in range(0, m, _BLOCK_ROWS):
+        last = min(first + _BLOCK_ROWS, m)
+        pieces = _row_pieces(literals, varying, first, last)
+        wide = np.zeros(last - first, dtype=bool)
+        for column in columns[:2 * n]:
+            wide |= column.wide[column.rows(first, last)]
+        start = 0
+        for stop in [*np.flatnonzero(wide).tolist(), last - first]:
+            if start < stop:
+                text = "".join(pieces[start:stop].ravel().tolist())
+                yield text[2:] if first + start == 0 else text  # no ",\n" before row 0
+            if first + stop < last:
+                sep = ",\n" if first + stop else ""
+                yield sep + row_pad + _json_text(table.entry(first + stop), indent + 1)
+            start = stop + 1
+    yield "\n" + pad + "]"
 
 
-def _render_json(obj, indent: int, out: list[str]) -> None:
-    """Append the JSON text of obj, nested ``indent`` levels deep, to out.
-    Dicts and ``PointTable``s append as they go; any other value is
-    appended as one ``_json_text`` string."""
+def _render_json(obj, indent: int) -> Iterator[str]:
+    """The JSON text of obj, nested ``indent`` levels deep, in pieces.
+    Dicts and ``PointTable``s yield as they go; any other value is one
+    ``_json_text`` piece."""
     if isinstance(obj, PointTable):
-        _render_points(obj, indent, out)
+        yield from _render_points(obj, indent)
     elif isinstance(obj, dict):
         inner = "  " * (indent + 1)
         sep = "{\n"
         for key, val in obj.items():
-            out.append(f'{sep}{inner}"{key}": ')
-            _render_json(val, indent + 1, out)
+            yield f'{sep}{inner}"{key}": '
+            yield from _render_json(val, indent + 1)
             sep = ",\n"
-        out.append("\n" + "  " * indent + "}" if obj else "{}")
+        yield "\n" + "  " * indent + "}" if obj else "{}"
     else:
-        out.append(_json_text(obj, indent))
+        yield _json_text(obj, indent)
 
 
 def _json_text(obj, indent: int = 0) -> str:
     """The JSON text of obj, nested ``indent`` levels deep, as one string.
     A list renders its items first, to decide whether it fits on one line."""
     if isinstance(obj, (dict, PointTable)):
-        out: list[str] = []
-        _render_json(obj, indent, out)
-        return "".join(out)
+        return "".join(_render_json(obj, indent))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -277,10 +355,13 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
-def _render_csv(doc: dict, out: _Chunks) -> None:
-    """Append the CSV document to out, one chunk per row."""
-    writer = csv.writer(out, lineterminator="\n")
+def _csv_pieces(doc: dict) -> Iterator[str]:
+    """The CSV document: its header and any one-row-per-item body in one
+    piece, then the wigner points one piece per block of rows."""
+    head = _Chunks()
+    writer = csv.writer(head, lineterminator="\n")
     results = doc["results"]
+    table = None
     if doc["command"] == "wigner":
         table = results["points"]
         nmodes = table.q.shape[1]
@@ -289,10 +370,6 @@ def _render_csv(doc: dict, out: _Chunks) -> None:
         if table.value_closed is not None:
             header.append("value_closed")
         writer.writerow(header)
-        columns = [_distinct_texts(col) for col in table.columns()]
-        m = table.q.shape[0]
-        for first in range(0, m, _BLOCK_ROWS):
-            writer.writerows(_cells(columns, first, min(first + _BLOCK_ROWS, m)).tolist())
     elif doc["command"] == "verify":
         header = ["name", "paper_ref", "expected", "actual", "tol", "pass", "tail_mass", "skipped", "note"]
         writer.writerow(header)
@@ -306,6 +383,21 @@ def _render_csv(doc: dict, out: _Chunks) -> None:
         writer.writerow(["name", "value"])
         for name, value in _flatten(results):
             writer.writerow([name, _scalar_csv(value)])
+    yield "".join(head)
+    if table is not None:
+        # A number never needs csv quoting, so the rows are joined directly.
+        columns = [_ColumnTexts(values) for values in table.columns()]
+        literals, varying = _row_template([*_interleave(columns, ","), "\n"])
+        m = table.q.shape[0]
+        for first in range(0, m, _BLOCK_ROWS):
+            pieces = _row_pieces(literals, varying, first, min(first + _BLOCK_ROWS, m))
+            yield "".join(pieces.ravel().tolist())
+
+
+def _render_csv(doc: dict, out) -> None:
+    """Write the CSV document to out, anything with a ``write`` method."""
+    for piece in _csv_pieces(doc):
+        out.write(piece)
 
 
 def _matrix(mat: np.ndarray) -> list:
@@ -322,7 +414,7 @@ def _vector(vec: np.ndarray) -> list[float]:
 # command implementations
 
 def _results_coupling(config: RunConfig) -> dict:
-    base = cp.build_coupling(_require_n(config))
+    base = cp.build_coupling(_require_dense_n(config))
     kernel = cp.build_kernel(base, config.lam)
     return {
         "A": _matrix(base.entries),
@@ -347,7 +439,7 @@ def _results_variances(config: RunConfig) -> dict:
 
 
 def _results_normal_form(config: RunConfig) -> dict:
-    kernel = cp.build_kernel(cp.build_coupling(_require_n(config)), config.lam)
+    kernel = cp.build_kernel(cp.build_coupling(_require_dense_n(config)), config.lam)
     form = nf.normal_form(kernel)
     return {
         "prefactor": form.prefactor,
@@ -358,7 +450,7 @@ def _results_normal_form(config: RunConfig) -> dict:
 
 
 def _results_state(config: RunConfig) -> dict:
-    n = _require_n(config)
+    n = _require_dense_n(config)
     kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
     state = nf.squeezed_vacuum(kernel)
     results = {
@@ -413,6 +505,12 @@ def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
         if len(config.grid) > 2:
             raise UsageError("at most 2 grid axes (other coordinates are pinned to 0)")
         axes = [_parse_axis(axis, n) for axis, _, _, _ in config.grid]
+        for axis, lo, hi, _ in config.grid:
+            if not math.isfinite(hi - lo):  # np.linspace would warn on the way to the points
+                raise UsageError(
+                    f"grid axis {axis} spans {lo!r}:{hi!r}; phase point entries must be "
+                    "finite, and so must the span hi - lo"
+                )
         size = math.prod(steps for _, _, _, steps in config.grid)
         if size * n > GRID_GUARD:
             raise ResourceLimitError(
@@ -443,7 +541,7 @@ def _parse_axis(axis: str, n: int) -> tuple[str, int]:
 
 
 def _results_wigner(config: RunConfig) -> dict:
-    n = _require_n(config)
+    n = _require_dense_n(config)
     kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
     wig = ga.wigner_from_kernel(kernel)
     q, p = _wigner_points(config, n)
@@ -493,14 +591,28 @@ def _require_n(config: RunConfig) -> int:
     return config.n
 
 
+def _require_dense_n(config: RunConfig) -> int:
+    """--n of a command that builds n x n matrices, refused over DENSE_GUARD
+    before any of them exists."""
+    n = _require_n(config)
+    if n > math.isqrt(DENSE_GUARD):
+        raise ResourceLimitError(
+            f"n={n} needs {n}x{n} matrices of {n * n} entries, over the guard of {DENSE_GUARD}"
+        )
+    return n
+
+
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configuration; returns (serialized document, exit code)."""
-    chunks, exit_code = _execute(config)
-    return "".join(chunks), exit_code
+    pieces, exit_code = _execute(config)
+    return "".join(pieces), exit_code
 
 
-def _execute(config: RunConfig) -> tuple[list[str], int]:
-    """Execute one configuration; returns (document chunks, exit code)."""
+def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
+    """Execute one configuration; returns (document pieces, exit code).
+
+    Every result is computed here, so an error is raised before a piece
+    exists; the pieces are rendered as they are drawn."""
     checks: list[dict] = []
     exit_code = EXIT_OK
     if config.command == "coupling":
@@ -550,13 +662,9 @@ def _execute(config: RunConfig) -> tuple[list[str], int]:
         "results": results,
         "checks": checks,
     }
-    chunks = _Chunks()
     if config.fmt == "json":
-        _render_json(doc, 0, chunks)
-        chunks.append("\n")
-    else:
-        _render_csv(doc, chunks)
-    return chunks, exit_code
+        return itertools.chain(_render_json(doc, 0), ["\n"]), exit_code
+    return _csv_pieces(doc), exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +715,16 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nmode-squeeze", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--n", type=int, help="mode count")
-        cmd.add_argument("--lambda", dest="lam", type=float, default=0.0, help="squeezing parameter")
-        cmd.add_argument("--cutoff", type=int, help="per-mode Fock cutoff")
-        cmd.add_argument("--grid", action="append", default=[], metavar="AXIS=lo:hi:steps")
-        cmd.add_argument(
-            "--point", action="append", default=[], metavar="q,..:p,..", help=POINT_HELP
-        )
-        cmd.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        cmd.add_argument("--out", help="output path (default stdout)")
-        cmd.add_argument("--seed", type=int, help="seed for pseudo-random draws")
-        cmd.add_argument("--tolerance", action="append", default=[], metavar="NAME=VAL")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--n", type=int, help="mode count")
+    parser.add_argument("--lambda", dest="lam", type=float, default=0.0, help="squeezing parameter")
+    parser.add_argument("--cutoff", type=int, help="per-mode Fock cutoff")
+    parser.add_argument("--grid", action="append", default=[], metavar="AXIS=lo:hi:steps")
+    parser.add_argument("--point", action="append", default=[], metavar="q,..:p,..", help=POINT_HELP)
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, help="seed for pseudo-random draws")
+    parser.add_argument("--tolerance", action="append", default=[], metavar="NAME=VAL")
     return parser
 
 
@@ -652,7 +756,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
-        chunks, exit_code = _execute(config)
+        pieces, exit_code = _execute(config)
     except (ModeCountError, ParameterRangeError, ValueError) as exc:  # UsageError is one too
         _report(f"error: {exc}")
         return EXIT_USAGE
@@ -665,11 +769,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if config.out:
             with open(config.out, "w", encoding="utf-8") as handle:
-                _write(chunks, handle)
+                _write(pieces, handle)
         elif sys.stdout is None:  # the process was started with stdout closed
             raise OSError("stdout is closed")
         else:
-            _write(chunks, sys.stdout)
+            _write(pieces, sys.stdout)
             sys.stdout.flush()
     except OSError as exc:  # a closed pipe, a full disk, a missing --out directory
         _report(f"resource error: cannot write the document: {exc}")
@@ -695,12 +799,12 @@ def console_main() -> NoReturn:
     os._exit(code)
 
 
-def _write(chunks: list[str], handle) -> None:
-    """Write chunks in order, in pieces of whole multiples of
-    ``_WRITE_BYTES`` (bar the last)."""
+def _write(pieces: Iterable[str], handle) -> None:
+    """Write pieces in order, as they come, in writes of whole multiples
+    of ``_WRITE_BYTES`` (bar the last)."""
     pending = ""
-    for chunk in chunks:
-        pending += chunk
+    for piece in pieces:
+        pending += piece
         cut = len(pending) - len(pending) % _WRITE_BYTES
         if cut:
             handle.write(pending[:cut])

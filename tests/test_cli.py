@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -503,20 +504,28 @@ def test_points_grid_formats_each_distinct_pattern_once(monkeypatch):
         command="wigner", n=4, lam=0.3, grid=[("q2", -2.0, 2.0, 61), ("p4", -1.5, 1.5, 61)]
     )
     table = cli._results_wigner(config)["points"]
-    formatted = []
-    real = cli._fmt_float
-
-    def counting(value):
-        formatted.append(value)
-        return real(value)
-
-    monkeypatch.setattr(cli, "_fmt_float", counting)
-    text = cli._json_text(table, 2)
-    monkeypatch.setattr(cli, "_fmt_float", real)
-    assert text == cli._json_text(_entries(table), 2)
     distinct = [np.unique(col.view(np.int64)) for col in table.columns()]
     assert [len(bits) for bits in distinct[:8]] == [1, 61, 1, 1, 1, 1, 1, 61]
-    assert sorted(np.array(formatted).view(np.int64)) == sorted(np.concatenate(distinct))
+    real = cli._fmt_floats
+    for render, reference in [
+        (lambda: cli._json_text(table, 2), lambda: cli._json_text(_entries(table), 2)),
+        (
+            lambda: "".join(cli._csv_pieces({"command": "wigner", "results": {"points": table}})),
+            lambda: _per_point_csv(_entries(table)),
+        ),
+    ]:
+        formatted = []
+
+        def counting(values):
+            formatted.append(values.copy())
+            return real(values)
+
+        monkeypatch.setattr(cli, "_fmt_floats", counting)
+        text = render()
+        monkeypatch.setattr(cli, "_fmt_floats", real)
+        assert text == reference()
+        assert len(formatted) > len(distinct)  # the value columns are formatted block by block
+        assert sorted(np.concatenate(formatted).view(np.int64)) == sorted(np.concatenate(distinct))
 
 
 GRID_ARGV = ["wigner", "--n", "4", "--lambda", "0.3", "--grid", "q1=-2:2:41", "--grid", "p3=-2:2:41"]
@@ -533,6 +542,37 @@ def test_main_writes_the_run_document(fmt, tmp_path, capfdbinary):
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert capfdbinary.readouterr().out == b""
     assert out.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_main_writes_before_the_last_block_is_formatted(fmt, monkeypatch):
+    events, written = [], []
+    real = cli._row_pieces
+
+    def rendering(literals, varying, first, last):
+        events.append(("block", first))
+        return real(literals, varying, first, last)
+
+    class Stdout:
+        def write(self, text):
+            events.append(("write", len(text)))
+            written.append(text)
+
+        def flush(self):
+            pass
+
+    argv = [*GRID_ARGV, "--format", fmt]
+    text, _ = run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(cli, "_row_pieces", rendering)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(argv) == EXIT_OK
+    assert "".join(written) == text
+    blocks = [event for event in events if event[0] == "block"]
+    assert len(blocks) == math.ceil(41 * 41 / 64)
+    first_write = next(k for k, event in enumerate(events) if event[0] == "write")
+    assert first_write < events.index(blocks[-1])
+    assert events[first_write][1] % cli._WRITE_BYTES == 0
 
 
 def test_write_sends_whole_multiples_of_the_pipe_size():
@@ -579,6 +619,59 @@ def test_grid_guard_counts_coordinates():
     assert p[-1, 6] == 1.0
     with pytest.raises(ResourceLimitError, match="over the guard"):
         cli._wigner_points(grid(steps + 1), n)
+
+
+def test_main_grid_span_past_float_range_is_refused(capsys):
+    # hi - lo overflows: refused before np.linspace warns on the way to inf
+    assert main(["wigner", "--n", "3", "--grid", "q1=-1e308:1e308:3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: grid axis q1 spans -1e+308:1e+308;")
+
+
+@pytest.mark.parametrize("command", ["coupling", "normal-form", "state", "wigner"])
+def test_dense_guard_counts_matrix_entries(command, monkeypatch):
+    # The boundary without building anything: a config the guard lets
+    # through reaches build_coupling, which stops it.
+    class Reached(Exception):
+        pass
+
+    def stop(n):
+        raise Reached(n)
+
+    monkeypatch.setattr(cli.cp, "build_coupling", stop)
+    results = getattr(cli, f"_results_{command.replace('-', '_')}")
+    largest = math.isqrt(cli.DENSE_GUARD)
+    with pytest.raises(Reached):
+        results(RunConfig(command=command, n=largest))
+    with pytest.raises(ResourceLimitError, match="over the guard"):
+        results(RunConfig(command=command, n=largest + 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coupling", "--n", "100000"],
+        ["normal-form", "--n", "60000"],
+        ["state", "--n", "60000", "--cutoff", "2"],
+        ["wigner", "--n", "60000"],
+        ["wigner", "--n", "60000", "--grid", "q1=-1:1:3"],
+    ],
+)
+def test_main_dense_guard_exit(argv, capsys):
+    assert main(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"resource error: n={argv[2]} needs ")
+
+
+def test_variances_is_not_dense_guarded(capsys):
+    n = math.isqrt(cli.DENSE_GUARD) + 1
+    assert main(["variances", "--n", str(n), "--lambda", "0.5"]) == EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["matrix_sum"]["var_x1"] == pytest.approx(math.exp(-2.0) / 4, rel=1e-10)
 
 
 def _strict_json(text: str) -> dict:

@@ -68,6 +68,8 @@ def test_console_writes_the_run_document(argv, code):
     [
         (["variances"], "error: command 'variances' requires --n"),
         (["wigner", "--n", "4", "--grid=q1=-2:2:1000000000000"], "resource error: grid of"),
+        (["wigner", "--n", "3", "--grid=q1=-1e308:1e308:3"], "error: grid axis q1 spans"),
+        (["coupling", "--n", "100000"], "resource error: n=100000 needs "),
     ],
 )
 def test_console_refusals_write_one_line(argv, line):

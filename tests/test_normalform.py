@@ -12,6 +12,7 @@ from nmodesqueeze import (
     baseline_two_mode,
     build_coupling,
     build_kernel,
+    covariance_matrix,
     four_mode_closed,
     matrix_function,
     normal_form,
@@ -378,3 +379,28 @@ def test_wigner_closed_rejects_misaligned_lambda(n, lam_shape):
 def test_wigner_closed_rejects_wrong_shapes(n, shape):
     with pytest.raises(ValueError, match=f"alpha must have length {n}"):
         CLOSED_FORMS[n](0.1, np.zeros(shape))
+
+
+# ---------------------------------------------------------------------------
+# truncation-free cross-check: the two-photon state and the Wigner function
+# describe the same Gaussian
+
+# A backward-stable solve loses about cond(I - F) * eps; the bound is this
+# multiple of it, fixed before any run and never widened to admit larger
+# |lambda|, where cond(I - F) grows as exp(4 |lambda|).
+SOLVE_ERROR_FACTOR = 32
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 300])
+@pytest.mark.parametrize("lam", [-3.0, -2.0, -1.0, -0.5, -0.05, 0.05, 0.5, 1.0, 2.0, 3.0])
+def test_two_photon_q_moments_match_covariance(n, lam):
+    """For norm * exp(a~ F a~ / 2)|0> with real symmetric F, <q qt> is
+    (I + F)(I - F)^-1 / 2.  Taken from F by a dense solve, independent of
+    the spectral path, it equals the q block of covariance_matrix (pForm/2)."""
+    kernel = _kernel(n, lam)
+    F = squeezed_vacuum(kernel).F
+    eye = np.eye(n)
+    moments = np.linalg.solve(eye - F, eye + F).T / 2.0
+    q_block = covariance_matrix(wigner_from_kernel(kernel))[:n, :n]
+    error = np.max(np.abs(moments - q_block)) / np.max(np.abs(q_block))
+    assert error <= SOLVE_ERROR_FACTOR * np.linalg.cond(eye - F) * np.finfo(float).eps

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import math
 import os
@@ -123,7 +124,7 @@ class PointTable:
 
     def entry(self, k: int) -> dict:
         """Point k as the dict the ``points`` list of the document holds."""
-        entry = {"q": _vector(self.q[k]), "p": _vector(self.p[k]), "value": float(self.value[k])}
+        entry = {"q": self.q[k].tolist(), "p": self.p[k].tolist(), "value": float(self.value[k])}
         if self.value_closed is not None:
             entry["value_closed"] = float(self.value_closed[k])
         return entry
@@ -143,13 +144,6 @@ _BLOCK_ROWS = 1024
 # benchmark's reader fragmented its heap on those, and since each child
 # it starts inherits its peak RSS as ru_maxrss, that crept up 1-2 MB a job.
 _WRITE_BYTES = 1 << 16
-
-
-class _Chunks(list):
-    """A list of text pieces with a ``write`` method, so a ``csv.writer``
-    can add its rows to it."""
-
-    write = list.append
 
 
 def _fmt_float(value: float) -> str:
@@ -358,7 +352,7 @@ def _flatten(obj, prefix: str = ""):
 def _csv_pieces(doc: dict) -> Iterator[str]:
     """The CSV document: its header and any one-row-per-item body in one
     piece, then the wigner points one piece per block of rows."""
-    head = _Chunks()
+    head = io.StringIO()
     writer = csv.writer(head, lineterminator="\n")
     results = doc["results"]
     table = None
@@ -383,7 +377,7 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
         writer.writerow(["name", "value"])
         for name, value in _flatten(results):
             writer.writerow([name, _scalar_csv(value)])
-    yield "".join(head)
+    yield head.getvalue()
     if table is not None:
         # A number never needs csv quoting, so the rows are joined directly.
         columns = [_ColumnTexts(values) for values in table.columns()]
@@ -394,22 +388,6 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
             yield "".join(pieces.ravel().tolist())
 
 
-def _render_csv(doc: dict, out) -> None:
-    """Write the CSV document to out, anything with a ``write`` method."""
-    for piece in _csv_pieces(doc):
-        out.write(piece)
-
-
-def _matrix(mat: np.ndarray) -> list:
-    if np.issubdtype(mat.dtype, np.integer):
-        return [[int(v) for v in row] for row in mat]
-    return [[float(v) for v in row] for row in mat]
-
-
-def _vector(vec: np.ndarray) -> list[float]:
-    return [float(v) for v in vec]
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -417,10 +395,10 @@ def _results_coupling(config: RunConfig) -> dict:
     base = cp.build_coupling(_require_dense_n(config))
     kernel = cp.build_kernel(base, config.lam)
     return {
-        "A": _matrix(base.entries),
-        "eigenvalues": _vector(np.sort(base.eigenvalues)[::-1]),
-        "Lambda": _matrix(kernel.Lambda),
-        "gram": _matrix(kernel.gram),
+        "A": base.entries.tolist(),
+        "eigenvalues": np.sort(base.eigenvalues)[::-1].tolist(),
+        "Lambda": kernel.Lambda.tolist(),
+        "gram": kernel.gram.tolist(),
         "det_lambda": kernel.detLambda,
         "det_n": kernel.detN,
     }
@@ -443,9 +421,9 @@ def _results_normal_form(config: RunConfig) -> dict:
     form = nf.normal_form(kernel)
     return {
         "prefactor": form.prefactor,
-        "cre_mat": _matrix(form.creMat),
-        "cross_mat": _matrix(form.crossMat),
-        "ann_mat": _matrix(form.annMat),
+        "cre_mat": form.creMat.tolist(),
+        "cross_mat": form.crossMat.tolist(),
+        "ann_mat": form.annMat.tolist(),
     }
 
 
@@ -455,7 +433,7 @@ def _results_state(config: RunConfig) -> dict:
     state = nf.squeezed_vacuum(kernel)
     results = {
         "norm": state.norm,
-        "two_photon_matrix": _matrix(state.F),
+        "two_photon_matrix": state.F.tolist(),
     }
     if config.cutoff is not None:
         from . import fockoracle as fo  # only --cutoff loads the oracle
@@ -505,6 +483,9 @@ def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
         if len(config.grid) > 2:
             raise UsageError("at most 2 grid axes (other coordinates are pinned to 0)")
         axes = [_parse_axis(axis, n) for axis, _, _, _ in config.grid]
+        if len(set(axes)) < len(axes):
+            names = " and ".join(axis for axis, _, _, _ in config.grid)
+            raise UsageError(f"grid axes must differ, got {names}")
         for axis, lo, hi, _ in config.grid:
             if not math.isfinite(hi - lo):  # np.linspace would warn on the way to the points
                 raise UsageError(

@@ -1,15 +1,16 @@
 """Truncated Fock-space brute force for cross-checking every closed form.
 
 States live on a per-mode-truncated basis |n_1 ... n_n> with n_i <= cutoff,
-flattened with mode 0 most significant.  The lowering operator of mode i
-is one diagonal of the flat-index matrix, at offset stride_i, with entries
-sqrt(n_i + 1) read off the occupation table; the raising operator is the
-same diagonal at -stride_i.  The raising operator simply drops the
-cutoff -> cutoff+1 matrix element, so commutator identities hold exactly
-on the interior (n_i < cutoff) subspace and tail mass is *measured*, never
-assumed away.  Every quadratic form sum_ij c_ij op_i op_j comes from one
-pair sum of diagonals, and every exponential of a photon-pair block from
-one series.
+flattened with mode 0 most significant; ``occupation_table`` is the one
+statement of that order, its row k the occupation of flat index k.  The
+lowering operator of mode i is one diagonal of the flat-index matrix, at
+offset stride_i, with entries sqrt(n_i + 1) read off that table; the
+raising operator is the same diagonal at -stride_i.  The raising
+operator simply drops the cutoff -> cutoff+1 matrix element, so
+commutator identities hold exactly on the interior (n_i < cutoff)
+subspace and tail mass is *measured*, never assumed away.  Every
+quadratic form sum_ij c_ij op_i op_j comes from one pair sum of
+diagonals, and every exponential of a photon-pair block from one series.
 
 The squeeze itself is realised as the action of exp(iH), for the banded
 quadratic generator H, on the vacuum or on a block of start columns
@@ -62,34 +63,12 @@ _THETA = {
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Per-mode-truncated Fock basis with a flat-index bijection."""
+    """Per-mode-truncated Fock basis; ``occupation_table`` states its
+    flat-index order."""
 
     n: int
     cutoff: int
     dim: int
-
-    def index_of(self, occupation) -> int:
-        """Flat index of an occupation tuple (mode 0 most significant)."""
-        occupation = tuple(int(v) for v in occupation)
-        if len(occupation) != self.n:
-            raise ValueError(f"occupation needs {self.n} entries")
-        flat = 0
-        for occ in occupation:
-            if not 0 <= occ <= self.cutoff:
-                raise ValueError(f"occupation {occ} outside 0..{self.cutoff}")
-            flat = flat * (self.cutoff + 1) + occ
-        return flat
-
-    def occupation(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a flat index."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        base = self.cutoff + 1
-        occ = []
-        for _ in range(self.n):
-            index, rem = divmod(index, base)
-            occ.append(rem)
-        return tuple(reversed(occ))
 
 
 @dataclass(frozen=True)

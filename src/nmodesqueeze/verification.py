@@ -154,10 +154,11 @@ def _cutoff(config: tuple[int, int, float], cutoff: int | None) -> tuple[int, in
 
 
 def _literal_variances(kernel: cp.SqueezeKernel) -> tuple[float, float]:
-    """(Delta X1)^2 and (Delta X2)^2 as literal sums over the dense Gram
-    matrix and its inverse: an oracle independent of ``cp.entry_sum``."""
+    """(Delta X1)^2 and (Delta X2)^2 as the literal dense Gram sums of
+    ``cp.sum_identities`` over 4n: an oracle independent of ``cp.entry_sum``."""
+    sum_g, sum_ginv = cp.sum_identities(kernel)
     n = kernel.coupling.n
-    return float(kernel.gram.sum()) / (4 * n), float(kernel.gramInv.sum()) / (4 * n)
+    return sum_g / (4 * n), sum_ginv / (4 * n)
 
 
 def check_variance_closed_forms(tol: float) -> CheckRecord:
@@ -460,9 +461,11 @@ def run_verification(
     truncated dimension would exceed the resource guard (DIM_GUARD) are
     marked skipped rather than run, and a check that raises anything else
     is marked failed.
-    A negative cutoff or a bad tolerance raises ValueError before any check
-    runs.
+    A negative seed or cutoff, or a bad tolerance, raises ValueError before
+    any check runs.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if cutoff is not None and cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     tols = resolve_tolerances(tolerances)

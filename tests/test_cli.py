@@ -319,6 +319,8 @@ def test_main_usage_errors(capsys):
     assert main(
         ["wigner", "--n", "3", "--grid", "q1=0:1:2", "--grid", "q2=0:1:2", "--grid", "p1=0:1:2"]
     ) == EXIT_USAGE
+    assert main(["wigner", "--n", "2", "--grid", "q1=-1:1:2", "--grid", "q1=-1:1:2"]) == EXIT_USAGE
+    assert main(["wigner", "--n", "2", "--grid", "p2=0:1:3", "--grid", "p02=-1:0:2"]) == EXIT_USAGE
     assert main(["coupling", "--n", "1"]) == EXIT_USAGE
     assert main(["coupling", "--n", "3", "--lambda", "25"]) == EXIT_USAGE
     capsys.readouterr()
@@ -331,6 +333,7 @@ def test_main_usage_errors(capsys):
         (["verify", "--tolerance", "wigner_norm=nan"], "wigner_norm must be a finite number"),
         (["verify", "--tolerance", "overlap=inf"], "overlap must be a finite number"),
         (["verify", "--tolerance", "power=-inf", "--format", "csv"], "must be a finite number"),
+        (["verify", "--seed", "-1"], "seed must be nonnegative, got -1"),
     ],
 )
 def test_main_verify_bad_inputs_are_usage_errors(argv, message, capsys):
@@ -338,6 +341,15 @@ def test_main_verify_bad_inputs_are_usage_errors(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_negative_seed_is_refused_before_any_draw(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError(f"a generator was built from seed {seed}")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        run_verification(seed=-1)
 
 
 @pytest.mark.parametrize("n,lam", [("4", "5"), ("3000", "20")])
@@ -493,10 +505,9 @@ def test_points_renderer_matches_per_point_dicts_property(table, indent, block_r
     entries = _entries(table)
     with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
         text = cli._json_text(table, indent)
-        chunks = cli._Chunks()
-        cli._render_csv({"command": "wigner", "results": {"points": table}}, chunks)
+        csv_text = "".join(cli._csv_pieces({"command": "wigner", "results": {"points": table}}))
     assert text == cli._json_text(entries, indent)
-    assert "".join(chunks) == _per_point_csv(entries)
+    assert csv_text == _per_point_csv(entries)
 
 
 def test_points_grid_formats_each_distinct_pattern_once(monkeypatch):
@@ -577,7 +588,11 @@ def test_main_writes_before_the_last_block_is_formatted(fmt, monkeypatch):
 
 def test_write_sends_whole_multiples_of_the_pipe_size():
     chunks = ["a" * 10, "b" * 70000, "c" * 5, "d" * 200000, "e" * 3]
-    sink = cli._Chunks()
+
+    class Sink(list):
+        write = list.append
+
+    sink = Sink()
     cli._write(chunks, sink)
     assert "".join(sink) == "".join(chunks)
     assert [len(piece) for piece in sink] == [65536, 196608, 7874]

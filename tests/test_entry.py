@@ -70,6 +70,10 @@ def test_console_writes_the_run_document(argv, code):
         (["wigner", "--n", "4", "--grid=q1=-2:2:1000000000000"], "resource error: grid of"),
         (["wigner", "--n", "3", "--grid=q1=-1e308:1e308:3"], "error: grid axis q1 spans"),
         (["coupling", "--n", "100000"], "resource error: n=100000 needs "),
+        (
+            ["wigner", "--n", "2", "--grid=q1=-1:1:2", "--grid=q1=-1:1:2"],
+            "error: grid axes must differ, got q1 and q1",
+        ),
     ],
 )
 def test_console_refusals_write_one_line(argv, line):

@@ -107,16 +107,19 @@ def test_space_guard_and_validation():
         build_space(2, -1)
 
 
+def _flat(space, occupation) -> int:
+    """Flat index of an occupation tuple, mode 0 most significant."""
+    return int(np.ravel_multi_index(occupation, (space.cutoff + 1,) * space.n))
+
+
 def test_index_round_trip():
     space = build_space(3, 4)
-    for flat in range(space.dim):
-        occ = space.occupation(flat)
-        assert space.index_of(occ) == flat
-    assert space.index_of((0, 0, 0)) == 0
-    with pytest.raises(ValueError):
-        space.index_of((5, 0, 0))
-    with pytest.raises(ValueError):
-        space.occupation(space.dim)
+    table = occupation_table(space)
+    assert table.shape == (space.dim, 3)
+    assert np.array_equal(np.ravel_multi_index(table.T, (5, 5, 5)), np.arange(space.dim))
+    assert table[0].tolist() == [0, 0, 0]
+    assert table[1].tolist() == [0, 0, 1]  # mode 0 most significant
+    assert table[-1].tolist() == [4, 4, 4]
 
 
 def test_ladder_vacuum_expectation():
@@ -382,16 +385,16 @@ def test_two_photon_geometric_amplitudes(two_mode_run):
     sech, tanh = 1 / math.cosh(0.4), math.tanh(0.4)
     for k in range(space.cutoff + 1):
         expected = sech * (-tanh) ** k
-        assert psi.amps[space.index_of((k, k))] == pytest.approx(expected, rel=1e-12)
-    assert psi.amps[space.index_of((1, 2))] == 0.0
+        assert psi.amps[_flat(space, (k, k))] == pytest.approx(expected, rel=1e-12)
+    assert psi.amps[_flat(space, (1, 2))] == 0.0
 
 
 def test_two_photon_four_mode_first_order():
     space = build_space(4, 3)
     psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(4), 0.3)), space)
     expected = -math.tanh(0.6) / 2 / math.cosh(0.6)
-    assert psi.amps[space.index_of((1, 1, 0, 0))] == pytest.approx(expected, rel=1e-12)
-    assert psi.amps[space.index_of((1, 0, 1, 0))] == pytest.approx(0.0, abs=1e-15)
+    assert psi.amps[_flat(space, (1, 1, 0, 0))] == pytest.approx(expected, rel=1e-12)
+    assert psi.amps[_flat(space, (1, 0, 1, 0))] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_two_photon_rejects_asymmetric_matrix():

@@ -1,6 +1,6 @@
 """What importing the package costs: the Fock oracle loads only when a
-command needs it, no command loads scipy, and the Fock names resolve on
-first use."""
+command needs it, no command loads scipy, only verify loads numpy.random
+and numpy.polynomial, and the Fock names resolve on first use."""
 
 import json
 import os
@@ -14,8 +14,17 @@ import nmodesqueeze
 from nmodesqueeze import fockoracle
 
 ROOT = Path(__file__).resolve().parent.parent
-# A top-level name here also covers its submodules ("scipy" covers "scipy.sparse").
-HEAVY = ("scipy", "nmodesqueeze.fockoracle", "nmodesqueeze.verification")
+# A top-level name here also covers its submodules ("scipy" covers "scipy.sparse");
+# a dotted name is listed alone, and loading any of its submodules loads it too.
+# numpy.random (which pulls in secrets and _hashlib) and numpy.polynomial add
+# import time and peak RSS to a cold start, and only verify needs them.
+HEAVY = (
+    "scipy",
+    "numpy.polynomial",
+    "numpy.random",
+    "nmodesqueeze.fockoracle",
+    "nmodesqueeze.verification",
+)
 FOCK_NAMES = (
     "FockOperator",
     "FockSpace",
@@ -77,6 +86,22 @@ def test_cold_start_loads_no_fock_oracle():
     assert stages == {"import nmodesqueeze": [], "import nmodesqueeze.cli": [], "main": []}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coupling", "--n", "5", "--lambda", "0.3"],
+        ["normal-form", "--n", "5", "--lambda", "0.3"],
+        ["state", "--n", "5", "--lambda", "0.3"],
+        ["wigner", "--n", "4", "--lambda", "0.3", "--grid", "q1=-1:1:5", "--grid", "p2=-1:1:5"],
+        ["baseline", "--lambda", "0.3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_other_commands_load_nothing_heavy(argv):
+    stages = _loaded_modules(argv)
+    assert stages == {"import nmodesqueeze": [], "import nmodesqueeze.cli": [], "main": []}
+
+
 def test_state_cutoff_loads_fock_oracle():
     stages = _loaded_modules(["state", "--n", "2", "--lambda", "0.1", "--cutoff", "6"])
     assert stages["import nmodesqueeze.cli"] == []
@@ -86,7 +111,12 @@ def test_state_cutoff_loads_fock_oracle():
 def test_verify_loads_no_scipy():
     stages = _loaded_modules(["verify"])
     assert stages["import nmodesqueeze.cli"] == []
-    assert stages["main"] == ["nmodesqueeze.fockoracle", "nmodesqueeze.verification"]
+    assert stages["main"] == [
+        "nmodesqueeze.fockoracle",
+        "nmodesqueeze.verification",
+        "numpy.polynomial",
+        "numpy.random",
+    ]
 
 
 @pytest.mark.parametrize("name", FOCK_NAMES)

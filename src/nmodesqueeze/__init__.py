@@ -72,7 +72,6 @@ _FOCK_NAMES = frozenset({
     "ladder_ops",
     "normalized",
     "overlap",
-    "quadrature_ops",
     "tail_mass",
     "two_photon_expand",
     "vacuum",

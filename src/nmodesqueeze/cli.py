@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Commands, given first or among the flags, which are the same for every
-command: coupling, variances, normal-form, state, wigner, verify,
-baseline.  Every run emits one document, JSON by default (schema tag
+Commands, given first or among the flags: coupling, variances,
+normal-form, state, wigner, verify, baseline.  A flag only some commands
+read is a usage error for the others: --cutoff is read by state and
+verify, --seed and --tolerance by verify, --grid and --point by wigner.
+Every run emits one document, JSON by default (schema tag
 "nmode-squeeze/1") or CSV with --format csv.  Floats are printed with 17
 significant digits so a parse on any IEEE-754 platform reproduces the
 exact bits; a non-finite float (NaN, +-inf) is written as null.  Exit
@@ -583,6 +585,21 @@ def _require_dense_n(config: RunConfig) -> int:
     return n
 
 
+def _refuse_unread_flags(config: RunConfig) -> None:
+    """A usage error for a flag the command does not read, so a document's
+    config never records a setting that had no effect."""
+    reads = {
+        "--cutoff": (config.cutoff is not None, ("state", "verify")),
+        "--seed": (config.seed is not None, ("verify",)),
+        "--tolerance": (bool(config.tolerances), ("verify",)),
+        "--grid": (bool(config.grid), ("wigner",)),
+        "--point": (bool(config.points), ("wigner",)),
+    }
+    for flag, (given, readers) in reads.items():
+        if given and config.command not in readers:
+            raise UsageError(f"command {config.command!r} does not read {flag}")
+
+
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configuration; returns (serialized document, exit code)."""
     pieces, exit_code = _execute(config)
@@ -594,6 +611,7 @@ def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
 
     Every result is computed here, so an error is raised before a piece
     exists; the pieces are rendered as they are drawn."""
+    _refuse_unread_flags(config)
     checks: list[dict] = []
     exit_code = EXIT_OK
     if config.command == "coupling":

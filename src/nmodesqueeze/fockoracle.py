@@ -8,19 +8,22 @@ offset stride_i, with entries sqrt(n_i + 1) read off that table; the
 raising operator is the same diagonal at -stride_i.  The raising
 operator simply drops the cutoff -> cutoff+1 matrix element, so
 commutator identities hold exactly on the interior (n_i < cutoff)
-subspace and tail mass is *measured*, never assumed away.  Every
-quadratic form sum_ij c_ij op_i op_j comes from one pair sum of
-diagonals, and every exponential of a photon-pair block from one series.
+subspace and tail mass is *measured*, never assumed away.  Every photon-pair
+block sum_ij c_ij a_i a_j comes from one pair sum of these diagonals (its
+raising partner sum_ij c_ij a_i~ a_j~ is the same diagonals below the main
+one), and every exponential of a photon-pair block from one series.
 
-The squeeze itself is realised as the action of exp(iH), for the banded
-quadratic generator H, on the vacuum or on a block of start columns
-(truncated Taylor series with Al-Mohy & Higham's step selection), never
-as a dense matrix.  Its unitarity is not given by construction: the
-evolved norm is measured, and `verify` holds it to 1e-10.  The paper's
-factored form, checked against it, is applied to a block of columns
-without exp(iH): two terminating series around the middle factor, which
-IWOP (integration within an ordered product) turns into the substitution
-a_i~ -> sum_j (I + X)_ji a_j~.  Wigner values come from the
+The squeeze itself is realised as the action of exp(iH) on the vacuum or on
+a block of start columns (truncated Taylor series with Al-Mohy & Higham's
+step selection), never as a dense matrix.  The paper's
+S_n = exp[i lambda sum (Q_i P_i+1 + Q_i+1 P_i)] is, in ladder form,
+iH = (lambda / 2) sum_ij A_ij (a_i a_j - a_i~ a_j~): a real, antisymmetric
+matrix of photon-pair diagonals.  Its unitarity is not given by
+construction: the evolved norm is measured, and `verify` holds it to 1e-10.
+The paper's factored form, checked against it, is applied to a block of
+columns without exp(iH): two terminating series around the middle factor,
+which IWOP (integration within an ordered product) turns into the
+substitution a_i~ -> sum_j (I + X)_ji a_j~.  Wigner values come from the
 displaced-parity expectation
     W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>,
 with the displacement factored into per-mode unitaries.  Only numpy is
@@ -41,10 +44,10 @@ from .normalform import NormalOrderedForm, TwoPhotonState
 # Largest truncated basis any Fock computation accepts.  The banded paths
 # hold the generator (2 diagonals per coupled mode pair: 2 at n = 2, 2n
 # from n = 3) and a few state vectors: building the generator and evolving
-# the vacuum at lambda = 0.1 peaked at 82, 131, 152 and 101 MB RSS for
-# n = 2, 3, 5 and 8 at dims 199 809, 195 112, 161 051 and 65 536 (2 vCPUs),
-# under 250 MB.  Their run time grows with |lambda| * cutoff, which sets the
-# number of Taylor terms.
+# the vacuum at lambda = 0.1 peaked at 46, 50, 51 and 42 MB RSS (VmHWM of
+# the whole process) for n = 2, 3, 5 and 8 at dims 199 809, 195 112,
+# 161 051 and 65 536 (2 vCPUs), under 250 MB.  Their run time grows with
+# |lambda| * cutoff, which sets the number of Taylor terms.
 DIM_GUARD = 200_000
 # Taylor degree m -> largest 1-norm theta_m of one step whose degree-m
 # series meets double-precision backward error: m <= 30 from Higham,
@@ -133,7 +136,8 @@ class BandedOperator:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """The banded generator together with the basis it acts on."""
+    """The banded step iH of the squeeze exp(iH) together with the basis it
+    acts on; for every ``generator`` the step is real."""
 
     space: FockSpace
     mat: BandedOperator
@@ -157,20 +161,16 @@ class FockOperator:
         NumericFailureError
             If the generator or any amplitude is non-finite.
         """
-        diagonals = {offset: 1j * diag for offset, diag in self.mat.diagonals.items()}
-        # iH is real for every generator (Q_i is real, P_j imaginary).  For
-        # a real start the series then runs in real arithmetic: every
-        # imaginary part it would carry is an exact zero, so the bits agree
-        # with the complex run at half the work and memory.
-        real_step = not any(np.any(diag.imag) for diag in diagonals.values())
-        if real_step and not np.any(np.imag(start)):
-            diagonals = {offset: diag.real for offset, diag in diagonals.items()}
+        step = self.mat
+        # A start with zero imaginary part runs in real arithmetic when the
+        # step is real: every imaginary part the series would carry is an
+        # exact zero, so the bits agree with the complex run at half the work.
+        if not np.any(np.imag(start)):
             start = np.real(start)
-        step = BandedOperator(self.space.dim, diagonals)
         norm = step.onenorm()
         if not math.isfinite(norm):
             raise NumericFailureError(f"generator has 1-norm {norm}")
-        dtype = np.result_type(float, start, *diagonals.values())
+        dtype = np.result_type(float, start, *step.diagonals.values())
         amps = np.array(start, dtype=dtype)
         if norm > 0.0:
             degree, steps = min(
@@ -231,77 +231,61 @@ def vacuum(space: FockSpace) -> FockTensor:
     return FockTensor(space=space, amps=amps)
 
 
-def ladder_ops(space: FockSpace) -> tuple[list[BandedOperator], list[BandedOperator]]:
-    """Per-mode lowering and raising operators (exact transposes).
+def _ladders(space: FockSpace) -> list[tuple[int, np.ndarray]]:
+    """(stride_i, w_i) per mode: the lowering operator of mode i as its one
+    diagonal, at offset stride_i.
 
     Lowering mode i maps flat index k + stride_i to k with amplitude
-    sqrt(n_i + 1), n_i the occupation of mode i at k; rows with
+    w_i[k] = sqrt(n_i + 1), n_i the occupation of mode i at k; rows with
     n_i = cutoff get 0, since k + stride_i belongs to another occupation
-    of the modes before i.  The raising operator is the same diagonal
-    below the main one, so its cutoff -> cutoff+1 element is dropped and
-    [a_i, a_i~] equals the identity only on n_i < cutoff.
+    of the modes before i.
     """
     occs = occupation_table(space)
-    lowering, raising = [], []
+    ladders = []
     for i in range(space.n):
         stride = (space.cutoff + 1) ** (space.n - 1 - i)
         occ = occs[: space.dim - stride, i]
-        amp = np.where(occ < space.cutoff, np.sqrt(occ + 1.0), 0.0)
-        lowering.append(BandedOperator(space.dim, {stride: amp}))
-        raising.append(BandedOperator(space.dim, {-stride: amp}))
+        ladders.append((stride, np.where(occ < space.cutoff, np.sqrt(occ + 1.0), 0.0)))
+    return ladders
+
+
+def ladder_ops(space: FockSpace) -> tuple[list[BandedOperator], list[BandedOperator]]:
+    """Per-mode lowering and raising operators (exact transposes).
+
+    The raising operator is the lowering diagonal below the main one, so
+    its cutoff -> cutoff+1 element is dropped and [a_i, a_i~] equals the
+    identity only on n_i < cutoff.
+    """
+    ladders = _ladders(space)
+    lowering = [BandedOperator(space.dim, {stride: w}) for stride, w in ladders]
+    raising = [BandedOperator(space.dim, {-stride: w}) for stride, w in ladders]
     return lowering, raising
 
 
-def quadrature_ops(space: FockSpace) -> tuple[list[BandedOperator], list[BandedOperator]]:
-    """Truncated Q_i = (a_i + a_i~)/sqrt(2) and P_i = (a_i - a_i~)/(i sqrt(2))."""
-    lowering, _ = ladder_ops(space)
-    scale = 1 / math.sqrt(2.0)
-    q_ops, p_ops = [], []
-    for a_i in lowering:
-        ((stride, amp),) = a_i.diagonals.items()
-        q_ops.append(BandedOperator(space.dim, {stride: amp * scale, -stride: amp * scale}))
-        p_ops.append(
-            BandedOperator(
-                space.dim, {stride: (-1j * amp) * scale, -stride: (-1j * -amp) * scale}
-            )
-        )
-    return q_ops, p_ops
-
-
-def _product(left: BandedOperator, right: BandedOperator) -> dict[int, np.ndarray]:
-    """Diagonals of left @ right: (LR)[r, r+a+b] = L[r, r+a] R[r+a, r+a+b],
-    each element summed from 0 in ascending a (the column order of L)."""
-    dim = left.dim
-    out = {}
-    for a, diag_a in left.diagonals.items():
-        for b, diag_b in right.diagonals.items():
-            c = a + b
-            lo, hi = max(0, -a, -c), min(dim, dim - a, dim - c)
-            if lo >= hi:
-                continue
-            if c not in out:
-                out[c] = np.zeros(dim - abs(c), dtype=np.result_type(diag_a, diag_b))
-            row_a, row_b, row_c = max(-a, 0), max(-b, 0), max(-c, 0)
-            out[c][lo - row_c : hi - row_c] += (
-                diag_a[lo - row_a : hi - row_a] * diag_b[lo + a - row_b : hi + a - row_b]
-            )
-    return out
-
-
 def _pair_sum(
-    coeff: np.ndarray, scale: float, left: list[BandedOperator], right: list[BandedOperator]
-) -> BandedOperator:
-    """sum_ij (scale * c_ij) * (left_i @ right_j) over the nonzero c_ij, added
-    term by term in row-major order: every quadratic form of the oracle."""
+    coeff: np.ndarray, scale: float, ladders: list[tuple[int, np.ndarray]], dim: int
+) -> dict[int, np.ndarray]:
+    """Diagonals of sum_ij (scale * c_ij) a_i a_j over the nonzero c_ij, for
+    the lowering diagonals ``ladders``: every photon-pair block of the oracle.
+
+    a_i a_j is the one diagonal w_i[k] * w_j[k + s_i] at offset s_i + s_j,
+    and the terms are added in row-major order.  That product equals
+    w_j[k] * w_i[k + s_j] to the bit, so the raising block
+    sum_ij (scale * c_ij) a_i~ a_j~ is the same arrays at the negated offsets.
+    """
     total = {}
-    for i, left_i in enumerate(left):
-        for j, right_j in enumerate(right):
-            if coeff[i, j] != 0:
-                for offset, diag in _product(left_i, right_j).items():
-                    total[offset] = total.get(offset, 0) + (scale * coeff[i, j]) * diag
-    # Diagonals that cancel to exact zeros are dropped: in the generator,
-    # the photon-number conserving a_i a_j~ parts of Q_i P_j + Q_j P_i.
-    return BandedOperator(left[0].dim, {o: diag for o, diag in total.items() if np.any(diag)})
+    for i, (s_i, w_i) in enumerate(ladders):
+        for j, (s_j, w_j) in enumerate(ladders):
+            offset = s_i + s_j
+            if coeff[i, j] != 0 and offset < dim:
+                term = (scale * coeff[i, j]) * (w_i[: dim - offset] * w_j[s_i:])
+                total[offset] = total.get(offset, 0) + term
+    return total
+
+
+def _raising(lowering: dict[int, np.ndarray], dim: int) -> BandedOperator:
+    """The raising partner of a ``_pair_sum``: its diagonals below the main one."""
+    return BandedOperator(dim, {-offset: diag for offset, diag in lowering.items()})
 
 
 def _terminating_series(mat: BandedOperator, start: np.ndarray, space: FockSpace) -> np.ndarray:
@@ -318,15 +302,22 @@ def _terminating_series(mat: BandedOperator, start: np.ndarray, space: FockSpace
 
 
 def generator(space: FockSpace, coupling: CouplingMatrix, lam: float) -> FockOperator:
-    """Hermitian generator H = lambda * sum_ij A_ij Q_i P_j.
+    """The step iH of the squeeze exp(iH), H = lambda * sum_ij A_ij Q_i P_j.
 
-    A has zero diagonal, so every term couples distinct modes and is
-    individually Hermitian; the squeeze is exp(iH).
+    A is symmetric with zero diagonal, so the photon-number conserving
+    a_i a_j~ parts of Q_i P_j + Q_j P_i cancel and
+    iH = (lambda / 2) sum_ij A_ij (a_i a_j - a_i~ a_j~): the lowering pair
+    sum over ladders scaled by 1/sqrt(2) above the main diagonal, and its
+    negation below it.  The step is real and antisymmetric.
     """
     if coupling.n != space.n:
         raise ValueError(f"coupling has {coupling.n} modes, space has {space.n}")
-    q_ops, p_ops = quadrature_ops(space)
-    return FockOperator(space=space, mat=_pair_sum(coupling.entries, lam, q_ops, p_ops))
+    scale = 1 / math.sqrt(2.0)
+    ladders = [(stride, w * scale) for stride, w in _ladders(space)]
+    lowering = _pair_sum(coupling.entries, lam, ladders, space.dim)
+    # 0.0 - diag, not -diag: the zeros on the cutoff edge stay +0.0.
+    raising = {-offset: 0.0 - diag for offset, diag in lowering.items()}
+    return FockOperator(space=space, mat=BandedOperator(space.dim, {**lowering, **raising}))
 
 
 def evolve_vacuum(hamiltonian: FockOperator) -> FockTensor:
@@ -353,8 +344,7 @@ def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
         raise ValueError(f"state has {state.n} modes, space has {space.n}")
     if np.max(np.abs(state.F - state.F.T)) > 1e-12:
         raise ValueError("two-photon matrix must be symmetric")
-    _, raising = ladder_ops(space)
-    quad = _pair_sum(state.F, 0.5, raising, raising)
+    quad = _raising(_pair_sum(state.F, 0.5, _ladders(space), space.dim), space.dim)
     amps = _terminating_series(quad, vacuum(space).amps, space)
     return FockTensor(space=space, amps=state.norm * amps)
 
@@ -380,16 +370,21 @@ def overlap(left: FockTensor, right: FockTensor) -> complex:
 
 
 def collective_quadrature(space: FockSpace, which: str) -> BandedOperator:
-    """X1 = sum Q_i / sqrt(2n) or X2 = sum P_i / sqrt(2n) as a matrix."""
-    q_ops, p_ops = quadrature_ops(space)
-    ops = q_ops if which == "X1" else p_ops if which == "X2" else None
-    if ops is None:
+    """X1 = sum Q_i / sqrt(2n) or X2 = sum P_i / sqrt(2n) as a matrix, from
+    Q_i = (a_i + a_i~)/sqrt(2) and P_i = (a_i - a_i~)/(i sqrt(2))."""
+    if which not in ("X1", "X2"):
         raise ValueError(f"which must be 'X1' or 'X2', got {which!r}")
-    scale = 1 / math.sqrt(2.0 * space.n)
-    # Each mode has its own stride, so no two operators share a diagonal.
-    return BandedOperator(
-        space.dim, {offset: diag * scale for op in ops for offset, diag in op.diagonals.items()}
-    )
+    scale = 1 / math.sqrt(2.0)
+    weight = 1 / math.sqrt(2.0 * space.n)
+    diagonals = {}
+    # Each mode has its own stride, so no two modes share a diagonal.
+    for stride, w in _ladders(space):
+        if which == "X1":
+            diagonals[stride] = diagonals[-stride] = (w * scale) * weight
+        else:
+            diagonals[stride] = ((-1j * w) * scale) * weight
+            diagonals[-stride] = ((-1j * -w) * scale) * weight
+    return BandedOperator(space.dim, diagonals)
 
 
 def variance_numeric(psi: FockTensor, which: str) -> float:
@@ -490,8 +485,9 @@ def assemble_normal_form(
     n_modes = form.creMat.shape[0]
     if n_modes != space.n:
         raise ValueError(f"form has {n_modes} modes, space has {space.n}")
-    lowering, raising = ladder_ops(space)
-    amps = _terminating_series(_pair_sum(form.annMat, 0.5, lowering, lowering), start, space)
+    ladders = _ladders(space)
+    ann = BandedOperator(space.dim, _pair_sum(form.annMat, 0.5, ladders, space.dim))
+    amps = _terminating_series(ann, start, space)
 
     support = np.flatnonzero(np.any(amps, axis=1))
     occs = occupation_table(space)[support]
@@ -499,13 +495,12 @@ def assemble_normal_form(
     images = np.zeros((space.dim, support.size), dtype=one_body.dtype)
     images[0] = 1.0  # every image is built up from the vacuum
     for i, mix in enumerate(one_body.T):
-        b_i = BandedOperator(  # sum_j (I + X)_ji a_j~: one raising diagonal per mode
-            space.dim, {o: c * d for c, a_j in zip(mix, raising) for o, d in a_j.diagonals.items()}
-        )
+        # sum_j (I + X)_ji a_j~: one raising diagonal per mode
+        b_i = BandedOperator(space.dim, {-s_j: c * w_j for c, (s_j, w_j) in zip(mix, ladders)})
         for power in range(1, occs[:, i].max(initial=0) + 1):
             cols = occs[:, i] >= power
             images[:, cols] = (b_i @ images[:, cols]) / math.sqrt(power)
     middle = images @ amps[support]
 
-    cre = _pair_sum(form.creMat, 0.5, raising, raising)
+    cre = _raising(_pair_sum(form.creMat, 0.5, ladders, space.dim), space.dim)
     return form.prefactor * _terminating_series(cre, middle, space)

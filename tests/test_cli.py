@@ -343,6 +343,30 @@ def test_main_verify_bad_inputs_are_usage_errors(argv, message, capsys):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["coupling", "--n", "2", "--tolerance", "bogus=1", "--seed", "5", "--cutoff", "3",
+          "--point", "1,2:3,4"], "--cutoff"),
+        (["coupling", "--n", "2", "--tolerance", "variance=1"], "--tolerance"),
+        (["wigner", "--n", "2", "--tolerance", "variance=1"], "--tolerance"),
+        (["variances", "--n", "2", "--seed", "5"], "--seed"),
+        (["state", "--n", "2", "--cutoff", "3", "--seed", "0"], "--seed"),
+        (["normal-form", "--n", "2", "--cutoff", "0"], "--cutoff"),
+        (["wigner", "--n", "2", "--cutoff", "3"], "--cutoff"),
+        (["baseline", "--lambda", "0.3", "--point", "1:2"], "--point"),
+        (["verify", "--point", "0,0:0,0"], "--point"),
+        (["state", "--n", "2", "--grid", "q1=0:1:2"], "--grid"),
+        (["verify", "--grid", "q1=0:1:2", "--format", "csv"], "--grid"),
+    ],
+)
+def test_main_flag_the_command_does_not_read_is_a_usage_error(argv, flag, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: command {argv[0]!r} does not read {flag}\n"
+
+
 def test_negative_seed_is_refused_before_any_draw(monkeypatch):
     def no_generator(seed):
         raise AssertionError(f"a generator was built from seed {seed}")

@@ -22,7 +22,6 @@ from nmodesqueeze import (
     ladder_ops,
     normal_form,
     overlap,
-    quadrature_ops,
     squeezed_vacuum,
     tail_mass,
     two_photon_expand,
@@ -138,15 +137,13 @@ def test_raising_is_exact_transpose():
 
 @pytest.mark.parametrize("shape", [(1, 0), (1, 5), (2, 6), (3, 4), (4, 3)])
 def test_banded_ops_match_kron_oracle(shape):
-    """Ladder, quadrature and collective operators, element by element and
-    nonzero count, against the Kronecker-product csr matrices."""
+    """Ladder and collective operators, element by element and nonzero
+    count, against the Kronecker-product csr matrices."""
     space = build_space(*shape)
     csr_q, csr_p = _csr_quadratures(space)
     pairs = [
         *zip(ladder_ops(space)[0], _csr_ladder(space)[0]),
         *zip(ladder_ops(space)[1], _csr_ladder(space)[1]),
-        *zip(quadrature_ops(space)[0], csr_q),
-        *zip(quadrature_ops(space)[1], csr_p),
         (collective_quadrature(space, "X1"), sum(csr_q[1:], csr_q[0]) / math.sqrt(2.0 * space.n)),
         (collective_quadrature(space, "X2"), sum(csr_p[1:], csr_p[0]) / math.sqrt(2.0 * space.n)),
     ]
@@ -176,14 +173,6 @@ def test_commutators():
     assert np.max(np.abs(cross)) == 0.0
 
 
-def test_quadratures_hermitian():
-    space = build_space(2, 5)
-    q_ops, p_ops = quadrature_ops(space)
-    for op in (*q_ops, *p_ops):
-        dense = op.toarray()
-        assert np.max(np.abs(dense - dense.conj().T)) == 0.0
-
-
 def test_generator_zero_lambda():
     space = build_space(2, 4)
     ham = generator(space, build_coupling(2), 0.0)
@@ -196,12 +185,15 @@ def test_generator_two_mode_structure():
     q_ops, p_ops = _csr_quadratures(space)
     direct = 2 * lam * (q_ops[0] @ p_ops[1] + q_ops[1] @ p_ops[0])
     ham = generator(space, build_coupling(2), lam)
-    assert np.max(np.abs(ham.mat.toarray() - direct.toarray())) == 0.0
+    assert np.max(np.abs(-1j * ham.mat.toarray() - direct.toarray())) == 0.0
 
 
 def test_generator_hermiticity():
-    dense = generator(build_space(3, 6), build_coupling(3), 0.2).mat.toarray()
-    assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
+    """The step iH is real and exactly antisymmetric, so H is Hermitian."""
+    mat = generator(build_space(3, 6), build_coupling(3), 0.2).mat
+    assert all(np.isrealobj(diag) for diag in mat.diagonals.values())
+    dense = mat.toarray()
+    assert dense.T.tobytes() == (0.0 - dense).tobytes()
 
 
 def test_evolve_identity_at_zero():
@@ -221,7 +213,7 @@ def test_evolve_matches_dense_eigh(config):
     n, cutoff, lam = config
     ham = generator(build_space(n, cutoff), build_coupling(n), lam)
     assert (ham.mat.onenorm() > 60.0) == (lam >= 1.0)
-    w, v = np.linalg.eigh(ham.mat.toarray())
+    w, v = np.linalg.eigh(-1j * ham.mat.toarray())
     reference = v @ (np.exp(1j * w) * v[0, :].conj())
     assert np.max(np.abs(evolve_vacuum(ham).amps - reference)) <= 1e-12
 
@@ -238,14 +230,13 @@ def test_evolve_matches_dense_eigh(config):
 def test_evolve_matches_expm_multiply_bits(config):
     """Up to |iH|_1 = 60 scipy's expm_multiply chooses its Taylor degree
     from the exact 1-norm, as evolve_vacuum does: the amplitudes agree to
-    the bit, and so do the generator's nonzeros.  (At lambda = 0 every
-    diagonal cancels, and the empty banded matrix reads as real zeros.)"""
+    the bit, and so does the step iH against 1j times the oracle's H."""
     n, cutoff, lam = config
     ham = generator(build_space(n, cutoff), build_coupling(n), lam)
     oracle = _csr_generator(n, cutoff, lam)
-    assert ham.mat.nnz == oracle.nnz
-    assert ham.mat.toarray().astype(complex).tobytes() == oracle.toarray().tobytes()
     step = 1j * oracle
+    assert ham.mat.nnz == oracle.nnz
+    assert ham.mat.toarray().astype(complex).tobytes() == step.toarray().tobytes()
     assert abs(step).sum(axis=0).max() <= 60.0
     expected = expm_multiply(step, vacuum(ham.space).amps)
     assert evolve_vacuum(ham).amps.tobytes() == expected.tobytes()
@@ -255,11 +246,12 @@ def test_evolve_complex_step_matches_dense_eigh():
     """A real Hermitian H (here 0.3 (Q_0 Q_1 + Q_1 Q_0)) makes iH complex,
     which the generators never do: the series then runs in complex numbers."""
     space = build_space(2, 8)
-    q_ops, _ = quadrature_ops(space)
-    mat = q_ops[0].toarray() @ q_ops[1].toarray() * 0.6
-    diagonals = {o: np.diag(mat, o).astype(complex) for o in range(1 - space.dim, space.dim)}
+    q_ops, _ = _csr_quadratures(space)
+    mat = (q_ops[0] @ q_ops[1]).toarray() * 0.6
+    step = 1j * mat
+    diagonals = {o: np.diag(step, o) for o in range(1 - space.dim, space.dim)}
     banded = BandedOperator(space.dim, {o: d for o, d in diagonals.items() if np.any(d)})
-    assert banded.toarray().tobytes() == mat.astype(complex).tobytes()
+    assert banded.toarray().tobytes() == step.tobytes()
     w, v = np.linalg.eigh(mat)
     reference = v @ (np.exp(1j * w) * v[0, :].conj())
     evolved = evolve_vacuum(FockOperator(space, banded))
@@ -318,7 +310,7 @@ def test_evolve_block_matches_vacuum_and_dense_references(config):
     assert evolved[:, 0].tobytes() == evolve_vacuum(ham).amps.tobytes()
     for j in range(5):
         assert evolved[:, j].tobytes() == ham.evolve(real[:, j]).tobytes()
-    dense = ham.mat.toarray()
+    dense = -1j * ham.mat.toarray()
     w, v = np.linalg.eigh(dense)
     by_eigh = (v * np.exp(1j * w)) @ (v.conj().T @ block)
     by_expm = expm(1j * dense) @ block
@@ -529,10 +521,10 @@ def test_conjugation_matches_heisenberg_transforms():
     space = build_space(2, 16)
     base = build_coupling(2)
     lam = 0.12
-    ham = generator(space, base, lam).mat.toarray()
+    ham = -1j * generator(space, base, lam).mat.toarray()
     w, v = np.linalg.eigh(ham)
     squeeze = (v * np.exp(1j * w)) @ v.conj().T
-    q_ops, p_ops = quadrature_ops(space)
+    q_ops, p_ops = _csr_quadratures(space)
     q_t, p_t = heisenberg_transforms(build_kernel(base, lam))
     low = np.flatnonzero(occupation_table(space).sum(axis=1) <= 4)
     for k in range(2):
@@ -635,9 +627,23 @@ def test_generator_matches_loop_oracle_bits():
     coupling = build_coupling(3)
     q_ops, p_ops = _csr_quadratures(space)
     expected = _loop_quadratic(coupling.entries, 0.2, q_ops, p_ops)
-    ham = generator(space, coupling, 0.2).mat
-    assert ham.nnz == expected.nnz
-    assert ham.toarray().tobytes() == expected.toarray().tobytes()
+    step = generator(space, coupling, 0.2).mat
+    assert step.nnz == expected.nnz
+    assert step.toarray().astype(complex).tobytes() == (1j * expected).toarray().tobytes()
+
+
+def test_generator_stays_small():
+    """dim 161 051: the step's ten real diagonals take 12.4 MB."""
+    space = build_space(5, 10)
+    base = build_coupling(5)
+    tracemalloc.start()
+    try:
+        ham = generator(space, base, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ham.mat.diagonals) == 10
+    assert peak < 32 * 2**20
 
 
 def _assembly_error_vs_loop_oracle(n, cutoff, lam):

@@ -36,7 +36,6 @@ FOCK_NAMES = (
     "ladder_ops",
     "normalized",
     "overlap",
-    "quadrature_ops",
     "tail_mass",
     "two_photon_expand",
     "vacuum",

@@ -11,21 +11,19 @@ import math
 import numpy as np
 
 from nmodesqueeze import (
-    PhasePoint,
     build_coupling,
     build_kernel,
     normalization_by_quadrature,
     wigner3_closed,
     wigner4_closed,
     wigner_from_kernel,
-    wigner_value,
     wigner_value_alpha,
     wigner_values,
 )
 
 kernel = build_kernel(build_coupling(3), 0.1)
 wig = wigner_from_kernel(kernel)
-print(f"peak value W(0,0) = {wigner_value(wig, PhasePoint(q=np.zeros(3), p=np.zeros(3)))!r}")
+print(f"peak value W(0,0) = {wigner_value_alpha(wig, np.zeros(3))!r}")
 print(f"pi^-3             = {math.pi**-3!r}")
 print()
 

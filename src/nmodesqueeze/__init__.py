@@ -29,17 +29,15 @@ from .errors import (
 )
 from .gaussian import (
     GaussianWigner,
-    PhasePoint,
     VariancePair,
+    alpha_rows,
     covariance_matrix,
     heisenberg_transforms,
     normalization_by_quadrature,
     variances_closed,
     variances_matrix_sum,
     wigner_from_kernel,
-    wigner_log_value,
     wigner_q_marginal,
-    wigner_value,
     wigner_value_alpha,
     wigner_values,
 )

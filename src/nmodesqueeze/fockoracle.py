@@ -1,17 +1,18 @@
 """Truncated Fock-space brute force for cross-checking every closed form.
 
 States live on a per-mode-truncated basis |n_1 ... n_n> with n_i <= cutoff,
-flattened with mode 0 most significant; ``occupation_table`` is the one
-statement of that order, its row k the occupation of flat index k.  The
-lowering operator of mode i is one diagonal of the flat-index matrix, at
-offset stride_i, with entries sqrt(n_i + 1) read off that table; the
-raising operator is the same diagonal at -stride_i.  The raising
-operator simply drops the cutoff -> cutoff+1 matrix element, so
-commutator identities hold exactly on the interior (n_i < cutoff)
-subspace and tail mass is *measured*, never assumed away.  Every photon-pair
-block sum_ij c_ij a_i a_j comes from one pair sum of these diagonals (its
-raising partner sum_ij c_ij a_i~ a_j~ is the same diagonals below the main
-one), and every exponential of a photon-pair block from one series.
+flattened with mode 0 most significant: ``_strides`` is the one statement
+of that order, and row k of ``occupation_table`` the occupation of flat
+index k, n_i = (k // stride_i) mod (cutoff + 1).  The lowering operator of
+mode i is one diagonal of the flat-index matrix, at offset stride_i, with
+entries sqrt(n_i + 1); the raising operator is the same diagonal at
+-stride_i.  The raising operator simply drops the cutoff -> cutoff+1
+matrix element, so commutator identities hold exactly on the interior
+(n_i < cutoff) subspace and tail mass is *measured*, never assumed away.
+Every photon-pair block sum_ij c_ij a_i a_j comes from one pair sum of
+these diagonals (its raising partner sum_ij c_ij a_i~ a_j~ is the same
+diagonals below the main one), and every exponential of a photon-pair
+block from one series.
 
 The squeeze itself is realised as the action of exp(iH) on the vacuum or on
 a block of start columns (truncated Taylor series with Al-Mohy & Higham's
@@ -39,6 +40,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import NumericFailureError, ResourceLimitError, TruncationError
+from .gaussian import alpha_rows
 from .normalform import NormalOrderedForm, TwoPhotonState
 
 # Largest truncated basis any Fock computation accepts.  The banded paths
@@ -217,12 +219,15 @@ def build_space(n: int, cutoff: int) -> FockSpace:
     return FockSpace(n=n, cutoff=cutoff, dim=dim)
 
 
+def _strides(space: FockSpace) -> list[int]:
+    """Flat-index stride of each mode, mode 0 most significant."""
+    return [(space.cutoff + 1) ** (space.n - 1 - i) for i in range(space.n)]
+
+
 def occupation_table(space: FockSpace) -> np.ndarray:
     """(dim, n) array of occupations, row k = occupation of flat index k."""
     idx = np.arange(space.dim)
-    base = space.cutoff + 1
-    cols = [(idx // base**k) % base for k in range(space.n - 1, -1, -1)]
-    return np.stack(cols, axis=1)
+    return np.stack([(idx // stride) % (space.cutoff + 1) for stride in _strides(space)], axis=1)
 
 
 def vacuum(space: FockSpace) -> FockTensor:
@@ -240,11 +245,9 @@ def _ladders(space: FockSpace) -> list[tuple[int, np.ndarray]]:
     n_i = cutoff get 0, since k + stride_i belongs to another occupation
     of the modes before i.
     """
-    occs = occupation_table(space)
     ladders = []
-    for i in range(space.n):
-        stride = (space.cutoff + 1) ** (space.n - 1 - i)
-        occ = occs[: space.dim - stride, i]
+    for stride in _strides(space):
+        occ = (np.arange(space.dim - stride) // stride) % (space.cutoff + 1)
         ladders.append((stride, np.where(occ < space.cutoff, np.sqrt(occ + 1.0), 0.0)))
     return ladders
 
@@ -436,10 +439,7 @@ def wigner_numeric(
         cutoff is too small for that displacement.
     """
     space = psi.space
-    rows = np.asarray(alpha, dtype=complex)
-    if rows.ndim not in (1, 2) or rows.shape[-1] != space.n:
-        raise ValueError(f"alpha must have length {space.n}")
-    rows = rows.reshape(-1, space.n)
+    rows = alpha_rows(alpha, space.n)
     m, base = len(rows), space.cutoff + 1
     disp_dag = _single_mode_displacements(-rows.reshape(-1), space.cutoff).reshape(
         m, space.n, base, base

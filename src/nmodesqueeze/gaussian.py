@@ -11,9 +11,10 @@ The squeezed vacuum is Gaussian, so its Wigner function is
 with qForm = exp(+2 lambda A) and pForm = exp(-2 lambda A).
 ``wigner_values`` evaluates it at a whole array of points at once: the rows
 of (m, n) arrays q and p, one einsum per quadratic form (shared, or stacked
-one per row); ``wigner_value`` is its one-row case.  Values are screened in
-log space; anything below exp(-700) is reported as exactly 0
-(``wigner_log_value`` keeps the tail accessible).
+one per row).  Values are screened in log space; anything below exp(-700)
+is reported as exactly 0.  ``wigner_value_alpha`` takes complex amplitudes
+instead, one point of shape (n,) or rows (m, n), like the closed forms and
+the Fock oracle; all three read them through ``alpha_rows``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .errors import ParameterRangeError
 LOG_FLOOR = -700.0
 
 
-def _checked_points(q, p, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float copies of q and p after the phase-point checks: ``ndim``-d
-    arrays of one shape, at least 2 modes along the last axis, all finite."""
+def _checked_points(q, p) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of q and p after the phase-point checks: 2-d arrays of
+    one shape, at least 2 modes along the last axis, all finite."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    if q.ndim != ndim or q.shape != p.shape:
+    if q.ndim != 2 or q.shape != p.shape:
         raise ValueError("q and p must be equal-length vectors")
     if q.shape[-1] < 2:
         raise ValueError("phase points need at least 2 modes")
@@ -44,23 +45,15 @@ def _checked_points(q, p, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (q, p) in 2n-dimensional phase space."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q, p = _checked_points(self.q, self.p, ndim=1)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @classmethod
-    def from_alpha(cls, alpha: np.ndarray) -> "PhasePoint":
-        """Complex amplitudes alpha = (q + ip)/sqrt(2) to quadrature values."""
-        alpha = np.asarray(alpha, dtype=complex)
-        return cls(q=math.sqrt(2.0) * alpha.real, p=math.sqrt(2.0) * alpha.imag)
+def alpha_rows(alpha: np.ndarray, n: int) -> np.ndarray:
+    """alpha of shape (n,) or (m, n) as (m, n) complex rows, after the
+    phase-point checks: n modes along the last axis, all entries finite."""
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != n:
+        raise ValueError(f"alpha must have length {n}")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("phase point entries must be finite")
+    return alpha.reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -171,30 +164,19 @@ def wigner_values(wig: GaussianWigner, q: np.ndarray, p: np.ndarray) -> np.ndarr
     normConst exactly); each exponent is screened in log space and anything
     below exp(-700) is reported as exactly 0.0 instead of underflow noise.
     """
-    q, p = _checked_points(q, p, ndim=2)
+    q, p = _checked_points(q, p)
     quad = _quadratic_exponents(wig, q, p)
     values = wig.normConst * np.exp(-quad)
     values[-quad - wig.n * math.log(math.pi) < LOG_FLOOR] = 0.0
     return values
 
 
-def wigner_log_value(wig: GaussianWigner, point: PhasePoint) -> float:
-    """Natural log of the Wigner value (never underflows)."""
-    quad = _quadratic_exponents(wig, point.q[None, :], point.p[None, :])
-    return -wig.n * math.log(math.pi) - float(quad[0])
-
-
-def wigner_value(wig: GaussianWigner, point: PhasePoint) -> float:
-    """Wigner value at one point: the one-row case of ``wigner_values``."""
-    return float(wigner_values(wig, point.q[None, :], point.p[None, :])[0])
-
-
-def wigner_value_alpha(wig: GaussianWigner, alpha: np.ndarray) -> float:
-    """Wigner value at complex amplitudes alpha_i = (q_i + i p_i)/sqrt(2)."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.ndim != 1 or alpha.size != wig.n:
-        raise ValueError(f"alpha must have length {wig.n}")
-    return wigner_value(wig, PhasePoint.from_alpha(alpha))
+def wigner_value_alpha(wig: GaussianWigner, alpha: np.ndarray) -> float | np.ndarray:
+    """Wigner values at complex amplitudes alpha_i = (q_i + i p_i)/sqrt(2):
+    a float for one point of shape (n,), the array for rows (m, n)."""
+    rows = alpha_rows(alpha, wig.n)
+    values = wigner_values(wig, math.sqrt(2.0) * rows.real, math.sqrt(2.0) * rows.imag)
+    return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
 def covariance_matrix(wig: GaussianWigner) -> np.ndarray:
@@ -220,7 +202,14 @@ def wigner_q_marginal(wig: GaussianWigner, q: np.ndarray) -> float:
     cancellation at large |lambda|.
     """
     q = np.asarray(q, dtype=float)
-    return math.pi ** (-wig.n / 2.0) * math.exp(-float(q @ wig.qForm @ q))
+    if q.shape != (wig.n,):
+        raise ValueError(f"q must have length {wig.n}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("phase point entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(q @ wig.qForm @ q)
+    # As in _quadratic_exponents, NaN is inf - inf between overflowed terms.
+    return 0.0 if math.isnan(quad) else math.pi ** (-wig.n / 2.0) * math.exp(-quad)
 
 
 def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -> float:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .coupling import LAMBDA_GUARD, SqueezeKernel, matrix_function
 from .errors import ParameterRangeError
+from .gaussian import alpha_rows
 
 
 def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
@@ -164,14 +165,6 @@ def three_mode_closed(lam: float) -> ThreeModeClosed:
     )
 
 
-def _alpha_rows(alpha: np.ndarray, n: int) -> np.ndarray:
-    """alpha of shape (n,) or (m, n) as an (m, n) complex array."""
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.ndim not in (1, 2) or alpha.shape[-1] != n:
-        raise ValueError(f"alpha must have length {n}")
-    return alpha.reshape(-1, n)
-
-
 def _closed_values(expo: np.ndarray, n: int, alpha: np.ndarray) -> float | np.ndarray:
     """pi^-n exp(expo): a float for one alpha of shape (n,), the array for
     alpha rows (m, n).  The exponent is a negative definite form, so a
@@ -210,7 +203,7 @@ def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
     whole secondexponent brace (both the alpha^2 sum and the cross terms);
     the generic Gaussian form is the test that pins this reading down.
     """
-    rows = _alpha_rows(alpha, 3)
+    rows = alpha_rows(alpha, 3)
     k_abs, k_sq, k_mixed, k_plain = _per_row(lam, _wigner3_coefficients, rows)
     a0, a1, a2 = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +242,7 @@ def wigner4_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
     """Four-mode Wigner function in its hand-derived closed form; alpha of
     shape (4,) gives a float, alpha rows of shape (m, 4) an array, and lam
     is one lambda or one per row, shape (m,)."""
-    rows = _alpha_rows(alpha, 4)
+    rows = alpha_rows(alpha, 4)
     scale, t2_sq, t2 = _per_row(lam, _wigner4_coefficients, rows)
     a0, a1, a2, a3 = rows.T
     with np.errstate(over="ignore", invalid="ignore"):

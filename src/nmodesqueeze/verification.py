@@ -51,7 +51,8 @@ DEFAULT_TOLERANCES = {
     "wigner_origin": 0.0,
     "wigner_norm": 1e-6,
 }
-# "variance" and "overlap" fan out to every check in their family.
+# Only "overlap" is an alias, for both overlap checks; every other name,
+# "variance" included, sets its own key.
 TOLERANCE_ALIASES = {
     "overlap": ("overlap_n2", "overlap_n3"),
 }
@@ -369,7 +370,7 @@ def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> Chec
             normConst=math.pi ** (-n),
         )
         points = np.array(alphas)
-        generic = ga.wigner_values(wig, math.sqrt(2.0) * points.real, math.sqrt(2.0) * points.imag)
+        generic = ga.wigner_value_alpha(wig, points)
         worst = max(worst, float(np.max(_rel_err(closed_fn(lam_values, points), generic))))
     return _record(
         "wigner_closed_vs_generic", "closed 3- and 4-mode Wigner forms = generic Gaussian form",
@@ -386,7 +387,7 @@ def check_wigner_parity_oracle(
     psi = fo.two_photon_expand(nf.squeezed_vacuum(kernel), space)
     wig = ga.wigner_from_kernel(kernel)
     alphas = np.array([_draw_alpha(rng, n, 0.6) for _ in range(20)])
-    gaussian = ga.wigner_values(wig, math.sqrt(2.0) * alphas.real, math.sqrt(2.0) * alphas.imag)
+    gaussian = ga.wigner_value_alpha(wig, alphas)
     worst = float(np.max(np.abs(fo.wigner_numeric(psi, alphas) - gaussian)))
     return _record(
         "wigner_parity_oracle", "W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>",
@@ -398,8 +399,7 @@ def check_wigner_parity_oracle(
 def check_wigner_origin(tol: float) -> CheckRecord:
     worst = 0.0
     for n, _, kernel in _kernels((2, 3, 4, 5), (0.0, 0.2, 0.5)):
-        origin = ga.PhasePoint(q=np.zeros(n), p=np.zeros(n))
-        value = ga.wigner_value(ga.wigner_from_kernel(kernel), origin)
+        value = ga.wigner_value_alpha(ga.wigner_from_kernel(kernel), np.zeros(n))
         worst = max(worst, abs(value - math.pi ** (-n)))
     return _record(
         "wigner_origin", "W(0, 0) = pi^-n",

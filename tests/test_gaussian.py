@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from nmodesqueeze import (
     GaussianWigner,
-    PhasePoint,
     VariancePair,
     build_coupling,
     build_kernel,
@@ -18,15 +17,17 @@ from nmodesqueeze import (
     heisenberg_transforms,
     matrix_function,
     normalization_by_quadrature,
+    squeezed_vacuum,
     variances_closed,
     variances_matrix_sum,
+    wigner3_closed,
+    wigner4_closed,
     wigner_from_kernel,
-    wigner_log_value,
     wigner_q_marginal,
-    wigner_value,
     wigner_value_alpha,
     wigner_values,
 )
+from nmodesqueeze.fockoracle import build_space, two_photon_expand, wigner_numeric
 from nmodesqueeze.gaussian import LOG_FLOOR
 
 SWEEP_N = range(2, 9)
@@ -140,20 +141,24 @@ def test_wigner_form_invariants(n, lam):
     wig = _wigner(n, lam)
     assert_allclose(wig.qForm @ wig.pForm, np.eye(n), atol=1e-10)
     assert np.linalg.det(wig.qForm) * np.linalg.det(wig.pForm) == pytest.approx(1.0, abs=1e-10)
-    origin = PhasePoint(q=np.zeros(n), p=np.zeros(n))
-    assert wigner_value(wig, origin) == wig.normConst == math.pi ** (-n)
+    origin = np.zeros((1, n))
+    assert wigner_values(wig, origin, origin)[0] == wig.normConst == math.pi ** (-n)
 
 
 def test_wigner_vacuum_point():
     wig = _wigner(2, 0.0)
-    point = PhasePoint(q=np.array([1.0, 0.0]), p=np.array([1.0, 0.0]))
-    assert wigner_value(wig, point) == pytest.approx(math.pi**-2 * math.exp(-2), rel=1e-12)
+    point = np.array([[1.0, 0.0]])
+    assert wigner_values(wig, point, point)[0] == pytest.approx(
+        math.pi**-2 * math.exp(-2), rel=1e-12
+    )
 
 
 def test_wigner_three_mode_point():
     wig = _wigner(3, 0.1)
-    point = PhasePoint(q=np.array([math.sqrt(2) * 0.5, 0, 0]), p=np.zeros(3))
-    assert wigner_value(wig, point) == pytest.approx(WIGNER3_POINT_VALUE, rel=1e-12)
+    q = np.array([[math.sqrt(2) * 0.5, 0, 0]])
+    assert wigner_values(wig, q, np.zeros((1, 3)))[0] == pytest.approx(
+        WIGNER3_POINT_VALUE, rel=1e-12
+    )
     assert wigner_value_alpha(wig, np.array([0.5, 0, 0])) == pytest.approx(
         WIGNER3_POINT_VALUE, rel=1e-12
     )
@@ -164,7 +169,7 @@ def test_wigner_alpha_convention():
     assert wigner_value_alpha(wig, np.zeros(3)) == math.pi**-3
     # purely imaginary alpha probes only the p form
     alpha = np.array([0.5j, 0.0, 0.0])
-    by_point = wigner_value(wig, PhasePoint(q=np.zeros(3), p=np.array([math.sqrt(2) * 0.5, 0, 0])))
+    by_point = wigner_values(wig, np.zeros((1, 3)), np.array([[math.sqrt(2) * 0.5, 0, 0]]))[0]
     assert wigner_value_alpha(wig, alpha) == pytest.approx(by_point, rel=1e-14)
 
 
@@ -173,16 +178,16 @@ def test_wigner_alpha_matches_point_randomly():
     wig = _wigner(4, 0.3)
     for _ in range(25):
         alpha = rng.normal(size=4) + 1j * rng.normal(size=4)
-        point = PhasePoint(q=math.sqrt(2) * alpha.real, p=math.sqrt(2) * alpha.imag)
+        q, p = math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag
         assert wigner_value_alpha(wig, alpha) == pytest.approx(
-            wigner_value(wig, point), rel=1e-14
+            wigner_values(wig, q[None, :], p[None, :])[0], rel=1e-14
         )
 
 
 def test_wigner_dimension_errors():
     wig = _wigner(3, 0.1)
     with pytest.raises(ValueError):
-        wigner_value(wig, PhasePoint(q=np.zeros(4), p=np.zeros(4)))
+        wigner_values(wig, np.zeros((1, 4)), np.zeros((1, 4)))
     with pytest.raises(ValueError):
         wigner_value_alpha(wig, np.zeros(2))
 
@@ -191,27 +196,15 @@ def test_wigner_bounded_and_positive():
     rng = np.random.default_rng(3)
     wig = _wigner(2, 0.4)
     for _ in range(50):
-        point = PhasePoint(q=rng.normal(size=2), p=rng.normal(size=2))
-        value = wigner_value(wig, point)
+        q, p = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+        value = wigner_values(wig, q, p)[0]
         assert 0.0 < value <= wig.normConst
 
 
 def test_wigner_underflow_reports_zero():
     wig = _wigner(2, 0.0)
-    far = PhasePoint(q=np.full(2, 30.0), p=np.full(2, 30.0))
-    assert wigner_value(wig, far) == 0.0
-    assert wigner_log_value(wig, far) == pytest.approx(
-        -2 * math.log(math.pi) - 4 * 900.0, rel=1e-12
-    )
-
-
-def test_phase_point_validation():
-    with pytest.raises(ValueError):
-        PhasePoint(q=np.zeros(3), p=np.zeros(2))
-    with pytest.raises(ValueError):
-        PhasePoint(q=np.array([1.0]), p=np.array([1.0]))
-    with pytest.raises(ValueError):
-        PhasePoint(q=np.array([np.nan, 0.0]), p=np.zeros(2))
+    far = np.full((1, 2), 30.0)
+    assert wigner_values(wig, far, far)[0] == 0.0
 
 
 def test_covariance_vacuum():
@@ -313,9 +306,27 @@ def test_q_marginal_matches_determinants_and_quadrature():
         total = 0.0
         for x1, w1 in zip(nodes, weights):
             for x2, w2 in zip(nodes, weights):
-                point = PhasePoint(q=q, p=np.array([x1, x2]))
-                total += w1 * w2 * wigner_value(wig, point) * math.exp(x1**2 + x2**2)
+                value = wigner_values(wig, q[None, :], np.array([[x1, x2]]))[0]
+                total += w1 * w2 * value * math.exp(x1**2 + x2**2)
         assert wigner_q_marginal(wig, q) == pytest.approx(total, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (np.array([np.nan, 0.0, 0.0]), "finite"),
+        (np.array([np.inf, 0.0, 0.0]), "finite"),
+        (np.zeros(2), "length 3"),
+    ],
+)
+def test_q_marginal_rejects_bad_points(q, message):
+    with pytest.raises(ValueError, match=message):
+        wigner_q_marginal(_wigner(3, 0.1), q)
+
+
+def test_q_marginal_past_float_range_is_zero():
+    # the exponent overflows: 0.0, with no overflow warning
+    assert wigner_q_marginal(_wigner(3, 0.1), np.array([1e200, 0.0, 0.0])) == 0.0
 
 
 def _per_point_values(wig, q, p):
@@ -346,8 +357,8 @@ def test_wigner_values_match_per_point_forms(n, lam):
     assert values.shape == (64,)
     assert np.all(values > 0.0)
     assert_allclose(values, _per_point_values(wig, q, p), rtol=1e-12, atol=0.0)
-    # and wigner_value, the one-row case, agrees with its row
-    assert wigner_value(wig, PhasePoint(q=q[5], p=p[5])) == values[5]
+    # and a one-row call agrees with its row
+    assert wigner_values(wig, q[5:6], p[5:6])[0] == values[5]
 
 
 @settings(derandomize=True, deadline=None)
@@ -417,7 +428,6 @@ def test_wigner_values_floor_and_origin_rows():
     assert 0.0 < values[2] < wig.normConst
     # far below exp(-700), and past the float range altogether: exactly 0
     assert values[1] == 0.0 and values[3] == 0.0
-    assert wigner_log_value(wig, PhasePoint(q=q[1], p=p[1])) < LOG_FLOOR
     # under the floor but not yet under the float range: exp(-710) > 0
     vacuum = _wigner(2, 0.0)
     assert math.pi**-2 * math.exp(-710.0) > 0.0
@@ -439,3 +449,67 @@ def test_wigner_values_floor_and_origin_rows():
 def test_wigner_values_rejects_bad_points(q, p, message):
     with pytest.raises(ValueError, match=message):
         wigner_values(_wigner(3, 0.1), q, p)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_wigner_value_alpha_rows(n, stacked):
+    """Rows of alpha are the points (sqrt(2) Re alpha, sqrt(2) Im alpha) of
+    wigner_values, bit for bit, and each row is its one-point call, a float."""
+    rng = np.random.default_rng(n)
+    lams = np.linspace(-0.5, 0.5, 9)
+    alpha = rng.normal(size=(lams.size, n)) + 1j * rng.normal(size=(lams.size, n))
+    wig = _stacked_wigner(n, lams) if stacked else _wigner(n, 0.3)
+    values = wigner_value_alpha(wig, alpha)
+    q, p = math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag
+    assert values.tobytes() == wigner_values(wig, q, p).tobytes()
+    for k in range(lams.size):
+        one = _stacked_wigner(n, lams[k : k + 1]) if stacked else wig
+        value = wigner_value_alpha(one, alpha[k])
+        assert type(value) is float
+        if n == 2:
+            # einsum's two-element kernel groups the products by batch
+            # position, so a row's last bits depend on m: rounding only
+            assert value == pytest.approx(values[k], rel=1e-14, abs=0.0)
+        else:
+            assert value == values[k]
+
+
+def _alpha_evaluators():
+    """(mode count, evaluator of alpha) for the four Wigner evaluators."""
+    psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(3), 0.1)), build_space(3, 4))
+    return {
+        "wigner_value_alpha": (3, lambda alpha: wigner_value_alpha(_wigner(3, 0.1), alpha)),
+        "wigner3_closed": (3, lambda alpha: wigner3_closed(0.1, alpha)),
+        "wigner4_closed": (4, lambda alpha: wigner4_closed(0.1, alpha)),
+        "wigner_numeric": (3, lambda alpha: wigner_numeric(psi, alpha)),
+    }
+
+
+def _bad_alpha(case, n):
+    alpha = np.zeros(n, dtype=complex)
+    if case == "wrong length":
+        return np.zeros(n + 1)
+    if case == "3-d":
+        return np.zeros((2, 2, n))
+    alpha[0] = {"nan": complex(np.nan, 0.0), "+inf": complex(0.0, np.inf), "-inf": -np.inf}[case]
+    return alpha
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("nan", "phase point entries must be finite"),
+        ("+inf", "phase point entries must be finite"),
+        ("-inf", "phase point entries must be finite"),
+        ("wrong length", "alpha must have length {n}"),
+        ("3-d", "alpha must have length {n}"),
+    ],
+)
+@pytest.mark.parametrize(
+    "evaluator", ["wigner_value_alpha", "wigner3_closed", "wigner4_closed", "wigner_numeric"]
+)
+def test_alpha_evaluators_reject_bad_points(evaluator, case, message):
+    n, evaluate = _alpha_evaluators()[evaluator]
+    with pytest.raises(ValueError, match=f"^{message.format(n=n)}$"):
+        evaluate(_bad_alpha(case, n))

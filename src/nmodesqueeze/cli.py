@@ -2,8 +2,9 @@
 
 Commands, given first or among the flags: coupling, variances,
 normal-form, state, wigner, verify, baseline.  A flag only some commands
-read is a usage error for the others: --cutoff is read by state and
-verify, --seed and --tolerance by verify, --grid and --point by wigner.
+read is a usage error for the others: --n is read by every command but
+baseline and verify, --cutoff by state and verify, --seed and --tolerance
+by verify, --grid and --point by wigner.
 Every run emits one document, JSON by default (schema tag
 "nmode-squeeze/1") or CSV with --format csv.  Floats are printed with 17
 significant digits so a parse on any IEEE-754 platform reproduces the
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import itertools
 import math
@@ -39,14 +39,11 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import numpy as np
 
 from . import coupling as cp
-from . import gaussian as ga
-from . import normalform as nf
 from .errors import (
     ModeCountError,
     NumericFailureError,
@@ -89,24 +86,35 @@ class UsageError(ValueError):
     """Malformed configuration; mapped onto exit code 2."""
 
 
-@dataclass
 class RunConfig:
     """Parsed invocation; one per CLI run."""
 
-    command: str
-    n: int | None = None
-    lam: float = 0.0
-    cutoff: int | None = None
-    grid: list[tuple[str, float, float, int]] = field(default_factory=list)
-    points: list[tuple[list[float], list[float]]] = field(default_factory=list)
-    fmt: str = "json"
-    out: str | None = None
-    seed: int | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
+    def __init__(
+        self,
+        command: str,
+        n: int | None = None,
+        lam: float = 0.0,
+        cutoff: int | None = None,
+        grid: list[tuple[str, float, float, int]] | None = None,
+        points: list[tuple[list[float], list[float]]] | None = None,
+        fmt: str = "json",
+        out: str | None = None,
+        seed: int | None = None,
+        tolerances: dict[str, float] | None = None,
+    ):
+        self.command = command
+        self.n = n
+        self.lam = lam
+        self.cutoff = cutoff
+        self.grid = [] if grid is None else grid
+        self.points = [] if points is None else points
+        self.fmt = fmt
+        self.out = out
+        self.seed = seed
+        self.tolerances = {} if tolerances is None else tolerances
 
 
-@dataclass(frozen=True)
-class PointTable:
+class PointTable(NamedTuple):
     """Wigner values at m phase points, kept as arrays up to rendering.
 
     q and p are (m, n); value_closed is None unless n has a closed form.
@@ -300,7 +308,7 @@ def _render_json(obj, indent: int) -> Iterator[str]:
 def _json_text(obj, indent: int = 0) -> str:
     """The JSON text of obj, nested ``indent`` levels deep, as one string.
     A list renders its items first, to decide whether it fits on one line."""
-    if isinstance(obj, (dict, PointTable)):
+    if isinstance(obj, (dict, PointTable)):  # first: a PointTable is a tuple too
         return "".join(_render_json(obj, indent))
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -354,6 +362,8 @@ def _flatten(obj, prefix: str = ""):
 def _csv_pieces(doc: dict) -> Iterator[str]:
     """The CSV document: its header and any one-row-per-item body in one
     piece, then the wigner points one piece per block of rows."""
+    import csv  # only --format csv reads it
+
     head = io.StringIO()
     writer = csv.writer(head, lineterminator="\n")
     results = doc["results"]
@@ -407,6 +417,8 @@ def _results_coupling(config: RunConfig) -> dict:
 
 
 def _results_variances(config: RunConfig) -> dict:
+    from . import gaussian as ga
+
     kernel = cp.build_kernel(cp.build_coupling(_require_n(config)), config.lam)
     by_sum = ga.variances_matrix_sum(kernel)
     closed = ga.variances_closed(config.lam)
@@ -419,6 +431,8 @@ def _results_variances(config: RunConfig) -> dict:
 
 
 def _results_normal_form(config: RunConfig) -> dict:
+    from . import normalform as nf
+
     kernel = cp.build_kernel(cp.build_coupling(_require_dense_n(config)), config.lam)
     form = nf.normal_form(kernel)
     return {
@@ -430,6 +444,8 @@ def _results_normal_form(config: RunConfig) -> dict:
 
 
 def _results_state(config: RunConfig) -> dict:
+    from . import normalform as nf
+
     n = _require_dense_n(config)
     kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
     state = nf.squeezed_vacuum(kernel)
@@ -459,6 +475,8 @@ def _results_state(config: RunConfig) -> dict:
 
 
 def _results_baseline(config: RunConfig) -> dict:
+    from . import normalform as nf
+
     state = nf.baseline_two_mode(config.lam)
     return {
         "norm": state.norm,
@@ -524,6 +542,8 @@ def _parse_axis(axis: str, n: int) -> tuple[str, int]:
 
 
 def _results_wigner(config: RunConfig) -> dict:
+    from . import gaussian as ga
+
     n = _require_dense_n(config)
     kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
     wig = ga.wigner_from_kernel(kernel)
@@ -531,6 +551,8 @@ def _results_wigner(config: RunConfig) -> dict:
     values = ga.wigner_values(wig, q, p)
     closed = None
     if n in (3, 4):
+        from . import normalform as nf
+
         closed_fn = nf.wigner3_closed if n == 3 else nf.wigner4_closed
         closed = closed_fn(config.lam, (q + 1j * p) / math.sqrt(2.0))
     results: dict = {"points": PointTable(q, p, values, closed)}
@@ -589,6 +611,7 @@ def _refuse_unread_flags(config: RunConfig) -> None:
     """A usage error for a flag the command does not read, so a document's
     config never records a setting that had no effect."""
     reads = {
+        "--n": (config.n is not None, ("coupling", "variances", "normal-form", "state", "wigner")),
         "--cutoff": (config.cutoff is not None, ("state", "verify")),
         "--seed": (config.seed is not None, ("verify",)),
         "--tolerance": (bool(config.tolerances), ("verify",)),

@@ -14,31 +14,46 @@ an independent scaling-and-squaring oracle the tests compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import ModeCountError, ParameterRangeError
+from .errors import ModeCountError, check_lambda
 
 # Overflow guard: cosh(2 * LAMBDA_GUARD * max|eig|) must stay representable.
 LAMBDA_GUARD = 20.0
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """The cyclic coupling A as its first row and its spectrum: O(n) data.
+class _ReadOnly:
+    """Fields set once by ``__init__``; assigning or deleting any attribute
+    afterwards raises.  Cached properties still fill in, since
+    ``functools.cached_property`` writes the instance dict directly."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
+class CouplingMatrix(_ReadOnly):
+    """The cyclic coupling A as its first row: O(n) data.
 
     A is the symmetric circulant with first row ``row`` (integer, zero
-    diagonal, row sum 2); ``eigenvalues`` is the DFT of that row, in DFT
-    order, so ``eigenvalues[0] == 2`` belongs to the all-ones mode.  The
-    dense n x n ``entries`` is built on first use and then kept.
+    diagonal, row sum 2).  Its spectrum ``eigenvalues`` is the DFT of that
+    row, in DFT order, so ``eigenvalues[0] == 2`` belongs to the all-ones
+    mode; it and the dense n x n ``entries`` are each built on first read
+    and then kept.
     """
 
-    n: int
-    row: np.ndarray
-    eigenvalues: np.ndarray
+    def __init__(self, n: int, row: np.ndarray):
+        vars(self).update(n=n, row=row)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The real spectrum of A, fft(row).real, read-only."""
+        return _freeze(np.fft.fft(self.row).real)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -47,8 +62,7 @@ class CouplingMatrix:
         return _freeze(self.row[(index[None, :] - index[:, None]) % self.n])
 
 
-@dataclass(frozen=True)
-class SqueezeKernel:
+class SqueezeKernel(_ReadOnly):
     """lambda with the dense matrix functions of A and two determinants.
 
     Lambda = exp(-lambda A) (symmetric, so it equals its transpose), gram =
@@ -56,8 +70,8 @@ class SqueezeKernel:
     each built on first use; the normal form's product-form oracle uses them.
     """
 
-    coupling: CouplingMatrix
-    lam: float
+    def __init__(self, coupling: CouplingMatrix, lam: float):
+        vars(self).update(coupling=coupling, lam=lam)
 
     def _function(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         return _freeze(matrix_function(self.coupling, fn))
@@ -104,8 +118,8 @@ def build_coupling(n: int) -> CouplingMatrix:
     and A[i+1, i]; in row 0 that is A[0, 1] from the first term and
     A[0, n-1] from the last.  For n = 2 both hit the same entry, which is
     what makes the two-mode member twice as strong as the standard
-    two-mode squeeze.  The spectrum is the DFT of this row; the dense
-    ``entries`` is left until a caller asks for it.
+    two-mode squeeze.  The spectrum (the DFT of this row) and the dense
+    ``entries`` are left until a caller reads them.
 
     Raises
     ------
@@ -117,7 +131,7 @@ def build_coupling(n: int) -> CouplingMatrix:
     row = np.zeros(n, dtype=np.int64)
     row[1] += 1
     row[-1] += 1
-    return CouplingMatrix(n=n, row=_freeze(row), eigenvalues=_freeze(np.fft.fft(row).real))
+    return CouplingMatrix(n=n, row=_freeze(row))
 
 
 def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -140,9 +154,11 @@ def entry_sum(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) 
     """Sum of all entries of fn(A) without building it.
 
     Every row of the circulant fn(A) sums to fn(2), its value on the
-    all-ones mode, so the n x n sum is n fn(2).
+    all-ones mode, so the n x n sum is n fn(2).  That eigenvalue is read as
+    the exact integer row sum of A, bit-equal to ``eigenvalues[0]``, so the
+    spectrum is never built.
     """
-    return float(coupling.n * fn(coupling.eigenvalues[0]))
+    return float(coupling.n * fn(float(coupling.row.sum())))
 
 
 def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:
@@ -153,10 +169,7 @@ def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:
     ParameterRangeError
         If lambda is not finite or |lambda| exceeds the overflow guard.
     """
-    if not math.isfinite(lam):
-        raise ParameterRangeError(f"lambda must be finite, got {lam}")
-    if abs(lam) > LAMBDA_GUARD:
-        raise ParameterRangeError(f"|lambda| <= {LAMBDA_GUARD} required, got {lam}")
+    check_lambda(lam, LAMBDA_GUARD)
     return SqueezeKernel(coupling=coupling, lam=lam)
 
 

@@ -34,7 +34,7 @@ needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ _THETA = {
 }
 
 
-@dataclass(frozen=True)
-class FockSpace:
+class FockSpace(NamedTuple):
     """Per-mode-truncated Fock basis; ``occupation_table`` states its
     flat-index order."""
 
@@ -76,8 +75,7 @@ class FockSpace:
     dim: int
 
 
-@dataclass(frozen=True)
-class FockTensor:
+class FockTensor(NamedTuple):
     """Complex amplitudes over a truncated Fock basis."""
 
     space: FockSpace
@@ -88,20 +86,23 @@ class FockTensor:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass(frozen=True)
-class BandedOperator:
-    """A dim x dim matrix stored as a few of its diagonals.
-
-    ``diagonals[o]`` holds M[k + max(-o, 0), k + max(o, 0)] for
-    k < dim - |o| (numpy.diag's convention); offsets are kept ascending,
-    so a row's entries are met in column order.
-    """
-
+class _BandedOperatorFields(NamedTuple):
     dim: int
     diagonals: dict[int, np.ndarray]
 
-    def __post_init__(self):
-        object.__setattr__(self, "diagonals", dict(sorted(self.diagonals.items())))
+
+class BandedOperator(_BandedOperatorFields):
+    """A dim x dim matrix stored as a few of its diagonals.
+
+    ``diagonals[o]`` holds M[k + max(-o, 0), k + max(o, 0)] for
+    k < dim - |o| (numpy.diag's convention); construction sorts the offsets
+    ascending, so a row's entries are met in column order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, diagonals: dict[int, np.ndarray]):
+        return super().__new__(cls, dim, dict(sorted(diagonals.items())))
 
     @property
     def nnz(self) -> int:
@@ -136,8 +137,7 @@ class BandedOperator:
         return float(np.max(sums))
 
 
-@dataclass(frozen=True)
-class FockOperator:
+class FockOperator(NamedTuple):
     """The banded step iH of the squeeze exp(iH) together with the basis it
     acts on; for every ``generator`` the step is real."""
 

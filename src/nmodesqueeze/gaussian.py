@@ -20,12 +20,12 @@ the Fock oracle; all three read them through ``alpha_rows``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import LAMBDA_GUARD, SqueezeKernel, entry_sum, matrix_function
-from .errors import ParameterRangeError
+from .errors import check_lambda
 
 # Log-space floor: below this the linear-scale value is reported as 0.0.
 LOG_FLOOR = -700.0
@@ -56,8 +56,7 @@ def alpha_rows(alpha: np.ndarray, n: int) -> np.ndarray:
     return alpha.reshape(-1, n)
 
 
-@dataclass(frozen=True)
-class GaussianWigner:
+class GaussianWigner(NamedTuple):
     """Quadratic forms of the squeezed-vacuum Wigner function.
 
     qForm and pForm are (n, n), or (m, n, n) stacks (one Wigner function
@@ -70,22 +69,27 @@ class GaussianWigner:
     normConst: float
 
 
-@dataclass(frozen=True)
-class VariancePair:
-    """Variances of the collective quadratures X1 and X2.
-
-    A valid pair is positive and saturates the uncertainty product
-    varX1 * varX2 = 1/16.
-    """
-
+class _VariancePairFields(NamedTuple):
     varX1: float
     varX2: float
 
-    def __post_init__(self):
+
+class VariancePair(_VariancePairFields):
+    """Variances of the collective quadratures X1 and X2.
+
+    A valid pair is positive and saturates the uncertainty product
+    varX1 * varX2 = 1/16; construction checks both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.varX1 > 0.0 and self.varX2 > 0.0):
             raise ValueError("variances must be positive")
         if abs(self.varX1 * self.varX2 - 1.0 / 16.0) > 1e-12:
             raise ValueError("uncertainty product must equal 1/16")
+        return self
 
 
 def heisenberg_transforms(kernel: SqueezeKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -121,10 +125,7 @@ def variances_closed(lam: float) -> VariancePair:
     Independent of the mode count; must agree with
     ``variances_matrix_sum`` for every n.
     """
-    if not math.isfinite(lam):
-        raise ParameterRangeError(f"lambda must be finite, got {lam}")
-    if abs(lam) > LAMBDA_GUARD:
-        raise ParameterRangeError(f"|lambda| <= {LAMBDA_GUARD} required, got {lam}")
+    check_lambda(lam, LAMBDA_GUARD)
     return VariancePair(varX1=math.exp(-4.0 * lam) / 4.0, varX2=math.exp(4.0 * lam) / 4.0)
 
 

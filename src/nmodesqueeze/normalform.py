@@ -20,12 +20,12 @@ plain numbers so each one can be compared against the generic pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import LAMBDA_GUARD, SqueezeKernel, matrix_function
-from .errors import ParameterRangeError
+from .errors import check_lambda
 from .gaussian import alpha_rows
 
 
@@ -38,32 +38,45 @@ def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
         raise ValueError("two-photon spectrum 1 - f^2 must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class NormalOrderedForm:
-    """Prefactor and coefficient matrices of the factored squeeze, and the
-    spectrum sech2 = 1 - f_k^2 of the creation block."""
+# Each record below is a NamedTuple of its fields, subclassed to check them
+# once at construction.
 
+
+class _NormalOrderedFormFields(NamedTuple):
     prefactor: float
     creMat: np.ndarray
     crossMat: np.ndarray
     annMat: np.ndarray
     sech2: np.ndarray
 
-    def __post_init__(self):
+
+class NormalOrderedForm(_NormalOrderedFormFields):
+    """Prefactor and coefficient matrices of the factored squeeze, and the
+    spectrum sech2 = 1 - f_k^2 of the creation block."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate(self.sech2, creMat=self.creMat, annMat=self.annMat)
+        return self
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """norm * exp(at~ F at / 2)|0> with symmetric two-photon matrix F and
-    sech2 = 1 - f_k^2 over its eigenvalues f_k."""
-
+class _TwoPhotonStateFields(NamedTuple):
     n: int
     norm: float
     F: np.ndarray
     sech2: np.ndarray
 
-    def __post_init__(self):
+
+class TwoPhotonState(_TwoPhotonStateFields):
+    """norm * exp(at~ F at / 2)|0> with symmetric two-photon matrix F and
+    sech2 = 1 - f_k^2 over its eigenvalues f_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.F.shape != (self.n, self.n) or self.sech2.shape != (self.n,):
             raise ValueError("F must be n x n and sech2 of length n")
         _validate(self.sech2, F=self.F)
@@ -71,12 +84,10 @@ class TwoPhotonState:
         unit_norm = math.exp(0.25 * float(np.sum(np.log(self.sech2))))
         if not math.isclose(self.norm, unit_norm, rel_tol=1e-8, abs_tol=np.finfo(float).tiny):
             raise ValueError(f"norm {self.norm} does not match det(1 - F F~)^(1/4) = {unit_norm}")
+        return self
 
 
-@dataclass(frozen=True)
-class ThreeModeClosed:
-    """Hand-derived n = 3 scalars: Gram entries u, v and state coefficients A1-A3."""
-
+class _ThreeModeClosedFields(NamedTuple):
     lam: float
     u: float
     v: float
@@ -84,18 +95,22 @@ class ThreeModeClosed:
     A2: float
     A3: float
 
-    def __post_init__(self):
+
+class ThreeModeClosed(_ThreeModeClosedFields):
+    """Hand-derived n = 3 scalars: Gram entries u, v and state coefficients A1-A3."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if abs(self.u + 2.0 * self.v - math.exp(-4.0 * self.lam)) > 1e-12:
             raise ValueError("row sum u + 2v must equal exp(-4 lambda)")
         if abs(self.A3**2 * math.cosh(2 * self.lam) * math.cosh(self.lam) ** 2 - 1.0) > 1e-10:
             raise ValueError("A3 normalization identity violated")
+        return self
 
 
-@dataclass(frozen=True)
-class FourModeClosed:
-    """Hand-derived n = 4 scalars: Gram pattern r, s, t, the inverse-N pattern
-    (diagonal, nearest, opposite) and the state norm/tanh factors."""
-
+class _FourModeClosedFields(NamedTuple):
     lam: float
     r: float
     s: float
@@ -107,13 +122,22 @@ class FourModeClosed:
     stateNorm: float
     stateTanh: float
 
-    def __post_init__(self):
+
+class FourModeClosed(_FourModeClosedFields):
+    """Hand-derived n = 4 scalars: Gram pattern r, s, t, the inverse-N pattern
+    (diagonal, nearest, opposite) and the state norm/tanh factors."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if abs(self.r - self.s - 1.0) > 1e-12:
             raise ValueError("r - s must equal 1")
         if abs(self.r + self.s + 2.0 * self.t - math.exp(-4.0 * self.lam)) > 1e-12:
             raise ValueError("row sum r + s + 2t must equal exp(-4 lambda)")
         if abs(self.detN - self.r) > 1e-12:
             raise ValueError("det N must equal r")
+        return self
 
 
 def normal_form(kernel: SqueezeKernel) -> NormalOrderedForm:
@@ -146,15 +170,15 @@ def baseline_two_mode(lam: float) -> TwoPhotonState:
     cyclic family at lambda reproduces this baseline at 2 lambda, so the
     accepted range is that of the doubled member, |lambda| <= 2 LAMBDA_GUARD.
     """
-    if not math.isfinite(lam) or abs(lam) > 2 * LAMBDA_GUARD:
-        raise ParameterRangeError(f"|lambda| <= {2 * LAMBDA_GUARD} required, got {lam}")
+    check_lambda(lam, 2 * LAMBDA_GUARD)
     F = np.array([[0.0, -math.tanh(lam)], [-math.tanh(lam), 0.0]])
     sech2 = np.full(2, math.cosh(lam) ** -2)
     return TwoPhotonState(n=2, norm=1.0 / math.cosh(lam), F=F, sech2=sech2)
 
 
 def three_mode_closed(lam: float) -> ThreeModeClosed:
-    """Hand-derived three-mode scalars evaluated at lambda."""
+    """Hand-derived three-mode scalars evaluated at a finite lambda."""
+    check_lambda(lam)
     return ThreeModeClosed(
         lam=lam,
         u=(2.0 / 3.0) * math.exp(2.0 * lam) + (1.0 / 3.0) * math.exp(-4.0 * lam),
@@ -179,12 +203,16 @@ def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
     """coefficients(lam) for one lambda; for lam of shape (m,), one lambda
     per alpha row, each coefficient stacked into an (m,) array.  Every
     lambda goes through the same math calls as a scalar one, so each row
-    keeps the bits of the call at its own lambda."""
+    keeps the bits of the call at its own lambda.  A non-finite lambda, or
+    row of lambdas, is a ParameterRangeError."""
     if np.ndim(lam) == 0:
+        check_lambda(lam)
         return coefficients(lam)
     lams = np.asarray(lam, dtype=float)
     if lams.shape != rows.shape[:1]:
         raise ValueError(f"lambda must be a scalar or hold one value per alpha row ({len(rows)})")
+    for value in lams.tolist():
+        check_lambda(value)
     return tuple(np.array(col) for col in zip(*map(coefficients, lams.tolist())))
 
 
@@ -217,7 +245,8 @@ def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
 
 
 def four_mode_closed(lam: float) -> FourModeClosed:
-    """Hand-derived four-mode scalars evaluated at lambda."""
+    """Hand-derived four-mode scalars evaluated at a finite lambda."""
+    check_lambda(lam)
     c2, s2, t2 = math.cosh(2.0 * lam), math.sinh(2.0 * lam), math.tanh(2.0 * lam)
     return FourModeClosed(
         lam=lam,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,29 +64,43 @@ CONFIG_PARITY = (3, 8, 0.1)
 CONFIG_PROBE_FOCK = (3, 20, 0.5)
 
 
-@dataclass
 class CheckRecord:
     """One verified claim: worst measured error against its tolerance.
 
     A record made from its name alone is blank: the check gave no result.
     """
 
-    name: str
-    ref: str = ""
-    inputs: dict = field(default_factory=dict)
-    expected: object = None
-    actual: object = None
-    tol: float = math.nan
-    passed: bool | None = None
-    tail_mass: float | None = None
-    skipped: bool = False
-    note: str = ""
+    def __init__(
+        self,
+        name: str,
+        ref: str = "",
+        inputs: dict | None = None,
+        expected: object = None,
+        actual: object = None,
+        tol: float = math.nan,
+        passed: bool | None = None,
+        tail_mass: float | None = None,
+        skipped: bool = False,
+        note: str = "",
+    ):
+        self.name = name
+        self.ref = ref
+        self.inputs = {} if inputs is None else inputs
+        self.expected = expected
+        self.actual = actual
+        self.tol = tol
+        self.passed = passed
+        self.tail_mass = tail_mass
+        self.skipped = skipped
+        self.note = note
 
 
-@dataclass
 class VerifyReport:
-    seed: int
-    checks: list[CheckRecord] = field(default_factory=list)
+    """The records of one run of the suite, in table order."""
+
+    def __init__(self, seed: int, checks: list[CheckRecord] | None = None):
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     @property
     def overall(self) -> str:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from nmodesqueeze import cli, verification
 from nmodesqueeze import fockoracle as fo
+from nmodesqueeze import gaussian as ga
+from nmodesqueeze import normalform as nf
 from nmodesqueeze.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -106,6 +108,13 @@ def test_main_baseline_past_the_doubled_guard(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_main_baseline_non_finite_lambda(capsys):
+    assert main(["baseline", "--lambda", "nan"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lambda must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("command", ["normal-form", "state"])
@@ -358,6 +367,8 @@ def test_main_verify_bad_inputs_are_usage_errors(argv, message, capsys):
         (["verify", "--point", "0,0:0,0"], "--point"),
         (["state", "--n", "2", "--grid", "q1=0:1:2"], "--grid"),
         (["verify", "--grid", "q1=0:1:2", "--format", "csv"], "--grid"),
+        (["baseline", "--n", "7", "--lambda", "0.3"], "--n"),
+        (["verify", "--n", "5"], "--n"),
     ],
 )
 def test_main_flag_the_command_does_not_read_is_a_usage_error(argv, flag, capsys):
@@ -486,14 +497,14 @@ def test_points_rendering_covers_wide_and_null_rows(monkeypatch):
     assert points[0]["value"] == 0.0  # past the float range: exactly 0
     assert points[0]["value_closed"] == 0.0  # the closed form is screened the same way
     # A NaN renders as null both in a wide row and in a template row.
-    real_closed = cli.nf.wigner4_closed
+    real_closed = nf.wigner4_closed
 
     def closed_with_nan(lam, alpha):
         values = real_closed(lam, alpha)
         values[[0, 2]] = math.nan
         return values
 
-    monkeypatch.setattr(cli.nf, "wigner4_closed", closed_with_nan)
+    monkeypatch.setattr(nf, "wigner4_closed", closed_with_nan)
     points = json.loads(run(config)[0])["results"]["points"]
     assert points[0]["value_closed"] is None and points[2]["value_closed"] is None
     assert points[3]["value_closed"] > 0.0
@@ -626,7 +637,7 @@ def test_main_wigner_numeric_failure_writes_nothing(monkeypatch, tmp_path, capsy
     def failing(*args, **kwargs):
         raise NumericFailureError("solver broke down")
 
-    monkeypatch.setattr(cli.ga, "wigner_values", failing)
+    monkeypatch.setattr(ga, "wigner_values", failing)
     out = tmp_path / "grid.json"
     assert main(GRID_ARGV) == EXIT_NUMERIC
     assert main([*GRID_ARGV, "--out", str(out)]) == EXIT_NUMERIC
@@ -762,7 +773,7 @@ def test_main_numeric_failure_exit(error, monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise error("solver broke down")
 
-    monkeypatch.setattr(cli.nf, "normal_form", failing)
+    monkeypatch.setattr(nf, "normal_form", failing)
     assert main(["normal-form", "--n", "3", "--lambda", "0.2"]) == EXIT_NUMERIC
     captured = capsys.readouterr()
     assert captured.out == ""

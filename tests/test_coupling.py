@@ -15,6 +15,7 @@ from nmodesqueeze import (
     expm_taylor,
     matrix_function,
     sum_identities,
+    variances_matrix_sum,
 )
 
 SWEEP_N = range(2, 9)
@@ -82,6 +83,34 @@ def test_variances_keep_the_coupling_o_n(monkeypatch):
     assert peak < 1_000_000
     assert [coupling.n for coupling in built] == [3000]
     assert "entries" not in vars(built[0])
+
+
+def test_spectrum_is_built_on_first_read():
+    coupling = build_coupling(7)
+    variances_matrix_sum(build_kernel(coupling, 0.3))
+    assert "eigenvalues" not in vars(coupling)  # entry_sum reads the row sum instead
+    assert coupling.eigenvalues is coupling.eigenvalues
+    assert not coupling.eigenvalues.flags.writeable
+    assert np.array_equal(coupling.eigenvalues, np.fft.fft(coupling.row).real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64, 1000, 3000])
+def test_all_ones_eigenvalue_is_the_row_sum(n):
+    coupling = build_coupling(n)
+    assert coupling.row.sum() == 2
+    assert coupling.eigenvalues[0] == 2.0  # bit for bit: entry_sum reads either
+
+
+def test_coupling_and_kernel_fields_are_read_only():
+    coupling = build_coupling(3)
+    kernel = build_kernel(coupling, 0.3)
+    for record, field in [(coupling, "n"), (coupling, "row"), (coupling, "eigenvalues"),
+                          (kernel, "coupling"), (kernel, "lam"), (kernel, "gram")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert kernel.lam == 0.3 and kernel.coupling is coupling and coupling.n == 3
 
 
 @pytest.mark.parametrize("n", [0, 1, -3])

@@ -87,10 +87,10 @@ def test_console_refusals_write_one_line(argv, line):
 def test_console_numeric_failure_exit():
     script = (
         "import sys\n"
-        "from nmodesqueeze import cli, errors\n"
+        "from nmodesqueeze import cli, errors, normalform\n"
         "def failing(*args, **kwargs):\n"
         "    raise errors.NumericFailureError('solver broke down')\n"
-        "cli.nf.normal_form = failing\n"
+        "normalform.normal_form = failing\n"
         "sys.argv = ['nmode-squeeze', 'normal-form', '--n', '3']\n"
         "cli.console_main()\n"
     )

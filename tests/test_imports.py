@@ -1,7 +1,10 @@
 """What importing the package costs: the Fock oracle loads only when a
 command needs it, no command loads scipy, only verify loads numpy.random
-and numpy.polynomial, and the Fock names resolve on first use."""
+and numpy.polynomial, each command loads only the package modules and
+the parts of numpy and the stdlib it reads, and every re-exported name
+resolves on first use."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -25,6 +28,17 @@ HEAVY = (
     "nmodesqueeze.fockoracle",
     "nmodesqueeze.verification",
 )
+# Loaded only by the commands that read them: gaussian by variances, wigner
+# and the commands that load normalform (which imports it), numpy.fft by the
+# commands that read the spectrum, csv by --format csv.  No command loads
+# dataclasses.
+PER_COMMAND = (
+    "csv",
+    "dataclasses",
+    "nmodesqueeze.gaussian",
+    "nmodesqueeze.normalform",
+    "numpy.fft",
+)
 FOCK_NAMES = (
     "FockOperator",
     "FockSpace",
@@ -42,16 +56,65 @@ FOCK_NAMES = (
     "variance_numeric",
     "wigner_numeric",
 )
+# Every name the package re-exports, by the module that defines it.
+REEXPORTS = {
+    "coupling": (
+        "CouplingMatrix",
+        "SqueezeKernel",
+        "build_coupling",
+        "build_kernel",
+        "entry_sum",
+        "expm_taylor",
+        "matrix_function",
+        "sum_identities",
+    ),
+    "errors": (
+        "ModeCountError",
+        "NumericFailureError",
+        "ParameterRangeError",
+        "ResourceLimitError",
+        "TruncationError",
+    ),
+    "gaussian": (
+        "GaussianWigner",
+        "VariancePair",
+        "alpha_rows",
+        "covariance_matrix",
+        "heisenberg_transforms",
+        "normalization_by_quadrature",
+        "variances_closed",
+        "variances_matrix_sum",
+        "wigner_from_kernel",
+        "wigner_q_marginal",
+        "wigner_value_alpha",
+        "wigner_values",
+    ),
+    "normalform": (
+        "FourModeClosed",
+        "NormalOrderedForm",
+        "ThreeModeClosed",
+        "TwoPhotonState",
+        "baseline_two_mode",
+        "four_mode_closed",
+        "normal_form",
+        "squeezed_vacuum",
+        "three_mode_closed",
+        "wigner3_closed",
+        "wigner4_closed",
+    ),
+    "fockoracle": FOCK_NAMES,
+}
+ALL_NAMES = sorted(name for names in REEXPORTS.values() for name in names)
 
-# Runs in a fresh interpreter; records which of HEAVY are loaded after each
-# step and prints them as the last line of stdout.
+# Runs in a fresh interpreter; records which of the watched modules are
+# loaded after each step and prints them as the last line of stdout.
 PROBE = """
 import json, sys
-heavy = {heavy!r}
+watch = {watch!r}
 stages = {{}}
 def mark(stage):
     stages[stage] = sorted(
-        m for m in sys.modules if m in heavy or m.partition(".")[0] in heavy
+        m for m in sys.modules if m in watch or m.partition(".")[0] in watch
     )
 import nmodesqueeze
 mark("import nmodesqueeze")
@@ -63,11 +126,11 @@ print(json.dumps({{"code": code, "stages": stages}}))
 """
 
 
-def _loaded_modules(argv: list[str]) -> dict:
+def _loaded_modules(argv: list[str], watch: tuple[str, ...] = HEAVY) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(heavy=HEAVY, argv=argv)],
+        [sys.executable, "-c", PROBE.format(watch=watch, argv=argv)],
         capture_output=True,
         text=True,
         env=env,
@@ -118,9 +181,52 @@ def test_verify_loads_no_scipy():
     ]
 
 
-@pytest.mark.parametrize("name", FOCK_NAMES)
-def test_fock_names_reexported(name):
-    assert getattr(nmodesqueeze, name) is getattr(fockoracle, name)
+GAUSSIAN, NORMALFORM, FFT = "nmodesqueeze.gaussian", "nmodesqueeze.normalform", "numpy.fft"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(["variances", "--n", "50", "--lambda", "0.3"], [GAUSSIAN], id="variances"),
+        pytest.param(
+            ["variances", "--n", "5", "--format", "csv"], ["csv", GAUSSIAN], id="variances-csv"
+        ),
+        pytest.param(["coupling", "--n", "5", "--lambda", "0.3"], [FFT], id="coupling"),
+        pytest.param(["coupling", "--n", "5", "--format", "csv"], ["csv", FFT], id="coupling-csv"),
+        pytest.param(["normal-form", "--n", "5"], [GAUSSIAN, NORMALFORM, FFT], id="normal-form"),
+        pytest.param(["state", "--n", "5"], [GAUSSIAN, NORMALFORM, FFT], id="state"),
+        pytest.param(["wigner", "--n", "2"], [GAUSSIAN, FFT], id="wigner-n2"),
+        pytest.param(
+            ["wigner", "--n", "4", "--grid", "q1=-1:1:5", "--format", "csv"],
+            ["csv", GAUSSIAN, NORMALFORM, FFT],
+            id="wigner-n4-csv",
+        ),
+        pytest.param(["baseline", "--lambda", "0.3"], [GAUSSIAN, NORMALFORM], id="baseline"),
+        pytest.param(["verify"], [GAUSSIAN, NORMALFORM, FFT], id="verify"),
+    ],
+)
+def test_each_command_loads_only_what_it_reads(argv, loaded):
+    stages = _loaded_modules(argv, PER_COMMAND)
+    assert stages == {"import nmodesqueeze": [], "import nmodesqueeze.cli": [], "main": loaded}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [pytest.param(module, name, id=name) for module, names in REEXPORTS.items() for name in names],
+)
+def test_fock_names_reexported(module, name):
+    assert getattr(nmodesqueeze, name) is getattr(
+        importlib.import_module(f"nmodesqueeze.{module}"), name
+    )
+    assert name not in vars(nmodesqueeze)  # resolved through the module, never copied
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace: dict = {}
+    exec("from nmodesqueeze import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
+    assert nmodesqueeze.__all__ == ALL_NAMES
+    assert set(ALL_NAMES) <= set(dir(nmodesqueeze))
 
 
 def test_fock_names_resolve_on_every_access(monkeypatch):

@@ -171,6 +171,33 @@ def test_baseline_rejects_past_the_doubled_guard(lam):
         baseline_two_mode(lam)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        three_mode_closed,
+        four_mode_closed,
+        baseline_two_mode,
+        lambda lam: wigner3_closed(lam, np.zeros(3)),
+        lambda lam: wigner4_closed(lam, np.zeros(4)),
+        lambda lam: wigner3_closed(np.array([0.1, lam]), np.zeros((2, 3))),
+        lambda lam: wigner4_closed(np.array([lam, 0.1]), np.zeros((2, 4))),
+    ],
+    ids=[
+        "three_mode_closed",
+        "four_mode_closed",
+        "baseline_two_mode",
+        "wigner3_closed",
+        "wigner4_closed",
+        "wigner3_closed_rows",
+        "wigner4_closed_rows",
+    ],
+)
+def test_non_finite_lambda_is_a_range_error(evaluate, lam):
+    with pytest.raises(ParameterRangeError, match=f"^lambda must be finite, got {lam}$"):
+        evaluate(lam)
+
+
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
 def test_normal_form_over_accepted_range(n, lam):

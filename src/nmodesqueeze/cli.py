@@ -72,11 +72,13 @@ EXIT_NUMERIC = 4
 # It admits 1024 x 1024 points at n = 4, which peaked at 371 MB.
 GRID_GUARD = 1 << 22
 
-# Largest n x n matrix, counted in entries, that coupling, normal-form,
-# state and wigner build; variances is O(n) and has no such guard.  Peak
-# RSS grew by 253, 220, 140 and 34 bytes per entry for normal-form,
-# coupling, state and wigner at n = 2000 (JSON to a file, 2 vCPUs), so a
-# normal-form at the guard, n = 1448, stays near 0.55 GB.
+# Largest n x n matrix, counted in entries, that coupling, normal-form and
+# state build; variances is O(n) and has no such guard.  Peak RSS grew by
+# 253, 220 and 140 bytes per entry for normal-form, coupling and state at
+# n = 2000 (JSON to a file, 2 vCPUs), so a normal-form at the guard,
+# n = 1448, stays near 0.55 GB.  wigner builds no such matrix; there the
+# same cap on n bounds the 2n columns rendered per point, whose cost past
+# n = 1448 has not been measured.
 DENSE_GUARD = 1 << 21
 
 POINT_HELP = "phase-space point; one that starts with -inf or -nan needs --point=VALUE"

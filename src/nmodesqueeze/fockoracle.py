@@ -38,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import CouplingMatrix
-from .errors import NumericFailureError, ResourceLimitError, TruncationError
+from .coupling import LAMBDA_GUARD, CouplingMatrix
+from .errors import NumericFailureError, ResourceLimitError, TruncationError, check_lambda
 from .gaussian import alpha_rows
 from .normalform import NormalOrderedForm, TwoPhotonState
 
@@ -311,8 +311,10 @@ def generator(space: FockSpace, coupling: CouplingMatrix, lam: float) -> FockOpe
     a_i a_j~ parts of Q_i P_j + Q_j P_i cancel and
     iH = (lambda / 2) sum_ij A_ij (a_i a_j - a_i~ a_j~): the lowering pair
     sum over ladders scaled by 1/sqrt(2) above the main diagonal, and its
-    negation below it.  The step is real and antisymmetric.
+    negation below it.  The step is real and antisymmetric.  A lambda that
+    ``build_kernel`` refuses is a ParameterRangeError here too.
     """
+    check_lambda(lam, LAMBDA_GUARD)
     if coupling.n != space.n:
         raise ValueError(f"coupling has {coupling.n} modes, space has {space.n}")
     scale = 1 / math.sqrt(2.0)

@@ -217,9 +217,7 @@ def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
 
 
 def _wigner3_coefficients(lam: float) -> tuple[float, float, float, float]:
-    c2, c4 = math.cosh(2 * lam), math.cosh(4 * lam)
-    s2, s4 = math.sinh(2 * lam), math.sinh(4 * lam)
-    return -(2.0 / 3.0) * (c4 + 2.0 * c2), -(1.0 / 3.0) * (s4 - 2.0 * s2), c4 - c2, s2 + s4
+    return math.exp(4.0 * lam), math.exp(-4.0 * lam), math.exp(-2.0 * lam), math.exp(2.0 * lam)
 
 
 def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
@@ -227,20 +225,24 @@ def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
 
     alpha is one point, shape (3,), giving a float, or one point per row,
     shape (m, 3), giving an array of m values; lam is one lambda, or one
-    per row, shape (m,).  The trailing complex conjugate applies to the
-    whole secondexponent brace (both the alpha^2 sum and the cross terms);
-    the generic Gaussian form is the test that pins this reading down.
+    per row, shape (m,).  The paper's exponent is regrouped by the sum S
+    and the pair differences d_ij of the alpha_i into non-positive terms,
+    -2/3 [e^(4 lambda) (Re S)^2 + e^(-4 lambda) (Im S)^2
+          + e^(-2 lambda) sum (Re d_ij)^2 + e^(2 lambda) sum (Im d_ij)^2],
+    so nothing cancels at large |lambda|.
     """
     rows = alpha_rows(alpha, 3)
-    k_abs, k_sq, k_mixed, k_plain = _per_row(lam, _wigner3_coefficients, rows)
+    k_sum_re, k_sum_im, k_diff_re, k_diff_im = _per_row(lam, _wigner3_coefficients, rows)
     a0, a1, a2 = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
-        abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
-        alpha_sq = np.sum(rows**2, axis=1)
-        cross_mixed = a0 * a1.conjugate() + a0 * a2.conjugate() + a1 * a2.conjugate()
-        cross_plain = a0 * a1 + a0 * a2 + a1 * a2
-        brace = k_sq * alpha_sq - (2.0 / 3.0) * (k_mixed * cross_mixed + k_plain * cross_plain)
-        expo = k_abs * abs_sq + 2.0 * brace.real
+        total = a0 + a1 + a2
+        diffs = (a0 - a1, a0 - a2, a1 - a2)
+        expo = -(2.0 / 3.0) * (
+            k_sum_re * total.real**2
+            + k_sum_im * total.imag**2
+            + k_diff_re * sum(d.real**2 for d in diffs)
+            + k_diff_im * sum(d.imag**2 for d in diffs)
+        )
     return _closed_values(expo, 3, alpha)
 
 
@@ -262,21 +264,22 @@ def four_mode_closed(lam: float) -> FourModeClosed:
     )
 
 
-def _wigner4_coefficients(lam: float) -> tuple[float, float, float]:
-    c2, t2 = math.cosh(2.0 * lam), math.tanh(2.0 * lam)
-    return -2.0 * c2**2, t2**2, t2
+def _wigner4_coefficients(lam: float) -> tuple[float, float]:
+    return math.exp(4.0 * lam), math.exp(-4.0 * lam)
 
 
 def wigner4_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
     """Four-mode Wigner function in its hand-derived closed form; alpha of
     shape (4,) gives a float, alpha rows of shape (m, 4) an array, and lam
-    is one lambda or one per row, shape (m,)."""
+    is one lambda or one per row, shape (m,).  With u = alpha_1 + alpha_3
+    and v = alpha_2 + alpha_4 the exponent is a sum of non-positive terms,
+    -e^(4 lambda) |u + v*|^2 / 2 - e^(-4 lambda) |u - v*|^2 / 2
+    - |alpha_1 - alpha_3|^2 - |alpha_2 - alpha_4|^2, so nothing cancels."""
     rows = alpha_rows(alpha, 4)
-    scale, t2_sq, t2 = _per_row(lam, _wigner4_coefficients, rows)
+    k_plus, k_minus = _per_row(lam, _wigner4_coefficients, rows)
     a0, a1, a2, a3 = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
-        abs_sq = np.sum(np.abs(rows) ** 2, axis=1)
-        opposite = a0 * a2.conjugate() + a1 * a3.conjugate()
-        ring = a0 * a1 + a0 * a3 + a1 * a2 + a2 * a3
-        expo = scale * (abs_sq + 2.0 * opposite.real * t2_sq + 2.0 * ring.real * t2)
+        u, v = a0 + a2, (a1 + a3).conjugate()
+        expo = -0.5 * (k_plus * np.abs(u + v) ** 2 + k_minus * np.abs(u - v) ** 2)
+        expo -= np.abs(a0 - a2) ** 2 + np.abs(a1 - a3) ** 2
     return _closed_values(expo, 4, alpha)

@@ -375,12 +375,10 @@ def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> Chec
     for closed_fn, alphas in ((nf.wigner3_closed, alphas3), (nf.wigner4_closed, alphas4)):
         n = alphas[0].size
         base = cp.build_coupling(n)
-        # the kernels' gramInv and gram at every drawn lambda, as (200, n, n) stacks
+        # the kernels' Wigner weights at every drawn lambda, as (200, n) stacks
+        exponents = 2.0 * lam_values[:, None] * base.eigenvalues
         wig = ga.GaussianWigner(
-            n=n,
-            qForm=cp.matrix_function(base, lambda a: np.exp(2.0 * lam_values[:, None] * a)),
-            pForm=cp.matrix_function(base, lambda a: np.exp(-2.0 * lam_values[:, None] * a)),
-            normConst=math.pi ** (-n),
+            n=n, qWeights=np.exp(exponents), pWeights=np.exp(-exponents), normConst=math.pi ** (-n)
         )
         points = np.array(alphas)
         generic = ga.wigner_value_alpha(wig, points)

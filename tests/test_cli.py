@@ -738,6 +738,19 @@ def test_non_finite_floats_render_as_null():
     assert cli._fmt_float(-0.0) == "-0"
 
 
+def test_main_wigner_squeezed_direction_at_large_lambda(capsys):
+    # p along the all-ones mode, the most squeezed: the exponent is
+    # 9 exp(-60), so the value is pi^-9, with nothing on stderr
+    zeros, ones = ",".join(["0"] * 9), ",".join(["1"] * 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["wigner", "--n", "9", "--lambda", "15", f"--point={zeros}:{ones}"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    value = _strict_json(captured.out)["results"]["points"][0]["value"]
+    assert value == math.pi**-9 == 3.3546803572088706e-05
+
+
 def test_coupling_past_float_range_is_strict_json(capsys):
     # det N overflows the float range here; it is reported as null, quietly
     with warnings.catch_warnings():

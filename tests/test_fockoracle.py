@@ -10,6 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from nmodesqueeze import (
     NumericFailureError,
+    ParameterRangeError,
     ResourceLimitError,
     TruncationError,
     baseline_two_mode,
@@ -271,9 +272,18 @@ def test_evolve_independent_of_global_rng():
 
 
 def test_evolve_rejects_non_finite_generator():
-    ham = generator(build_space(2, 4), build_coupling(2), math.nan)
+    # built directly: generator itself refuses a non-finite lambda
+    space = build_space(2, 4)
+    step = BandedOperator(space.dim, {1: np.full(space.dim - 1, math.nan)})
     with pytest.raises(NumericFailureError):
-        evolve_vacuum(ham)
+        evolve_vacuum(FockOperator(space, step))
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 1e300, 20.000001])
+def test_generator_rejects_lambda_outside_guard(lam):
+    """The range build_kernel accepts, refused before any diagonal is built."""
+    with pytest.raises(ParameterRangeError):
+        generator(build_space(2, 4), build_coupling(2), lam)
 
 
 def test_evolve_beyond_dense_reach():

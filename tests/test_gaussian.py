@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from nmodesqueeze import (
     build_coupling,
     build_kernel,
     covariance_matrix,
+    expm_taylor,
     heisenberg_transforms,
-    matrix_function,
     normalization_by_quadrature,
     squeezed_vacuum,
     variances_closed,
@@ -41,6 +42,13 @@ WIGNER3_POINT_VALUE = 0.019144546955626205
 
 def _wigner(n, lam):
     return wigner_from_kernel(build_kernel(build_coupling(n), lam))
+
+
+def _dense_forms(n, lam):
+    """The oracle forms exp(+2 lambda A) and exp(-2 lambda A), dense, from
+    the Taylor exponential rather than the spectrum."""
+    coupling = build_coupling(n).entries.astype(float)
+    return expm_taylor(2.0 * lam * coupling), expm_taylor(-2.0 * lam * coupling)
 
 
 def test_heisenberg_identity_at_zero():
@@ -139,8 +147,10 @@ def test_variance_pair_rejects_wrong_product():
 @pytest.mark.parametrize("lam", SWEEP_LAMBDA)
 def test_wigner_form_invariants(n, lam):
     wig = _wigner(n, lam)
-    assert_allclose(wig.qForm @ wig.pForm, np.eye(n), atol=1e-10)
-    assert np.linalg.det(wig.qForm) * np.linalg.det(wig.pForm) == pytest.approx(1.0, abs=1e-10)
+    # the q and p forms are inverses, with determinant 1 each
+    assert_allclose(wig.qWeights * wig.pWeights, np.ones(n), atol=1e-10)
+    assert np.prod(wig.qWeights) == pytest.approx(1.0, abs=1e-10)
+    assert np.prod(wig.pWeights) == pytest.approx(1.0, abs=1e-10)
     origin = np.zeros((1, n))
     assert wigner_values(wig, origin, origin)[0] == wig.normConst == math.pi ** (-n)
 
@@ -208,12 +218,13 @@ def test_wigner_underflow_reports_zero():
 
 
 def test_covariance_vacuum():
-    assert_allclose(covariance_matrix(_wigner(3, 0.0)), np.eye(6) / 2, atol=1e-12)
+    vacuum = build_kernel(build_coupling(3), 0.0)
+    assert_allclose(covariance_matrix(vacuum), np.eye(6) / 2, atol=1e-12)
 
 
 def test_covariance_three_mode_entries():
     kernel = build_kernel(build_coupling(3), 0.1)
-    cov = covariance_matrix(wigner_from_kernel(kernel))
+    cov = covariance_matrix(kernel)
     u = (2.0 / 3.0) * math.exp(0.2) + (1.0 / 3.0) * math.exp(-0.4)
     assert cov[0, 0] == pytest.approx(u / 2, rel=1e-12)
     assert_allclose(cov[:3, 3:], 0.0, atol=1e-15)
@@ -223,7 +234,7 @@ def test_covariance_three_mode_entries():
 @pytest.mark.parametrize("lam", (0.0, 0.2, -0.4))
 def test_covariance_projection_recovers_variances(n, lam):
     kernel = build_kernel(build_coupling(n), lam)
-    cov = covariance_matrix(wigner_from_kernel(kernel))
+    cov = covariance_matrix(kernel)
     pair = variances_matrix_sum(kernel)
     ones = np.ones(n) / math.sqrt(2.0 * n)
     assert ones @ cov[:n, :n] @ ones == pytest.approx(pair.varX1, abs=1e-12)
@@ -237,16 +248,20 @@ def test_normalization_by_quadrature():
         normalization_by_quadrature(_wigner(4, 0.1))
 
 
-def _tensor_grid_normalization(wig, nodes_per_axis):
+def _tensor_grid_normalization(n, lam, nodes_per_axis):
     """The oracle: the Gauss-Hermite rule over the full 2n-axis tensor
-    grid, with no use of the q-p block structure.  The trailing three axes
-    are vectorised and the rest looped over."""
+    grid, with no use of the q-p block structure or of the FFT: each form
+    minus the identity is read on the eigenvectors of the dense A that
+    numpy.linalg.eigh returns.  A dense contraction x (F - I) x would
+    cancel entries of e^(4 lambda)/2 down to the exponent, which at
+    lambda = 1 costs it more than the 1e-14 this oracle is held to.  The
+    trailing three axes are vectorised and the rest looped over."""
     nodes, weights = np.polynomial.hermite.hermgauss(nodes_per_axis)
-    naxes = 2 * wig.n
-    form = np.zeros((naxes, naxes))
-    form[: wig.n, : wig.n] = wig.qForm
-    form[wig.n :, wig.n :] = wig.pForm
-    shifted = form - np.eye(naxes)
+    naxes = 2 * n
+    eigenvalues, eigenvectors = np.linalg.eigh(build_coupling(n).entries.astype(float))
+    basis = np.zeros((naxes, naxes))
+    basis[:n, :n] = basis[n:, n:] = eigenvectors
+    shift = np.exp(2.0 * lam * np.concatenate([eigenvalues, -eigenvalues])) - 1.0
     nvec = min(3, naxes)
     nloop = naxes - nvec
     grids = np.meshgrid(*([nodes] * nvec), indexing="ij")
@@ -258,9 +273,9 @@ def _tensor_grid_normalization(wig, nodes_per_axis):
         head = nodes[list(head_idx)]
         head_weight = float(np.prod(weights[list(head_idx)]))
         pts = np.vstack([np.tile(head[:, None], tail.shape[1]), tail])
-        expo = -np.einsum("ik,ij,jk->k", pts, shifted, pts)
+        expo = -np.sum(shift[:, None] * (basis.T @ pts) ** 2, axis=0)
         total += head_weight * float(tail_weight @ np.exp(expo))
-    return wig.normConst * total
+    return math.pi ** (-n) * total
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, -0.5, 1.0])
@@ -271,7 +286,7 @@ def test_normalization_block_rule_matches_tensor_grid(n, nodes, lam):
     # the two still agree
     wig = _wigner(n, lam)
     assert normalization_by_quadrature(wig, nodes_per_axis=nodes) == pytest.approx(
-        _tensor_grid_normalization(wig, nodes), rel=1e-14, abs=0.0
+        _tensor_grid_normalization(n, lam, nodes), rel=1e-14, abs=0.0
     )
 
 
@@ -289,7 +304,7 @@ def test_normalization_by_quadrature_stays_small():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_q_marginal_origin_at_large_lambda(n):
-    # det(qForm) is exactly 1, but an LU determinant of it at lambda = 5
+    # det exp(2 lambda A) is exactly 1, but an LU determinant of it at lambda = 5
     # cancels to 0 (n = 2) or goes negative (n = 4)
     value = wigner_q_marginal(_wigner(n, 5.0), np.zeros(n))
     assert value == pytest.approx(math.pi ** (-n / 2), rel=1e-12)
@@ -298,9 +313,8 @@ def test_q_marginal_origin_at_large_lambda(n):
 def test_q_marginal_matches_determinants_and_quadrature():
     wig = _wigner(2, 0.2)
     # determinant identity behind the closed marginal prefactor
-    assert np.linalg.det(wig.pForm) ** -0.5 == pytest.approx(
-        np.linalg.det(wig.qForm) ** 0.5, rel=1e-10
-    )
+    q_form, p_form = _dense_forms(2, 0.2)
+    assert np.linalg.det(p_form) ** -0.5 == pytest.approx(np.linalg.det(q_form) ** 0.5, rel=1e-10)
     nodes, weights = np.polynomial.hermite.hermgauss(48)
     for q in (np.array([0.0, 0.0]), np.array([0.3, -0.2]), np.array([1.0, 0.5])):
         total = 0.0
@@ -329,14 +343,16 @@ def test_q_marginal_past_float_range_is_zero():
     assert wigner_q_marginal(_wigner(3, 0.1), np.array([1e200, 0.0, 0.0])) == 0.0
 
 
-def _per_point_values(wig, q, p):
-    """The oracle: one literal q @ qForm @ q + p @ pForm @ p per row, with
-    the log-space floor applied point by point."""
+def _per_point_values(n, lam, q, p):
+    """The oracle: one literal q @ qForm @ q + p @ pForm @ p per row over
+    the dense Taylor forms, with the log-space floor applied point by
+    point."""
+    q_form, p_form = _dense_forms(n, lam)
     out = []
     for q_row, p_row in zip(q, p):
-        quad = float(q_row @ wig.qForm @ q_row + p_row @ wig.pForm @ p_row)
-        below = -quad - wig.n * math.log(math.pi) < LOG_FLOOR
-        out.append(0.0 if below else wig.normConst * math.exp(-quad))
+        quad = float(q_row @ q_form @ q_row + p_row @ p_form @ p_row)
+        below = -quad - n * math.log(math.pi) < LOG_FLOOR
+        out.append(0.0 if below else math.pi ** (-n) * math.exp(-quad))
     return np.array(out)
 
 
@@ -356,7 +372,7 @@ def test_wigner_values_match_per_point_forms(n, lam):
     values = wigner_values(wig, q, p)
     assert values.shape == (64,)
     assert np.all(values > 0.0)
-    assert_allclose(values, _per_point_values(wig, q, p), rtol=1e-12, atol=0.0)
+    assert_allclose(values, _per_point_values(n, lam, q, p), rtol=1e-12, atol=0.0)
     # and a one-row call agrees with its row
     assert wigner_values(wig, q[5:6], p[5:6])[0] == values[5]
 
@@ -366,7 +382,7 @@ def test_wigner_values_match_per_point_forms(n, lam):
 def test_wigner_values_match_per_point_forms_over_accepted_range(n, lam, seed):
     wig = _wigner(n, lam)
     q, p = _scaled_points(n, lam, 8, seed)
-    assert_allclose(wigner_values(wig, q, p), _per_point_values(wig, q, p), rtol=1e-12, atol=0.0)
+    assert_allclose(wigner_values(wig, q, p), _per_point_values(n, lam, q, p), rtol=1e-12, atol=0.0)
 
 
 @settings(derandomize=True, deadline=None)
@@ -377,15 +393,11 @@ def test_wigner_origin_over_accepted_range(n, lam):
 
 
 def _stacked_wigner(n, lams):
-    """One GaussianWigner whose forms are the (m, n, n) stacks of the
-    kernels' gramInv and gram over the m values in lams."""
-    coupling = build_coupling(n)
-    column = np.asarray(lams)[:, None]
+    """One GaussianWigner whose weights are the (m, n) stacks of the
+    kernels' weights over the m values in lams."""
+    exponents = 2.0 * np.asarray(lams)[:, None] * build_coupling(n).eigenvalues
     return GaussianWigner(
-        n=n,
-        qForm=matrix_function(coupling, lambda a: np.exp(2.0 * column * a)),
-        pForm=matrix_function(coupling, lambda a: np.exp(-2.0 * column * a)),
-        normConst=math.pi ** (-n),
+        n=n, qWeights=np.exp(exponents), pWeights=np.exp(-exponents), normConst=math.pi ** (-n)
     )
 
 
@@ -400,23 +412,85 @@ def test_wigner_values_form_stack_matches_per_row_calls(n):
             for k, lam in enumerate(lams.tolist())
         ]
     )
-    if n == 2:
-        # a shared 2 x 2 form goes through einsum's two-element kernel,
-        # which groups the four products differently: rounding only
-        assert_allclose(stacked, per_row, rtol=1e-14, atol=0.0)
-    else:
-        assert stacked.tobytes() == per_row.tobytes()
+    assert stacked.tobytes() == per_row.tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 64, 40401])
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("m", [1, 4, 8, 9, 16, 64, 101, 40401])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64])
 def test_wigner_values_shared_form_bits(n, m):
-    """A shared (n, n) form keeps the bits of the per-form einsum
-    "ki,ij,kj->k" that the grid documents were written with."""
+    """With one shared pair of weights, a row keeps the bits of its
+    one-row call, whatever the number of rows sharing the call."""
     wig = _wigner(n, 0.3)
     q, p = _scaled_points(n, 0.3, m, seed=m)
-    quad = np.einsum("ki,ij,kj->k", q, wig.qForm, q) + np.einsum("ki,ij,kj->k", p, wig.pForm, p)
-    assert wigner_values(wig, q, p).tobytes() == (wig.normConst * np.exp(-quad)).tobytes()
+    values = wigner_values(wig, q, p)
+    for k in range(0, m, max(1, m // 101)):
+        one_row = wigner_values(wig, q[k : k + 1], p[k : k + 1])
+        assert one_row.tobytes() == values[k : k + 1].tobytes()
+
+
+def _all_ones_point(n, lam):
+    """The all-ones vector along p for lambda > 0 (q for lambda < 0): the
+    most squeezed mode, a = 2, with exponent n exp(-4 |lambda|)."""
+    ones, zeros = np.ones((1, n)), np.zeros((1, n))
+    return (zeros, ones) if lam > 0 else (ones, zeros)
+
+
+@pytest.mark.parametrize(
+    "n,lam",
+    [(n, sign * mag) for n in (3, 5, 9) for mag in (5.0, 10.0, 15.0, 20.0) for sign in (1, -1)]
+    + [(101, sign * mag) for mag in (5.0, 10.0) for sign in (1, -1)],
+)
+def test_wigner_all_ones_point_at_large_lambda(n, lam):
+    # relative bound fixed before the first run: the rounding of a few
+    # dozen operations, the point being well conditioned at these sizes
+    q, p = _all_ones_point(n, lam)
+    exact = math.pi ** (-n) * math.exp(-n * math.exp(-4.0 * abs(lam)))
+    assert wigner_values(_wigner(n, lam), q, p)[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [15.0, -15.0, 20.0, -20.0])
+def test_wigner_all_ones_point_ill_conditioned_stays_bounded(lam):
+    # n = 101 is ill-conditioned here at its own rounding: the FFT's residue
+    # of order eps in the antisqueezed modes is weighted by exp(4 |lambda|)
+    q, p = _all_ones_point(101, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = wigner_values(_wigner(101, lam), q, p)[0]
+    assert 0.0 <= value <= math.pi**-101
+
+
+def _squeezed_direction_points(n, scale, seed):
+    """The origin, the all-ones and alternating-sign modes (a = 2 and the
+    spectrum's low end), a random row, and a row past the float range,
+    each of them in q and in p."""
+    rng = np.random.default_rng(seed)
+    rows = np.array(
+        [
+            np.zeros(n),
+            scale * np.ones(n),
+            scale * (-1.0) ** np.arange(n),
+            scale * rng.normal(size=n),
+            1e200 * (-1.0) ** np.arange(n),
+        ]
+    )
+    zeros = np.zeros_like(rows)
+    return np.vstack([rows, zeros]), np.vstack([zeros, rows])
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    lam=st.floats(-20.0, 20.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wigner_values_bounded_without_warning_over_accepted_range(n, lam, scale, seed):
+    q, p = _squeezed_direction_points(n, scale, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = wigner_values(_wigner(n, lam), q, p)
+    assert np.all((values >= 0.0) & (values <= math.pi ** (-n)))
+    assert values[0] == math.pi ** (-n)
 
 
 def test_wigner_values_floor_and_origin_rows():
@@ -467,12 +541,7 @@ def test_wigner_value_alpha_rows(n, stacked):
         one = _stacked_wigner(n, lams[k : k + 1]) if stacked else wig
         value = wigner_value_alpha(one, alpha[k])
         assert type(value) is float
-        if n == 2:
-            # einsum's two-element kernel groups the products by batch
-            # position, so a row's last bits depend on m: rounding only
-            assert value == pytest.approx(values[k], rel=1e-14, abs=0.0)
-        else:
-            assert value == values[k]
+        assert value == values[k]
 
 
 def _alpha_evaluators():

@@ -395,6 +395,18 @@ def test_wigner_closed_lambda_rows_equal_scalar_calls(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("lam", [5.0, -5.0, 10.0, -10.0, 15.0, -15.0, 20.0, -20.0])
+def test_wigner_closed_all_ones_point_at_large_lambda(n, lam):
+    # the all-ones vector along p for lambda > 0 (q for lambda < 0) is the
+    # most squeezed mode, with exponent n exp(-4 |lambda|); the relative
+    # bound, fixed before the first run, is rounding of a few dozen
+    # operations
+    alpha = np.full(n, (1j if lam > 0 else 1.0) / math.sqrt(2.0))
+    exact = math.pi ** (-n) * math.exp(-n * math.exp(-4.0 * abs(lam)))
+    assert CLOSED_FORMS[n](lam, alpha) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("lam_shape", [(4,), (5, 1), (5, 5)])
 def test_wigner_closed_rejects_misaligned_lambda(n, lam_shape):
     with pytest.raises(ValueError, match="one value per alpha row"):
@@ -423,11 +435,11 @@ SOLVE_ERROR_FACTOR = 32
 def test_two_photon_q_moments_match_covariance(n, lam):
     """For norm * exp(a~ F a~ / 2)|0> with real symmetric F, <q qt> is
     (I + F)(I - F)^-1 / 2.  Taken from F by a dense solve, independent of
-    the spectral path, it equals the q block of covariance_matrix (pForm/2)."""
+    the spectral path, it equals the q block of covariance_matrix (gram/2)."""
     kernel = _kernel(n, lam)
     F = squeezed_vacuum(kernel).F
     eye = np.eye(n)
     moments = np.linalg.solve(eye - F, eye + F).T / 2.0
-    q_block = covariance_matrix(wigner_from_kernel(kernel))[:n, :n]
+    q_block = covariance_matrix(kernel)[:n, :n]
     error = np.max(np.abs(moments - q_block)) / np.max(np.abs(q_block))
     assert error <= SOLVE_ERROR_FACTOR * np.linalg.cond(eye - F) * np.finfo(float).eps

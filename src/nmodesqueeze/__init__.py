@@ -7,9 +7,10 @@ functions, the hand-derived three- and four-mode closed forms, and a
 truncated Fock-space brute force that cross-checks all of it.  numpy is
 the only dependency.
 
-Importing the package imports none of its modules: each name below loads
-its module on first use, so a command pays only for the modules it reads
-(``variances`` never loads ``normalform`` or the Fock oracle).
+Importing the package imports none of its modules: each of the 46 names
+below loads its module on first use, so a command pays only for the
+modules it reads (``variances`` never loads ``normalform`` or the Fock
+oracle).
 """
 
 import importlib
@@ -25,7 +26,6 @@ _EXPORTS = {
             "SqueezeKernel",
             "build_coupling",
             "build_kernel",
-            "entry_sum",
             "expm_taylor",
             "matrix_function",
             "sum_identities",
@@ -41,13 +41,10 @@ _EXPORTS = {
             "GaussianWigner",
             "VariancePair",
             "alpha_rows",
-            "covariance_matrix",
-            "heisenberg_transforms",
             "normalization_by_quadrature",
             "variances_closed",
             "variances_matrix_sum",
             "wigner_from_kernel",
-            "wigner_q_marginal",
             "wigner_value_alpha",
             "wigner_values",
         ),
@@ -72,7 +69,6 @@ _EXPORTS = {
             "build_space",
             "evolve_vacuum",
             "generator",
-            "ladder_ops",
             "normalized",
             "overlap",
             "tail_mass",

@@ -65,11 +65,10 @@ EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
 
 # Largest grid, counted in coordinates (points x modes), that `wigner`
-# builds.  Peak RSS grew by 214, 358, 339, 608 and 1604 bytes per grid
-# point at n = 2, 3, 4, 16 and 64 (641 601 and 40 401 points against each
-# other at n <= 4, 90 601 and 10 201 above; JSON to a file, 2 vCPUs): at
-# most 120 bytes per coordinate, so a grid at the guard stays near 0.5 GB.
-# It admits 1024 x 1024 points at n = 4, which peaked at 371 MB.
+# builds.  Grids at the guard peaked at 246 MB RSS for 1024 x 1024 points
+# at n = 4, and at 226 MB each for 512 x 512 at n = 16 and 256 x 256 at
+# n = 64 (child ru_maxrss, JSON to /dev/null, 2 vCPUs): under 60 bytes per
+# coordinate, interpreter and numpy included.
 GRID_GUARD = 1 << 22
 
 # Largest n x n matrix, counted in entries, that coupling, normal-form and
@@ -546,7 +545,10 @@ def _parse_axis(axis: str, n: int) -> tuple[str, int]:
 def _results_wigner(config: RunConfig) -> dict:
     from . import gaussian as ga
 
-    n = _require_dense_n(config)
+    n = _require_n(config)
+    # no n x n matrix here: DENSE_GUARD's cap on n bounds the 2n columns per point
+    if n > math.isqrt(DENSE_GUARD):
+        raise ResourceLimitError(f"n={n} is over the guard of {math.isqrt(DENSE_GUARD)} modes")
     kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
     wig = ga.wigner_from_kernel(kernel)
     q, p = _wigner_points(config, n)

@@ -150,17 +150,6 @@ def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndar
     return row[..., np.minimum(dist, n - dist)]
 
 
-def entry_sum(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum of all entries of fn(A) without building it.
-
-    Every row of the circulant fn(A) sums to fn(2), its value on the
-    all-ones mode, so the n x n sum is n fn(2).  That eigenvalue is read as
-    the exact integer row sum of A, bit-equal to ``eigenvalues[0]``, so the
-    spectrum is never built.
-    """
-    return float(coupling.n * fn(float(coupling.row.sum())))
-
-
 def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:
     """All matrix functions of A needed by the squeeze pipeline.
 

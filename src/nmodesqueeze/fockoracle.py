@@ -51,6 +51,9 @@ from .normalform import NormalOrderedForm, TwoPhotonState
 # 161 051 and 65 536 (2 vCPUs), under 250 MB.  Their run time grows with
 # |lambda| * cutoff, which sets the number of Taylor terms.
 DIM_GUARD = 200_000
+# Largest weight a displaced state may carry on the outermost shell (some
+# n_i = cutoff) before ``wigner_numeric`` calls its cutoff too small.
+MAX_BOUNDARY_MASS = 1e-6
 # Taylor degree m -> largest 1-norm theta_m of one step whose degree-m
 # series meets double-precision backward error: m <= 30 from Higham,
 # "Functions of Matrices", Table A.3; the rest from Al-Mohy & Higham,
@@ -72,7 +75,10 @@ class FockSpace(NamedTuple):
 
     n: int
     cutoff: int
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return (self.cutoff + 1) ** self.n
 
 
 class FockTensor(NamedTuple):
@@ -213,10 +219,10 @@ def build_space(n: int, cutoff: int) -> FockSpace:
         raise ValueError(f"need at least one mode, got n={n}")
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    dim = (cutoff + 1) ** n
-    if dim > DIM_GUARD:
-        raise ResourceLimitError(f"dim {dim} exceeds guard {DIM_GUARD}")
-    return FockSpace(n=n, cutoff=cutoff, dim=dim)
+    space = FockSpace(n=n, cutoff=cutoff)
+    if space.dim > DIM_GUARD:
+        raise ResourceLimitError(f"dim {space.dim} exceeds guard {DIM_GUARD}")
+    return space
 
 
 def _strides(space: FockSpace) -> list[int]:
@@ -250,19 +256,6 @@ def _ladders(space: FockSpace) -> list[tuple[int, np.ndarray]]:
         occ = (np.arange(space.dim - stride) // stride) % (space.cutoff + 1)
         ladders.append((stride, np.where(occ < space.cutoff, np.sqrt(occ + 1.0), 0.0)))
     return ladders
-
-
-def ladder_ops(space: FockSpace) -> tuple[list[BandedOperator], list[BandedOperator]]:
-    """Per-mode lowering and raising operators (exact transposes).
-
-    The raising operator is the lowering diagonal below the main one, so
-    its cutoff -> cutoff+1 element is dropped and [a_i, a_i~] equals the
-    identity only on n_i < cutoff.
-    """
-    ladders = _ladders(space)
-    lowering = [BandedOperator(space.dim, {stride: w}) for stride, w in ladders]
-    raising = [BandedOperator(space.dim, {-stride: w}) for stride, w in ladders]
-    return lowering, raising
 
 
 def _pair_sum(
@@ -422,9 +415,7 @@ def _single_mode_displacements(alpha: np.ndarray, cutoff: int) -> np.ndarray:
     return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
-def wigner_numeric(
-    psi: FockTensor, alpha: np.ndarray, max_boundary_mass: float = 1e-6
-) -> float | np.ndarray:
+def wigner_numeric(psi: FockTensor, alpha: np.ndarray) -> float | np.ndarray:
     """Displaced-parity Wigner value pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>.
 
     alpha is one point, shape (n,), giving a float, or one point per row,
@@ -436,9 +427,9 @@ def wigner_numeric(
     Raises
     ------
     TruncationError
-        If any displaced state carries more than ``max_boundary_mass``
-        weight on the outermost shell (some n_i = cutoff), i.e. the
-        cutoff is too small for that displacement.
+        If any displaced state carries more than MAX_BOUNDARY_MASS
+        weight on the outermost shell, i.e. the cutoff is too small for
+        that displacement.
     """
     space = psi.space
     rows = alpha_rows(alpha, space.n)
@@ -456,7 +447,7 @@ def wigner_numeric(
     occs = occupation_table(space)
     boundary = np.any(occs == space.cutoff, axis=1)
     boundary_mass = np.sum(np.abs(displaced[:, boundary]) ** 2, axis=1)
-    over = np.flatnonzero(boundary_mass > max_boundary_mass)
+    over = np.flatnonzero(boundary_mass > MAX_BOUNDARY_MASS)
     if over.size:
         row = int(over[0])
         where = f" at alpha row {row}" if np.ndim(alpha) == 2 else ""

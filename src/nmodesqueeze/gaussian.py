@@ -1,4 +1,4 @@
-"""Phase-space engine: quadrature transforms, variances, Wigner functions.
+"""Phase-space engine: collective variances and Wigner functions.
 
 Conventions (fixed here, used everywhere):
     Q = (a + a~)/sqrt(2),  P = (a - a~)/(i sqrt(2)),  so [Q, P] = i,
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import LAMBDA_GUARD, SqueezeKernel, entry_sum, matrix_function
+from .coupling import LAMBDA_GUARD, SqueezeKernel
 from .errors import check_lambda
 
 # Log-space floor: below this the linear-scale value is reported as 0.0.
@@ -62,10 +62,17 @@ class GaussianWigner(NamedTuple):
     spectrum of A in DFT order, each (n,) or an (m, n) stack (one Wigner
     function per row of the points it is evaluated at)."""
 
-    n: int
     qWeights: np.ndarray
     pWeights: np.ndarray
-    normConst: float
+
+    @property
+    def n(self) -> int:
+        return self.qWeights.shape[-1]
+
+    @property
+    def normConst(self) -> float:
+        """pi^-n, the value at the origin."""
+        return math.pi ** (-self.n)
 
 
 class _VariancePairFields(NamedTuple):
@@ -91,30 +98,21 @@ class VariancePair(_VariancePairFields):
         return self
 
 
-def heisenberg_transforms(kernel: SqueezeKernel) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices mapping Q and P under conjugation by the squeeze.
-
-    Returns (exp(-lambda A), exp(+lambda A)); the Q transform is the
-    inverse transpose of the P transform, so their product is the
-    identity (the map is symplectic).
-    """
-    q_transform = kernel.Lambda
-    p_transform = matrix_function(kernel.coupling, lambda a: np.exp(kernel.lam * a))
-    return q_transform, p_transform
-
-
 def variances_matrix_sum(kernel: SqueezeKernel) -> VariancePair:
     """Collective variances from the all-entries sums of the Gram matrix.
 
     (Delta X1)^2 = sum_ij gram_ij / 4n and (Delta X2)^2 uses the inverse
-    Gram matrix.  Each sum is taken on the all-ones mode by ``entry_sum``,
-    so no n x n array is built and nothing cancels at large |lambda|.
+    Gram matrix.  Every row of the circulant exp(-+2 lambda A) sums to its
+    value exp(-+2 lambda * 2) on the all-ones eigenvalue 2, so this is the
+    closed form of ``variances_closed`` taken in another order, with no
+    n x n array and nothing to cancel; ``verification._literal_variances``,
+    which sums the dense matrices, is its independent oracle.
     """
     n = kernel.coupling.n
     lam = kernel.lam
     return VariancePair(
-        varX1=entry_sum(kernel.coupling, lambda a: np.exp(-2.0 * lam * a)) / (4.0 * n),
-        varX2=entry_sum(kernel.coupling, lambda a: np.exp(2.0 * lam * a)) / (4.0 * n),
+        varX1=float(n * np.exp(-2.0 * lam * 2.0)) / (4.0 * n),
+        varX2=float(n * np.exp(2.0 * lam * 2.0)) / (4.0 * n),
     )
 
 
@@ -133,10 +131,8 @@ def wigner_from_kernel(kernel: SqueezeKernel) -> GaussianWigner:
     inverse Gram matrix exp(+2 lambda A), the p form the Gram matrix, each
     as weights on the spectrum of A; the peak value at the origin is pi^-n."""
     return GaussianWigner(
-        n=kernel.coupling.n,
         qWeights=np.exp(2.0 * kernel.lam * kernel.coupling.eigenvalues),
         pWeights=np.exp(-2.0 * kernel.lam * kernel.coupling.eigenvalues),
-        normConst=math.pi ** (-kernel.coupling.n),
     )
 
 
@@ -178,37 +174,6 @@ def wigner_value_alpha(wig: GaussianWigner, alpha: np.ndarray) -> float | np.nda
     rows = alpha_rows(alpha, wig.n)
     values = wigner_values(wig, math.sqrt(2.0) * rows.real, math.sqrt(2.0) * rows.imag)
     return float(values[0]) if np.ndim(alpha) == 1 else values
-
-
-def covariance_matrix(kernel: SqueezeKernel) -> np.ndarray:
-    """Second moments of the squeezed vacuum, block-diagonal in (q, p).
-
-    <q qt> = gram / 2 (the inverse of the q form exp(+2 lambda A), halved)
-    and <p pt> = gramInv / 2; the cross block vanishes.  Projecting the q
-    block onto the normalised all-ones direction recovers (Delta X1)^2.
-    """
-    n = kernel.coupling.n
-    cov = np.zeros((2 * n, 2 * n))
-    cov[:n, :n] = kernel.gram / 2.0
-    cov[n:, n:] = kernel.gramInv / 2.0
-    return cov
-
-
-def wigner_q_marginal(wig: GaussianWigner, q: np.ndarray) -> float:
-    """Closed-form marginal over p: a Gaussian with the q form.
-
-    Integrating the p Gaussian gives pi^(n/2) det(p form)^(-1/2), and
-    det exp(-2 lambda A) = exp(-2 lambda tr A) = 1 because tr A = 0, hence
-    the prefactor pi^(-n/2).  A numerical determinant would lose that 1 to
-    cancellation at large |lambda|.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (wig.n,):
-        raise ValueError(f"q must have length {wig.n}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("phase point entries must be finite")
-    quad = float(_spectral_form(wig.qWeights, q[None, :])[0])
-    return math.pi ** (-wig.n / 2.0) * math.exp(-quad)
 
 
 def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -> float:

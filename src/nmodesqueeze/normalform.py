@@ -63,7 +63,6 @@ class NormalOrderedForm(_NormalOrderedFormFields):
 
 
 class _TwoPhotonStateFields(NamedTuple):
-    n: int
     norm: float
     F: np.ndarray
     sech2: np.ndarray
@@ -74,6 +73,10 @@ class TwoPhotonState(_TwoPhotonStateFields):
     sech2 = 1 - f_k^2 over its eigenvalues f_k."""
 
     __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return self.F.shape[0]
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -160,7 +163,7 @@ def squeezed_vacuum(kernel: SqueezeKernel) -> TwoPhotonState:
     """Squeezed vacuum as a two-photon state: F is the creation block of
     the normal form and the norm is its prefactor."""
     form = normal_form(kernel)
-    return TwoPhotonState(n=kernel.coupling.n, norm=form.prefactor, F=form.creMat, sech2=form.sech2)
+    return TwoPhotonState(norm=form.prefactor, F=form.creMat, sech2=form.sech2)
 
 
 def baseline_two_mode(lam: float) -> TwoPhotonState:
@@ -173,7 +176,7 @@ def baseline_two_mode(lam: float) -> TwoPhotonState:
     check_lambda(lam, 2 * LAMBDA_GUARD)
     F = np.array([[0.0, -math.tanh(lam)], [-math.tanh(lam), 0.0]])
     sech2 = np.full(2, math.cosh(lam) ** -2)
-    return TwoPhotonState(n=2, norm=1.0 / math.cosh(lam), F=F, sech2=sech2)
+    return TwoPhotonState(norm=1.0 / math.cosh(lam), F=F, sech2=sech2)
 
 
 def three_mode_closed(lam: float) -> ThreeModeClosed:

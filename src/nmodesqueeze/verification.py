@@ -169,7 +169,8 @@ def _cutoff(config: tuple[int, int, float], cutoff: int | None) -> tuple[int, in
 
 def _literal_variances(kernel: cp.SqueezeKernel) -> tuple[float, float]:
     """(Delta X1)^2 and (Delta X2)^2 as the literal dense Gram sums of
-    ``cp.sum_identities`` over 4n: an oracle independent of ``cp.entry_sum``."""
+    ``cp.sum_identities`` over 4n: an oracle independent of the closed-form
+    route of ``ga.variances_matrix_sum``."""
     sum_g, sum_ginv = cp.sum_identities(kernel)
     n = kernel.coupling.n
     return sum_g / (4 * n), sum_ginv / (4 * n)
@@ -377,9 +378,7 @@ def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> Chec
         base = cp.build_coupling(n)
         # the kernels' Wigner weights at every drawn lambda, as (200, n) stacks
         exponents = 2.0 * lam_values[:, None] * base.eigenvalues
-        wig = ga.GaussianWigner(
-            n=n, qWeights=np.exp(exponents), pWeights=np.exp(-exponents), normConst=math.pi ** (-n)
-        )
+        wig = ga.GaussianWigner(qWeights=np.exp(exponents), pWeights=np.exp(-exponents))
         points = np.array(alphas)
         generic = ga.wigner_value_alpha(wig, points)
         worst = max(worst, float(np.max(_rel_err(closed_fn(lam_values, points), generic))))

@@ -11,7 +11,6 @@ from nmodesqueeze import (
     build_coupling,
     build_kernel,
     cli,
-    entry_sum,
     expm_taylor,
     matrix_function,
     sum_identities,
@@ -88,7 +87,7 @@ def test_variances_keep_the_coupling_o_n(monkeypatch):
 def test_spectrum_is_built_on_first_read():
     coupling = build_coupling(7)
     variances_matrix_sum(build_kernel(coupling, 0.3))
-    assert "eigenvalues" not in vars(coupling)  # entry_sum reads the row sum instead
+    assert "eigenvalues" not in vars(coupling)  # the variances read no spectrum
     assert coupling.eigenvalues is coupling.eigenvalues
     assert not coupling.eigenvalues.flags.writeable
     assert np.array_equal(coupling.eigenvalues, np.fft.fft(coupling.row).real)
@@ -98,7 +97,7 @@ def test_spectrum_is_built_on_first_read():
 def test_all_ones_eigenvalue_is_the_row_sum(n):
     coupling = build_coupling(n)
     assert coupling.row.sum() == 2
-    assert coupling.eigenvalues[0] == 2.0  # bit for bit: entry_sum reads either
+    assert coupling.eigenvalues[0] == 2.0  # bit for bit: the variances read 2.0
 
 
 def test_coupling_and_kernel_fields_are_read_only():
@@ -226,11 +225,9 @@ def test_sum_identity_examples():
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", SWEEP_LAMBDA)
 def test_sum_identities_sweep(n, lam):
-    coupling = build_coupling(n)
-    sum_g, sum_ginv = sum_identities(build_kernel(coupling, lam))
+    sum_g, sum_ginv = sum_identities(build_kernel(build_coupling(n), lam))
     assert sum_g == pytest.approx(n * math.exp(-4 * lam), rel=1e-10)
     assert sum_ginv == pytest.approx(n * math.exp(4 * lam), rel=1e-10)
-    assert entry_sum(coupling, lambda a: np.exp(-2 * lam * a)) == pytest.approx(sum_g, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", SWEEP_N)

@@ -19,8 +19,7 @@ from nmodesqueeze import (
     build_space,
     evolve_vacuum,
     generator,
-    heisenberg_transforms,
-    ladder_ops,
+    matrix_function,
     normal_form,
     overlap,
     squeezed_vacuum,
@@ -35,6 +34,7 @@ from nmodesqueeze import (
 from nmodesqueeze.fockoracle import (
     BandedOperator,
     FockOperator,
+    _ladders,
     assemble_normal_form,
     collective_quadrature,
     occupation_table,
@@ -122,16 +122,25 @@ def test_index_round_trip():
     assert table[-1].tolist() == [4, 4, 4]
 
 
+def _ladder_ops(space):
+    """Per-mode lowering and raising operators: each lowering diagonal of
+    ``_ladders`` at its stride, and the same diagonal below the main one."""
+    ladders = _ladders(space)
+    lowering = [BandedOperator(space.dim, {stride: w}) for stride, w in ladders]
+    raising = [BandedOperator(space.dim, {-stride: w}) for stride, w in ladders]
+    return lowering, raising
+
+
 def test_ladder_vacuum_expectation():
     space = build_space(2, 5)
-    a_ops, adag_ops = ladder_ops(space)
+    a_ops, adag_ops = _ladder_ops(space)
     vac = vacuum(space).amps
     assert np.vdot(vac, a_ops[0] @ (adag_ops[0] @ vac)) == pytest.approx(1.0)
 
 
 def test_raising_is_exact_transpose():
     space = build_space(2, 6)
-    a_ops, adag_ops = ladder_ops(space)
+    a_ops, adag_ops = _ladder_ops(space)
     for a_i, adag_i in zip(a_ops, adag_ops):
         assert np.array_equal(a_i.toarray().T, adag_i.toarray())
 
@@ -143,8 +152,8 @@ def test_banded_ops_match_kron_oracle(shape):
     space = build_space(*shape)
     csr_q, csr_p = _csr_quadratures(space)
     pairs = [
-        *zip(ladder_ops(space)[0], _csr_ladder(space)[0]),
-        *zip(ladder_ops(space)[1], _csr_ladder(space)[1]),
+        *zip(_ladder_ops(space)[0], _csr_ladder(space)[0]),
+        *zip(_ladder_ops(space)[1], _csr_ladder(space)[1]),
         (collective_quadrature(space, "X1"), sum(csr_q[1:], csr_q[0]) / math.sqrt(2.0 * space.n)),
         (collective_quadrature(space, "X2"), sum(csr_p[1:], csr_p[0]) / math.sqrt(2.0 * space.n)),
     ]
@@ -160,7 +169,7 @@ def test_banded_ops_match_kron_oracle(shape):
 
 def test_commutators():
     space = build_space(2, 4)
-    a_ops, adag_ops = ([op.toarray() for op in ops] for ops in ladder_ops(space))
+    a_ops, adag_ops = ([op.toarray() for op in ops] for ops in _ladder_ops(space))
     occs = occupation_table(space)
     # same mode: identity on the interior n_i < cutoff
     comm = a_ops[0] @ adag_ops[0] - adag_ops[0] @ a_ops[0]
@@ -535,7 +544,8 @@ def test_conjugation_matches_heisenberg_transforms():
     w, v = np.linalg.eigh(ham)
     squeeze = (v * np.exp(1j * w)) @ v.conj().T
     q_ops, p_ops = _csr_quadratures(space)
-    q_t, p_t = heisenberg_transforms(build_kernel(base, lam))
+    q_t = build_kernel(base, lam).Lambda
+    p_t = matrix_function(base, lambda a: np.exp(lam * a))
     low = np.flatnonzero(occupation_table(space).sum(axis=1) <= 4)
     for k in range(2):
         for ops, transform in ((q_ops, q_t), (p_ops, p_t)):

@@ -14,9 +14,8 @@ from nmodesqueeze import (
     VariancePair,
     build_coupling,
     build_kernel,
-    covariance_matrix,
     expm_taylor,
-    heisenberg_transforms,
+    matrix_function,
     normalization_by_quadrature,
     squeezed_vacuum,
     variances_closed,
@@ -24,7 +23,6 @@ from nmodesqueeze import (
     wigner3_closed,
     wigner4_closed,
     wigner_from_kernel,
-    wigner_q_marginal,
     wigner_value_alpha,
     wigner_values,
 )
@@ -51,14 +49,21 @@ def _dense_forms(n, lam):
     return expm_taylor(2.0 * lam * coupling), expm_taylor(-2.0 * lam * coupling)
 
 
+def _heisenberg_transforms(n, lam):
+    """The matrices mapping Q and P under conjugation by the squeeze:
+    exp(-lambda A) and exp(+lambda A)."""
+    kernel = build_kernel(build_coupling(n), lam)
+    return kernel.Lambda, matrix_function(kernel.coupling, lambda a: np.exp(lam * a))
+
+
 def test_heisenberg_identity_at_zero():
-    q_t, p_t = heisenberg_transforms(build_kernel(build_coupling(4), 0.0))
+    q_t, p_t = _heisenberg_transforms(4, 0.0)
     assert_allclose(q_t, np.eye(4), atol=1e-12)
     assert_allclose(p_t, np.eye(4), atol=1e-12)
 
 
 def test_heisenberg_two_mode_hyperbolic():
-    q_t, _ = heisenberg_transforms(build_kernel(build_coupling(2), 0.2))
+    q_t, _ = _heisenberg_transforms(2, 0.2)
     expected = np.array(
         [[math.cosh(0.4), -math.sinh(0.4)], [-math.sinh(0.4), math.cosh(0.4)]]
     )
@@ -68,7 +73,7 @@ def test_heisenberg_two_mode_hyperbolic():
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", SWEEP_LAMBDA)
 def test_heisenberg_symplectic(n, lam):
-    q_t, p_t = heisenberg_transforms(build_kernel(build_coupling(n), lam))
+    q_t, p_t = _heisenberg_transforms(n, lam)
     assert_allclose(q_t @ p_t.T, np.eye(n), atol=1e-10)
 
 
@@ -76,7 +81,7 @@ def test_heisenberg_symplectic(n, lam):
 @given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
 def test_heisenberg_symplectic_over_accepted_range(n, lam):
     # the rounding bound of a length-n product, fixed before any run
-    q_t, p_t = heisenberg_transforms(build_kernel(build_coupling(n), lam))
+    q_t, p_t = _heisenberg_transforms(n, lam)
     bound = n * np.finfo(float).eps * np.linalg.norm(q_t, 2) * np.linalg.norm(p_t, 2)
     assert np.max(np.abs(q_t @ p_t.T - np.eye(n))) <= bound
 
@@ -217,28 +222,30 @@ def test_wigner_underflow_reports_zero():
     assert wigner_values(wig, far, far)[0] == 0.0
 
 
+# The squeezed vacuum's second moments: <q qt> = gram / 2 (the inverse of
+# the q form exp(+2 lambda A), halved) and <p pt> = gramInv / 2.
+
+
 def test_covariance_vacuum():
     vacuum = build_kernel(build_coupling(3), 0.0)
-    assert_allclose(covariance_matrix(vacuum), np.eye(6) / 2, atol=1e-12)
+    assert_allclose(vacuum.gram / 2, np.eye(3) / 2, atol=1e-12)
+    assert_allclose(vacuum.gramInv / 2, np.eye(3) / 2, atol=1e-12)
 
 
 def test_covariance_three_mode_entries():
     kernel = build_kernel(build_coupling(3), 0.1)
-    cov = covariance_matrix(kernel)
     u = (2.0 / 3.0) * math.exp(0.2) + (1.0 / 3.0) * math.exp(-0.4)
-    assert cov[0, 0] == pytest.approx(u / 2, rel=1e-12)
-    assert_allclose(cov[:3, 3:], 0.0, atol=1e-15)
+    assert kernel.gram[0, 0] / 2 == pytest.approx(u / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", (0.0, 0.2, -0.4))
 def test_covariance_projection_recovers_variances(n, lam):
     kernel = build_kernel(build_coupling(n), lam)
-    cov = covariance_matrix(kernel)
     pair = variances_matrix_sum(kernel)
     ones = np.ones(n) / math.sqrt(2.0 * n)
-    assert ones @ cov[:n, :n] @ ones == pytest.approx(pair.varX1, abs=1e-12)
-    assert ones @ cov[n:, n:] @ ones == pytest.approx(pair.varX2, abs=1e-12)
+    assert ones @ (kernel.gram / 2) @ ones == pytest.approx(pair.varX1, abs=1e-12)
+    assert ones @ (kernel.gramInv / 2) @ ones == pytest.approx(pair.varX2, abs=1e-12)
 
 
 def test_normalization_by_quadrature():
@@ -302,17 +309,10 @@ def test_normalization_by_quadrature_stays_small():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_q_marginal_origin_at_large_lambda(n):
-    # det exp(2 lambda A) is exactly 1, but an LU determinant of it at lambda = 5
-    # cancels to 0 (n = 2) or goes negative (n = 4)
-    value = wigner_q_marginal(_wigner(n, 5.0), np.zeros(n))
-    assert value == pytest.approx(math.pi ** (-n / 2), rel=1e-12)
-
-
 def test_q_marginal_matches_determinants_and_quadrature():
+    """Integrating W over p leaves pi^(-n/2) exp(-qt exp(+2 lambda A) q):
+    det exp(-2 lambda A) = 1 sets the prefactor."""
     wig = _wigner(2, 0.2)
-    # determinant identity behind the closed marginal prefactor
     q_form, p_form = _dense_forms(2, 0.2)
     assert np.linalg.det(p_form) ** -0.5 == pytest.approx(np.linalg.det(q_form) ** 0.5, rel=1e-10)
     nodes, weights = np.polynomial.hermite.hermgauss(48)
@@ -322,25 +322,8 @@ def test_q_marginal_matches_determinants_and_quadrature():
             for x2, w2 in zip(nodes, weights):
                 value = wigner_values(wig, q[None, :], np.array([[x1, x2]]))[0]
                 total += w1 * w2 * value * math.exp(x1**2 + x2**2)
-        assert wigner_q_marginal(wig, q) == pytest.approx(total, rel=1e-8)
-
-
-@pytest.mark.parametrize(
-    "q, message",
-    [
-        (np.array([np.nan, 0.0, 0.0]), "finite"),
-        (np.array([np.inf, 0.0, 0.0]), "finite"),
-        (np.zeros(2), "length 3"),
-    ],
-)
-def test_q_marginal_rejects_bad_points(q, message):
-    with pytest.raises(ValueError, match=message):
-        wigner_q_marginal(_wigner(3, 0.1), q)
-
-
-def test_q_marginal_past_float_range_is_zero():
-    # the exponent overflows: 0.0, with no overflow warning
-    assert wigner_q_marginal(_wigner(3, 0.1), np.array([1e200, 0.0, 0.0])) == 0.0
+        marginal = math.pi**-1 * math.exp(-float(q @ q_form @ q))
+        assert marginal == pytest.approx(total, rel=1e-8)
 
 
 def _per_point_values(n, lam, q, p):
@@ -396,16 +379,16 @@ def _stacked_wigner(n, lams):
     """One GaussianWigner whose weights are the (m, n) stacks of the
     kernels' weights over the m values in lams."""
     exponents = 2.0 * np.asarray(lams)[:, None] * build_coupling(n).eigenvalues
-    return GaussianWigner(
-        n=n, qWeights=np.exp(exponents), pWeights=np.exp(-exponents), normConst=math.pi ** (-n)
-    )
+    return GaussianWigner(qWeights=np.exp(exponents), pWeights=np.exp(-exponents))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_wigner_values_form_stack_matches_per_row_calls(n):
     lams = np.linspace(-1.0, 1.0, 17)
     q, p = _scaled_points(n, 1.0, lams.size, seed=n)
-    stacked = wigner_values(_stacked_wigner(n, lams), q, p)
+    stacked_wig = _stacked_wigner(n, lams)
+    assert stacked_wig.n == n and stacked_wig.normConst == math.pi ** (-n)
+    stacked = wigner_values(stacked_wig, q, p)
     per_row = np.array(
         [
             wigner_values(_wigner(n, lam), q[k : k + 1], p[k : k + 1])[0]

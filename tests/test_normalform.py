@@ -12,7 +12,6 @@ from nmodesqueeze import (
     baseline_two_mode,
     build_coupling,
     build_kernel,
-    covariance_matrix,
     four_mode_closed,
     matrix_function,
     normal_form,
@@ -145,21 +144,18 @@ def test_two_photon_unit_norm_invariant(n, lam):
 def test_two_photon_state_validation():
     half = np.array([[0.0, 0.5], [0.5, 0.0]])
     sech2 = np.full(2, 0.75)  # 1 - f^2 for the eigenvalues +-0.5
-    assert TwoPhotonState(n=2, norm=math.sqrt(0.75), F=half, sech2=sech2).norm > 0
+    assert TwoPhotonState(norm=math.sqrt(0.75), F=half, sech2=sech2).norm > 0
     with pytest.raises(ValueError, match="symmetric"):
-        TwoPhotonState(
-            n=2, norm=math.sqrt(0.75), F=np.array([[0.0, 0.5], [0.2, 0.0]]), sech2=sech2
-        )
+        TwoPhotonState(norm=math.sqrt(0.75), F=np.array([[0.0, 0.5], [0.2, 0.0]]), sech2=sech2)
     with pytest.raises(ValueError, match="does not match"):
-        TwoPhotonState(n=2, norm=0.9, F=half, sech2=sech2)
+        TwoPhotonState(norm=0.9, F=half, sech2=sech2)
     with pytest.raises(ValueError, match="must lie in"):
-        TwoPhotonState(
-            n=2, norm=0.0, F=np.array([[0.0, 1.0], [1.0, 0.0]]), sech2=np.zeros(2)
-        )
+        TwoPhotonState(norm=0.0, F=np.array([[0.0, 1.0], [1.0, 0.0]]), sech2=np.zeros(2))
 
 
 def test_baseline_values():
     state = baseline_two_mode(0.6)
+    assert state.n == 2
     assert state.F[0, 1] == pytest.approx(-math.tanh(0.6), rel=1e-12)
     assert state.norm == pytest.approx(1 / math.cosh(0.6), rel=1e-12)
     assert baseline_two_mode(0.0).norm == 1.0
@@ -435,11 +431,11 @@ SOLVE_ERROR_FACTOR = 32
 def test_two_photon_q_moments_match_covariance(n, lam):
     """For norm * exp(a~ F a~ / 2)|0> with real symmetric F, <q qt> is
     (I + F)(I - F)^-1 / 2.  Taken from F by a dense solve, independent of
-    the spectral path, it equals the q block of covariance_matrix (gram/2)."""
+    the spectral path, it equals the q second moments gram / 2."""
     kernel = _kernel(n, lam)
     F = squeezed_vacuum(kernel).F
     eye = np.eye(n)
     moments = np.linalg.solve(eye - F, eye + F).T / 2.0
-    q_block = covariance_matrix(kernel)[:n, :n]
+    q_block = kernel.gram / 2.0
     error = np.max(np.abs(moments - q_block)) / np.max(np.abs(q_block))
     assert error <= SOLVE_ERROR_FACTOR * np.linalg.cond(eye - F) * np.finfo(float).eps

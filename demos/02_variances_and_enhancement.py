@@ -5,17 +5,18 @@ end up with variances exp(-4 lambda)/4 and exp(+4 lambda)/4, independent
 of the mode count.  The standard two-mode squeezed vacuum only reaches
 exp(-2 lambda)/4, so the ring coupling squeezes twice as hard in the
 exponent.  Both variance routes (the Gram-matrix entry sums, taken on the
-all-ones mode, and the closed form) are computed and compared here.
+all-ones mode, and the closed form) are computed and compared here; both
+take only n and lambda, and neither needs numpy.
 """
 import math
 
-from nmodesqueeze import build_coupling, build_kernel, variances_closed, variances_matrix_sum
+from nmodesqueeze import variances_closed, variances_matrix_sum
 
 print(f"{'n':>3} {'lambda':>7} {'varX1 (sum)':>14} {'varX1 (closed)':>15} "
       f"{'varX2 (sum)':>14} {'product':>10}")
 for n in (2, 3, 4, 6, 8):
     for lam in (0.0, 0.1, 0.5):
-        pair = variances_matrix_sum(build_kernel(build_coupling(n), lam))
+        pair = variances_matrix_sum(n, lam)
         closed = variances_closed(lam)
         print(f"{n:>3} {lam:>7.2f} {pair.varX1:>14.9f} {closed.varX1:>15.9f} "
               f"{pair.varX2:>14.9f} {pair.varX1 * pair.varX2:>10.6f}")

@@ -5,12 +5,12 @@ Builds the nearest-neighbour cyclic coupling matrix, the squeeze kernel
 squeezed vacuum, collective quadrature variances, Gaussian Wigner
 functions, the hand-derived three- and four-mode closed forms, and a
 truncated Fock-space brute force that cross-checks all of it.  numpy is
-the only dependency.
+the only dependency, and the collective variances do without it.
 
 Importing the package imports none of its modules: each of the 46 names
 below loads its module on first use, so a command pays only for the
-modules it reads (``variances`` never loads ``normalform`` or the Fock
-oracle).
+modules it reads (``variances`` loads only ``errors`` and ``variances``,
+and no numpy).
 """
 
 import importlib
@@ -39,14 +39,16 @@ _EXPORTS = {
         ),
         "gaussian": (
             "GaussianWigner",
-            "VariancePair",
             "alpha_rows",
             "normalization_by_quadrature",
-            "variances_closed",
-            "variances_matrix_sum",
             "wigner_from_kernel",
             "wigner_value_alpha",
             "wigner_values",
+        ),
+        "variances": (
+            "VariancePair",
+            "variances_closed",
+            "variances_matrix_sum",
         ),
         "normalform": (
             "FourModeClosed",

@@ -22,6 +22,10 @@ piece by piece (the points of a wigner run one block of rows at a time)
 and written as it is rendered, in whole multiples of 64 KiB.  An
 exception while rendering is a bug, and may leave a partial document.
 
+This module imports no numpy and no package module that does: each
+command imports what it reads when it runs, so ``variances`` runs without
+numpy.
+
 ``main`` returns the exit code, for callers that run it in process.
 ``console_main``, the entry point of the installed script and of
 ``python -m nmodesqueeze``, runs ``main``, flushes stdout and stderr and
@@ -35,15 +39,13 @@ import contextlib
 import io
 import itertools
 import math
+import numbers
 import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
-import numpy as np
-
-from . import coupling as cp
 from .errors import (
     ModeCountError,
     NumericFailureError,
@@ -53,6 +55,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .verification import CheckRecord, VerifyReport
 
 SCHEMA = "nmode-squeeze/1"
@@ -66,13 +70,13 @@ EXIT_NUMERIC = 4
 
 # Largest grid, counted in coordinates (points x modes), that `wigner`
 # builds.  Grids at the guard peaked at 246 MB RSS for 1024 x 1024 points
-# at n = 4, and at 226 MB each for 512 x 512 at n = 16 and 256 x 256 at
+# at n = 4, 136 MB for 512 x 512 at n = 16 and 121 MB for 256 x 256 at
 # n = 64 (child ru_maxrss, JSON to /dev/null, 2 vCPUs): under 60 bytes per
 # coordinate, interpreter and numpy included.
 GRID_GUARD = 1 << 22
 
 # Largest n x n matrix, counted in entries, that coupling, normal-form and
-# state build; variances is O(n) and has no such guard.  Peak RSS grew by
+# state build; variances is O(1) and has no such guard.  Peak RSS grew by
 # 253, 220 and 140 bytes per entry for normal-form, coupling and state at
 # n = 2000 (JSON to a file, 2 vCPUs), so a normal-form at the guard,
 # n = 1448, stays near 0.55 GB.  wigner builds no such matrix; there the
@@ -165,6 +169,8 @@ def _fmt_float(value: float) -> str:
 
 def _fmt_floats(values: np.ndarray) -> list[str]:
     """``_fmt_float`` of each value, in one % operation."""
+    import numpy as np
+
     texts = ("\n".join(["%.17g"] * values.size) % tuple(values.tolist())).split("\n")
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[k] = "null"
@@ -184,6 +190,8 @@ class _ColumnTexts:
     """
 
     def __init__(self, values: np.ndarray, measure: bool = False):
+        import numpy as np
+
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         if (bits == bits[0]).all():  # a pinned coordinate needs no sort
             self.codes = np.zeros(bits.size, dtype=np.intp)
@@ -237,6 +245,8 @@ def _row_pieces(literals: list[str], varying: list[_ColumnTexts], first: int, la
     """Rows first..last-1 as a (rows, 2 * len(varying) + 1) object array of
     the literals interleaved with the columns' texts: the "".join of its
     ravel is their text."""
+    import numpy as np
+
     pieces = np.empty((last - first, len(literals) + len(varying)), dtype=object)
     pieces[:, 0::2] = np.array(literals, dtype=object)
     for j, column in enumerate(varying):
@@ -257,6 +267,8 @@ def _render_points(table: PointTable, indent: int) -> Iterator[str]:
     ``table.entry`` dicts, one piece per block of rows.  A row with a
     coordinate too wide for an inline q/p list is handed to ``_json_text``
     itself."""
+    import numpy as np
+
     m, n = table.q.shape
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
     columns = [_ColumnTexts(values, measure=c < 2 * n) for c, values in enumerate(table.columns())]
@@ -323,13 +335,18 @@ def _json_text(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
+    # numpy registers its scalar types here, and is not imported for them
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        return _fmt_float(float(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -338,10 +355,14 @@ def _scalar_csv(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, int):
         return str(int(value))
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return _fmt_float(float(value))
     if isinstance(value, (list, tuple)):
         return ";".join(_scalar_csv(v) for v in value)
     if isinstance(value, dict):
@@ -405,6 +426,10 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
 # command implementations
 
 def _results_coupling(config: RunConfig) -> dict:
+    import numpy as np
+
+    from . import coupling as cp
+
     base = cp.build_coupling(_require_dense_n(config))
     kernel = cp.build_kernel(base, config.lam)
     return {
@@ -418,11 +443,10 @@ def _results_coupling(config: RunConfig) -> dict:
 
 
 def _results_variances(config: RunConfig) -> dict:
-    from . import gaussian as ga
+    from . import variances as va
 
-    kernel = cp.build_kernel(cp.build_coupling(_require_n(config)), config.lam)
-    by_sum = ga.variances_matrix_sum(kernel)
-    closed = ga.variances_closed(config.lam)
+    by_sum = va.variances_matrix_sum(_require_n(config), config.lam)
+    closed = va.variances_closed(config.lam)
     return {
         "matrix_sum": {"var_x1": by_sum.varX1, "var_x2": by_sum.varX2},
         "closed": {"var_x1": closed.varX1, "var_x2": closed.varX2},
@@ -432,6 +456,7 @@ def _results_variances(config: RunConfig) -> dict:
 
 
 def _results_normal_form(config: RunConfig) -> dict:
+    from . import coupling as cp
     from . import normalform as nf
 
     kernel = cp.build_kernel(cp.build_coupling(_require_dense_n(config)), config.lam)
@@ -445,6 +470,9 @@ def _results_normal_form(config: RunConfig) -> dict:
 
 
 def _results_state(config: RunConfig) -> dict:
+    import numpy as np
+
+    from . import coupling as cp
     from . import normalform as nf
 
     n = _require_dense_n(config)
@@ -490,6 +518,8 @@ def _results_baseline(config: RunConfig) -> dict:
 
 def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (m, n) arrays q and p of the requested points, one point per row."""
+    import numpy as np
+
     if config.points and config.grid:
         raise UsageError("give either --point or --grid, not both")
     if config.points:
@@ -543,6 +573,7 @@ def _parse_axis(axis: str, n: int) -> tuple[str, int]:
 
 
 def _results_wigner(config: RunConfig) -> dict:
+    from . import coupling as cp
     from . import gaussian as ga
 
     n = _require_n(config)

@@ -19,10 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModeCountError, check_lambda
-
-# Overflow guard: cosh(2 * LAMBDA_GUARD * max|eig|) must stay representable.
-LAMBDA_GUARD = 20.0
+from .errors import LAMBDA_GUARD, check_lambda, check_modes
 
 
 class _ReadOnly:
@@ -124,10 +121,9 @@ def build_coupling(n: int) -> CouplingMatrix:
     Raises
     ------
     ModeCountError
-        If n < 2.
+        If n is outside 2 <= n <= MODE_GUARD.
     """
-    if n < 2:
-        raise ModeCountError(f"need at least 2 modes, got n={n}")
+    check_modes(n)
     row = np.zeros(n, dtype=np.int64)
     row[1] += 1
     row[-1] += 1

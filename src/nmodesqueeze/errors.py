@@ -1,15 +1,23 @@
-"""Exception types shared across the package, and the one check of the
-squeezing parameter.
+"""Exception types shared across the package, and the checks of the mode
+count and of the squeezing parameter.
 
 The CLI maps these onto exit codes: usage problems exit 2, resource-guard
 violations exit 3, numeric failures and truncation errors exit 4.
 """
 
 import math
+import sys
+
+# Overflow guard: cosh(2 * LAMBDA_GUARD * max|eig|) must stay representable.
+LAMBDA_GUARD = 20.0
+
+# Largest mode count: n exp(4 LAMBDA_GUARD), the all-entries sum of the
+# inverse Gram matrix at the lambda guard, must stay a finite float.
+MODE_GUARD = int(sys.float_info.max / math.exp(4.0 * LAMBDA_GUARD))
 
 
 class ModeCountError(ValueError):
-    """Mode count outside the supported range (n >= 2 for couplings)."""
+    """Mode count outside the supported range, 2 <= n <= MODE_GUARD."""
 
 
 class ParameterRangeError(ValueError):
@@ -27,6 +35,18 @@ class TruncationError(RuntimeError):
 
 class NumericFailureError(RuntimeError):
     """An eigensolver or other numeric kernel failed to converge."""
+
+
+def check_modes(n: int) -> None:
+    """Raise ModeCountError unless 2 <= n <= MODE_GUARD."""
+    if n < 2:
+        raise ModeCountError(f"need at least 2 modes, got n={n}")
+    if n > MODE_GUARD:
+        # n itself may be too large to print or to convert to a float
+        raise ModeCountError(
+            f"need at most {MODE_GUARD:.6e} modes, so that n exp(4 * {LAMBDA_GUARD:g}) is a "
+            f"finite float, got n of about 1e{math.log10(n):.1f}"
+        )
 
 
 def check_lambda(lam: float, guard: float = math.inf) -> None:

@@ -38,8 +38,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import LAMBDA_GUARD, CouplingMatrix
-from .errors import NumericFailureError, ResourceLimitError, TruncationError, check_lambda
+from .coupling import CouplingMatrix
+from .errors import (
+    LAMBDA_GUARD,
+    NumericFailureError,
+    ResourceLimitError,
+    TruncationError,
+    check_lambda,
+)
 from .gaussian import alpha_rows
 from .normalform import NormalOrderedForm, TwoPhotonState
 

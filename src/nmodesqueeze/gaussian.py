@@ -1,4 +1,5 @@
-"""Phase-space engine: collective variances and Wigner functions.
+"""Phase-space engine: the Gaussian Wigner function of the squeezed vacuum
+(its collective variances are in ``variances``).
 
 Conventions (fixed here, used everywhere):
     Q = (a + a~)/sqrt(2),  P = (a - a~)/(i sqrt(2)),  so [Q, P] = i,
@@ -24,11 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import LAMBDA_GUARD, SqueezeKernel
-from .errors import check_lambda
+from .coupling import SqueezeKernel
 
 # Log-space floor: below this the linear-scale value is reported as 0.0.
 LOG_FLOOR = -700.0
+
+# Coordinates (rows x modes) of one block of ``_spectral_form``: its FFT
+# and squares are held one block at a time, a few MB, not for a whole grid.
+_FORM_BLOCK = 1 << 16
 
 
 def _checked_points(q, p) -> tuple[np.ndarray, np.ndarray]:
@@ -75,57 +79,6 @@ class GaussianWigner(NamedTuple):
         return math.pi ** (-self.n)
 
 
-class _VariancePairFields(NamedTuple):
-    varX1: float
-    varX2: float
-
-
-class VariancePair(_VariancePairFields):
-    """Variances of the collective quadratures X1 and X2.
-
-    A valid pair is positive and saturates the uncertainty product
-    varX1 * varX2 = 1/16; construction checks both.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (self.varX1 > 0.0 and self.varX2 > 0.0):
-            raise ValueError("variances must be positive")
-        if abs(self.varX1 * self.varX2 - 1.0 / 16.0) > 1e-12:
-            raise ValueError("uncertainty product must equal 1/16")
-        return self
-
-
-def variances_matrix_sum(kernel: SqueezeKernel) -> VariancePair:
-    """Collective variances from the all-entries sums of the Gram matrix.
-
-    (Delta X1)^2 = sum_ij gram_ij / 4n and (Delta X2)^2 uses the inverse
-    Gram matrix.  Every row of the circulant exp(-+2 lambda A) sums to its
-    value exp(-+2 lambda * 2) on the all-ones eigenvalue 2, so this is the
-    closed form of ``variances_closed`` taken in another order, with no
-    n x n array and nothing to cancel; ``verification._literal_variances``,
-    which sums the dense matrices, is its independent oracle.
-    """
-    n = kernel.coupling.n
-    lam = kernel.lam
-    return VariancePair(
-        varX1=float(n * np.exp(-2.0 * lam * 2.0)) / (4.0 * n),
-        varX2=float(n * np.exp(2.0 * lam * 2.0)) / (4.0 * n),
-    )
-
-
-def variances_closed(lam: float) -> VariancePair:
-    """Closed-form collective variances exp(-4 lambda)/4 and exp(+4 lambda)/4.
-
-    Independent of the mode count; must agree with
-    ``variances_matrix_sum`` for every n.
-    """
-    check_lambda(lam, LAMBDA_GUARD)
-    return VariancePair(varX1=math.exp(-4.0 * lam) / 4.0, varX2=math.exp(4.0 * lam) / 4.0)
-
-
 def wigner_from_kernel(kernel: SqueezeKernel) -> GaussianWigner:
     """Gaussian Wigner function of the squeezed vacuum: the q form is the
     inverse Gram matrix exp(+2 lambda A), the p form the Gram matrix, each
@@ -139,12 +92,19 @@ def wigner_from_kernel(kernel: SqueezeKernel) -> GaussianWigner:
 def _spectral_form(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """xt f(A) x for each row of the (m, n) array x, from the weights f(a_k),
     shared (n,) or one row per point: (1/n) sum_k w_k |fft(x)_k|^2, each row
-    with the bits of its one-row call.  With weights >= 0 nothing cancels;
-    an overflowed square (inf) and the FFT's inf - inf near the float range
+    with the bits of its one-row call, evaluated in blocks of about
+    ``_FORM_BLOCK`` coordinates.  With weights >= 0 nothing cancels; an
+    overflowed square (inf) and the FFT's inf - inf near the float range
     (NaN) are both exponents past the float range, so NaN reads as +inf."""
+    m, n = x.shape
+    rows = max(1, _FORM_BLOCK // n)
+    quad = np.empty(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.fft(x, axis=-1)
-        quad = np.sum(weights * (spectrum.real**2 + spectrum.imag**2), axis=-1) / x.shape[-1]
+        for first in range(0, m, rows):
+            block = slice(first, first + rows)
+            spectrum = np.fft.fft(x[block], axis=-1)
+            w = weights if weights.ndim == 1 else weights[block]
+            quad[block] = np.sum(w * (spectrum.real**2 + spectrum.imag**2), axis=-1) / n
     quad[np.isnan(quad)] = np.inf
     return quad
 

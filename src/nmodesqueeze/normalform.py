@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import LAMBDA_GUARD, SqueezeKernel, matrix_function
-from .errors import check_lambda
+from .coupling import SqueezeKernel, matrix_function
+from .errors import LAMBDA_GUARD, check_lambda
 from .gaussian import alpha_rows
 
 

@@ -1,0 +1,72 @@
+"""Collective quadrature variances of the n-mode squeezed vacuum.
+
+X1 = sum Q_i / sqrt(2n) and X2 = sum P_i / sqrt(2n) have variances
+exp(-4 lambda)/4 and exp(+4 lambda)/4 whatever the mode count.  Each route
+here is two ``math.exp`` calls on plain floats, so this module imports no
+numpy and builds no coupling: the ``variances`` command runs on it alone.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+from .errors import LAMBDA_GUARD, check_lambda, check_modes
+
+
+class _VariancePairFields(NamedTuple):
+    varX1: float
+    varX2: float
+
+
+class VariancePair(_VariancePairFields):
+    """Variances of the collective quadratures X1 and X2.
+
+    A valid pair is positive and saturates the uncertainty product
+    varX1 * varX2 = 1/16; construction checks both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not (self.varX1 > 0.0 and self.varX2 > 0.0):
+            raise ValueError("variances must be positive")
+        if abs(self.varX1 * self.varX2 - 1.0 / 16.0) > 1e-12:
+            raise ValueError("uncertainty product must equal 1/16")
+        return self
+
+
+def variances_matrix_sum(n: int, lam: float) -> VariancePair:
+    """Collective variances from the all-entries sums of the Gram matrix.
+
+    (Delta X1)^2 = sum_ij gram_ij / 4n and (Delta X2)^2 uses the inverse
+    Gram matrix.  Every row of the circulant exp(-+2 lambda A) sums to its
+    value exp(-+2 lambda * 2) on the all-ones eigenvalue 2, so this is the
+    closed form of ``variances_closed`` taken in another order, with no
+    n x n array and nothing to cancel; ``verification._literal_variances``,
+    which sums the dense matrices, is its independent oracle.
+
+    Raises
+    ------
+    ModeCountError
+        If n is outside 2 <= n <= MODE_GUARD.
+    ParameterRangeError
+        If lambda is not finite or |lambda| exceeds the overflow guard.
+    """
+    check_modes(n)
+    check_lambda(lam, LAMBDA_GUARD)
+    return VariancePair(
+        varX1=float(n * math.exp(-2.0 * lam * 2.0)) / (4.0 * n),
+        varX2=float(n * math.exp(2.0 * lam * 2.0)) / (4.0 * n),
+    )
+
+
+def variances_closed(lam: float) -> VariancePair:
+    """Closed-form collective variances exp(-4 lambda)/4 and exp(+4 lambda)/4.
+
+    Independent of the mode count; must agree with
+    ``variances_matrix_sum`` for every n.
+    """
+    check_lambda(lam, LAMBDA_GUARD)
+    return VariancePair(varX1=math.exp(-4.0 * lam) / 4.0, varX2=math.exp(4.0 * lam) / 4.0)

@@ -24,6 +24,7 @@ from . import coupling as cp
 from . import fockoracle as fo
 from . import gaussian as ga
 from . import normalform as nf
+from . import variances as va
 from .errors import ResourceLimitError
 
 SWEEP_N = tuple(range(2, 9))
@@ -170,7 +171,7 @@ def _cutoff(config: tuple[int, int, float], cutoff: int | None) -> tuple[int, in
 def _literal_variances(kernel: cp.SqueezeKernel) -> tuple[float, float]:
     """(Delta X1)^2 and (Delta X2)^2 as the literal dense Gram sums of
     ``cp.sum_identities`` over 4n: an oracle independent of the closed-form
-    route of ``ga.variances_matrix_sum``."""
+    route of ``va.variances_matrix_sum``."""
     sum_g, sum_ginv = cp.sum_identities(kernel)
     n = kernel.coupling.n
     return sum_g / (4 * n), sum_ginv / (4 * n)
@@ -229,8 +230,9 @@ def check_power_sum_identity(tol: float) -> CheckRecord:
 
 def check_enhanced_squeezing(tol: float) -> CheckRecord:
     margin = math.inf
-    for _, lam, kernel in _kernels(lams=(0.1, 0.5, 1.0)):
-        margin = min(margin, math.exp(-2 * lam) / 4 - ga.variances_matrix_sum(kernel).varX1)
+    for n in SWEEP_N:
+        for lam in (0.1, 0.5, 1.0):
+            margin = min(margin, math.exp(-2 * lam) / 4 - va.variances_matrix_sum(n, lam).varX1)
     return _record(
         "enhanced_squeezing", "var_x1 < exp(-2 lambda)/4 (standard two-mode value)",
         {"n": list(SWEEP_N), "lambda": [0.1, 0.5, 1.0]}, margin, tol,
@@ -439,7 +441,7 @@ def probe_antisqueezed_sum(cutoff: int | None = None) -> CheckRecord:
     """
     base = cp.build_coupling(3)
     lams = (0.5, 1.0, 1.5)
-    exact = [ga.variances_matrix_sum(cp.build_kernel(base, lam)).varX2 for lam in lams]
+    exact = [va.variances_matrix_sum(3, lam).varX2 for lam in lams]
     n, use_cutoff, lam0 = _cutoff(CONFIG_PROBE_FOCK, cutoff)
     space = fo.build_space(n, use_cutoff)
     psi = fo.two_photon_expand(nf.squeezed_vacuum(cp.build_kernel(base, lam0)), space)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmodesqueeze import cli, verification
+from nmodesqueeze import coupling as cp
 from nmodesqueeze import fockoracle as fo
 from nmodesqueeze import gaussian as ga
 from nmodesqueeze import normalform as nf
@@ -26,7 +27,12 @@ from nmodesqueeze.cli import (
     main,
     run,
 )
-from nmodesqueeze.errors import NumericFailureError, ResourceLimitError, TruncationError
+from nmodesqueeze.errors import (
+    MODE_GUARD,
+    NumericFailureError,
+    ResourceLimitError,
+    TruncationError,
+)
 from nmodesqueeze.verification import run_verification
 
 TOP_LEVEL_KEYS = {"schema", "command", "config", "results", "checks"}
@@ -691,7 +697,7 @@ def test_dense_guard_counts_matrix_entries(command, monkeypatch):
     def stop(n):
         raise Reached(n)
 
-    monkeypatch.setattr(cli.cp, "build_coupling", stop)
+    monkeypatch.setattr(cp, "build_coupling", stop)
     results = getattr(cli, f"_results_{command.replace('-', '_')}")
     largest = math.isqrt(cli.DENSE_GUARD)
     with pytest.raises(Reached):
@@ -740,6 +746,39 @@ def test_variances_is_not_dense_guarded(capsys):
     assert main(["variances", "--n", str(n), "--lambda", "0.5"]) == EXIT_OK
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["matrix_sum"]["var_x1"] == pytest.approx(math.exp(-2.0) / 4, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [10**10, MODE_GUARD], ids=["1e10", "guard"])
+def test_main_variances_at_huge_n(n, capsys):
+    assert main(["variances", "--n", str(n), "--lambda", "20"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = _strict_json(captured.out)["results"]
+    assert results["product_matrix_sum"] == pytest.approx(1.0 / 16.0, abs=1e-12)
+    for key, closed in results["closed"].items():
+        assert results["matrix_sum"][key] == pytest.approx(closed, rel=1e-15)
+
+
+PAST_THE_GUARD = (
+    "need at most 3.244569e+273 modes, so that n exp(4 * 20) is a finite float, got n of about "
+)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (1, "need at least 2 modes, got n=1"),
+        # n exp(80) would overflow, and 10^400 has no float at all
+        (MODE_GUARD + 1, PAST_THE_GUARD + "1e273.5"),
+        (10**400, PAST_THE_GUARD + "1e400.0"),
+    ],
+    ids=["1", "guard+1", "1e400"],
+)
+def test_main_variances_outside_the_mode_range(n, message, capsys):
+    assert main(["variances", "--n", str(n), "--lambda", "0.3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _strict_json(text: str) -> dict:

@@ -14,8 +14,8 @@ from nmodesqueeze import (
     expm_taylor,
     matrix_function,
     sum_identities,
-    variances_matrix_sum,
 )
+from nmodesqueeze import coupling as cp
 
 SWEEP_N = range(2, 9)
 SWEEP_LAMBDA = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
@@ -65,29 +65,29 @@ def test_structure_invariants(n):
 
 
 def test_variances_keep_the_coupling_o_n(monkeypatch):
-    """At n = 3000 the dense A alone would be 72 MB; variances never builds it."""
-    built = []
+    """variances builds no coupling at all, not even its O(n) first row, and
+    allocates nothing that grows with n."""
 
-    def recording(n):
-        built.append(build_coupling(n))
-        return built[-1]
+    def refuse(*args):
+        raise AssertionError("variances built a coupling")
 
-    monkeypatch.setattr(cli.cp, "build_coupling", recording)
+    monkeypatch.setattr(cp, "build_coupling", refuse)
+    monkeypatch.setattr(cp, "build_kernel", refuse)
+    config = cli.RunConfig(command="variances", n=10**12, lam=0.3)
+    cli._results_variances(config)  # imports what it reads first
     tracemalloc.start()
     try:
-        cli._results_variances(cli.RunConfig(command="variances", n=3000, lam=0.3))
+        cli._results_variances(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
-    assert [coupling.n for coupling in built] == [3000]
-    assert "entries" not in vars(built[0])
+    assert peak < 100_000
 
 
 def test_spectrum_is_built_on_first_read():
     coupling = build_coupling(7)
-    variances_matrix_sum(build_kernel(coupling, 0.3))
-    assert "eigenvalues" not in vars(coupling)  # the variances read no spectrum
+    build_kernel(coupling, 0.3)
+    assert "eigenvalues" not in vars(coupling)  # a kernel reads no spectrum until asked
     assert coupling.eigenvalues is coupling.eigenvalues
     assert not coupling.eigenvalues.flags.writeable
     assert np.array_equal(coupling.eigenvalues, np.fft.fft(coupling.row).real)
@@ -97,7 +97,7 @@ def test_spectrum_is_built_on_first_read():
 def test_all_ones_eigenvalue_is_the_row_sum(n):
     coupling = build_coupling(n)
     assert coupling.row.sum() == 2
-    assert coupling.eigenvalues[0] == 2.0  # bit for bit: the variances read 2.0
+    assert coupling.eigenvalues[0] == 2.0  # bit for bit: the variances take it as 2.0
 
 
 def test_coupling_and_kernel_fields_are_read_only():

@@ -27,7 +27,7 @@ from nmodesqueeze import (
     wigner_values,
 )
 from nmodesqueeze.fockoracle import build_space, two_photon_expand, wigner_numeric
-from nmodesqueeze.gaussian import LOG_FLOOR
+from nmodesqueeze.gaussian import _FORM_BLOCK, LOG_FLOOR
 
 SWEEP_N = range(2, 9)
 SWEEP_LAMBDA = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
@@ -87,11 +87,11 @@ def test_heisenberg_symplectic_over_accepted_range(n, lam):
 
 
 def test_variance_examples():
-    pair = variances_matrix_sum(build_kernel(build_coupling(3), 0.25))
+    pair = variances_matrix_sum(3, 0.25)
     assert pair.varX1 == pytest.approx(math.exp(-1) / 4, rel=1e-12)
-    pair5 = variances_matrix_sum(build_kernel(build_coupling(5), 0.25))
+    pair5 = variances_matrix_sum(5, 0.25)
     assert pair5.varX2 == pytest.approx(math.e / 4, rel=1e-12)
-    vacuum = variances_matrix_sum(build_kernel(build_coupling(4), 0.0))
+    vacuum = variances_matrix_sum(4, 0.0)
     assert (vacuum.varX1, vacuum.varX2) == (pytest.approx(0.25), pytest.approx(0.25))
 
 
@@ -107,7 +107,7 @@ def test_variances_closed_examples():
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", SWEEP_LAMBDA)
 def test_matrix_sum_equals_closed(n, lam):
-    by_sum = variances_matrix_sum(build_kernel(build_coupling(n), lam))
+    by_sum = variances_matrix_sum(n, lam)
     closed = variances_closed(lam)
     assert by_sum.varX1 == pytest.approx(closed.varX1, rel=1e-10)
     assert by_sum.varX2 == pytest.approx(closed.varX2, rel=1e-10)
@@ -115,7 +115,7 @@ def test_matrix_sum_equals_closed(n, lam):
 
 
 def _assert_variances_exact(n, lam):
-    by_sum = variances_matrix_sum(build_kernel(build_coupling(n), lam))
+    by_sum = variances_matrix_sum(n, lam)
     closed = variances_closed(lam)
     assert abs(by_sum.varX1 * by_sum.varX2 - 1.0 / 16.0) <= 1e-12
     assert abs(by_sum.varX1 - closed.varX1) <= 1e-10 * closed.varX1
@@ -137,7 +137,7 @@ def test_matrix_sum_exact_over_accepted_range(n, lam):
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("n", SWEEP_N)
 def test_squeezing_beats_standard_two_mode(n, lam):
-    pair = variances_matrix_sum(build_kernel(build_coupling(n), lam))
+    pair = variances_matrix_sum(n, lam)
     assert pair.varX1 < math.exp(-2 * lam) / 4
 
 
@@ -242,7 +242,7 @@ def test_covariance_three_mode_entries():
 @pytest.mark.parametrize("lam", (0.0, 0.2, -0.4))
 def test_covariance_projection_recovers_variances(n, lam):
     kernel = build_kernel(build_coupling(n), lam)
-    pair = variances_matrix_sum(kernel)
+    pair = variances_matrix_sum(n, lam)
     ones = np.ones(n) / math.sqrt(2.0 * n)
     assert ones @ (kernel.gram / 2) @ ones == pytest.approx(pair.varX1, abs=1e-12)
     assert ones @ (kernel.gramInv / 2) @ ones == pytest.approx(pair.varX2, abs=1e-12)
@@ -396,6 +396,35 @@ def test_wigner_values_form_stack_matches_per_row_calls(n):
         ]
     )
     assert stacked.tobytes() == per_row.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_wigner_values_form_stack_across_blocks(n):
+    """A stack of weights longer than one block of ``_FORM_BLOCK``
+    coordinates: each row on either side of a block edge keeps the bits of
+    its one-row call with its own weights."""
+    rows = _FORM_BLOCK // n
+    m = 2 * rows + 3
+    lams = np.linspace(-1.0, 1.0, m)
+    q, p = _scaled_points(n, 1.0, m, seed=n)
+    stacked = wigner_values(_stacked_wigner(n, lams), q, p)
+    for k in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, m - 1):
+        one_row = wigner_values(_stacked_wigner(n, lams[k : k + 1]), q[k : k + 1], p[k : k + 1])
+        assert one_row.tobytes() == stacked[k : k + 1].tobytes()
+
+
+def test_wigner_values_hold_one_block_of_temporaries():
+    """16 384 points at n = 64, 8 MB per coordinate array: the FFT and its
+    squares over the whole grid would take some 60 MB, one block about 4."""
+    wig = _wigner(64, 0.3)
+    q, p = _scaled_points(64, 0.3, 16384, seed=5)
+    tracemalloc.start()
+    try:
+        wigner_values(wig, q, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("m", [1, 4, 8, 9, 16, 64, 101, 40401])

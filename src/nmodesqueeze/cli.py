@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Commands, given first or among the flags: coupling, variances,
-normal-form, state, wigner, verify, baseline.  A flag only some commands
-read is a usage error for the others: --n is read by every command but
-baseline and verify, --cutoff by state and verify, --seed and --tolerance
-by verify, --grid and --point by wigner.
+Commands, given first or among the flags, and the flags each reads
+besides --lambda, --format and --out, as the table ``COMMANDS`` states
+them: coupling, variances and normal-form read --n; state --n and
+--cutoff; wigner --n, --grid and --point; verify --cutoff, --seed and
+--tolerance; baseline none.  A flag the command does not read is a usage
+error, which names the first such flag in the order --n, --cutoff,
+--seed, --tolerance, --grid, --point.
 Every run emits one document, JSON by default (schema tag
 "nmode-squeeze/1") or CSV with --format csv.  Floats are printed with 17
 significant digits so a parse on any IEEE-754 platform reproduces the
@@ -43,7 +45,7 @@ import numbers
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .errors import (
@@ -57,11 +59,10 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .verification import CheckRecord, VerifyReport
+    from .coupling import SqueezeKernel
+    from .verification import CheckRecord
 
 SCHEMA = "nmode-squeeze/1"
-COMMANDS = ("coupling", "variances", "normal-form", "state", "wigner", "verify", "baseline")
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -331,6 +332,18 @@ def _json_text(obj, indent: int = 0) -> str:
             return "[" + ", ".join(rendered) + "]"
         inner = "  " * (indent + 1)
         return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + "  " * indent + "]"
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    text = _scalar_text(obj)
+    if text is None:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return text
+
+
+def _scalar_text(obj) -> str | None:
+    """The text of a bool, None, int or float, JSON and CSV alike; None for
+    any other value."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -339,35 +352,23 @@ def _json_text(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
     # numpy registers its scalar types here, and is not imported for them
     if isinstance(obj, numbers.Integral):
         return str(int(obj))
     if isinstance(obj, numbers.Real):
         return _fmt_float(float(obj))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return None
 
 
 def _scalar_csv(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, int):
-        return str(int(value))
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return _fmt_float(float(value))
+    """A CSV cell: a list joined by ";", a dict as ";"-joined key=value
+    pairs, a string as it is."""
     if isinstance(value, (list, tuple)):
         return ";".join(_scalar_csv(v) for v in value)
     if isinstance(value, dict):
         return ";".join(f"{k}={_scalar_csv(v)}" for k, v in value.items())
-    return str(value)
+    text = _scalar_text(value)
+    return str(value) if text is None else text
 
 
 def _flatten(obj, prefix: str = ""):
@@ -402,11 +403,7 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
         header = ["name", "paper_ref", "expected", "actual", "tol", "pass", "tail_mass", "skipped", "note"]
         writer.writerow(header)
         for rec in doc["checks"]:
-            writer.writerow([
-                rec["name"], rec["paper_ref"], _scalar_csv(rec["expected"]),
-                _scalar_csv(rec["actual"]), _scalar_csv(rec["tol"]), _scalar_csv(rec["pass"]),
-                _scalar_csv(rec["tail_mass"]), _scalar_csv(rec["skipped"]), rec["note"],
-            ])
+            writer.writerow([_scalar_csv(rec[key]) for key in header])
     else:
         writer.writerow(["name", "value"])
         for name, value in _flatten(results):
@@ -423,66 +420,91 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each builds its document's results, verify
+# records and exit code
 
-def _results_coupling(config: RunConfig) -> dict:
-    import numpy as np
+class _Outcome(NamedTuple):
+    """What a command adds to its document; only verify has checks, or an
+    exit code other than 0."""
 
+    results: dict
+    checks: list | tuple = ()
+    exit_code: int = EXIT_OK
+
+
+def _require_n(config: RunConfig) -> int:
+    if config.n is None:
+        raise UsageError(f"command {config.command!r} requires --n")
+    return config.n
+
+
+def _require_dense_n(config: RunConfig) -> int:
+    """--n of a command that builds n x n matrices, refused over DENSE_GUARD
+    before any of them exists."""
+    n = _require_n(config)
+    if n > math.isqrt(DENSE_GUARD):
+        raise ResourceLimitError(
+            f"n={n} needs {n}x{n} matrices of {n * n} entries, over the guard of {DENSE_GUARD}"
+        )
+    return n
+
+
+def _kernel(config: RunConfig, n: int) -> SqueezeKernel:
+    """The squeeze kernel of n modes, n already guarded, at --lambda."""
     from . import coupling as cp
 
-    base = cp.build_coupling(_require_dense_n(config))
-    kernel = cp.build_kernel(base, config.lam)
-    return {
+    return cp.build_kernel(cp.build_coupling(n), config.lam)
+
+
+def _results_coupling(config: RunConfig) -> _Outcome:
+    import numpy as np
+
+    kernel = _kernel(config, _require_dense_n(config))
+    base = kernel.coupling
+    return _Outcome({
         "A": base.entries.tolist(),
         "eigenvalues": np.sort(base.eigenvalues)[::-1].tolist(),
         "Lambda": kernel.Lambda.tolist(),
         "gram": kernel.gram.tolist(),
         "det_lambda": kernel.detLambda,
         "det_n": kernel.detN,
-    }
+    })
 
 
-def _results_variances(config: RunConfig) -> dict:
+def _results_variances(config: RunConfig) -> _Outcome:
     from . import variances as va
 
     by_sum = va.variances_matrix_sum(_require_n(config), config.lam)
     closed = va.variances_closed(config.lam)
-    return {
+    return _Outcome({
         "matrix_sum": {"var_x1": by_sum.varX1, "var_x2": by_sum.varX2},
         "closed": {"var_x1": closed.varX1, "var_x2": closed.varX2},
         "product_matrix_sum": by_sum.varX1 * by_sum.varX2,
         "product_closed": closed.varX1 * closed.varX2,
-    }
+    })
 
 
-def _results_normal_form(config: RunConfig) -> dict:
-    from . import coupling as cp
+def _results_normal_form(config: RunConfig) -> _Outcome:
     from . import normalform as nf
 
-    kernel = cp.build_kernel(cp.build_coupling(_require_dense_n(config)), config.lam)
-    form = nf.normal_form(kernel)
-    return {
+    form = nf.normal_form(_kernel(config, _require_dense_n(config)))
+    return _Outcome({
         "prefactor": form.prefactor,
         "cre_mat": form.creMat.tolist(),
         "cross_mat": form.crossMat.tolist(),
         "ann_mat": form.annMat.tolist(),
-    }
+    })
 
 
-def _results_state(config: RunConfig) -> dict:
-    import numpy as np
-
-    from . import coupling as cp
+def _results_state(config: RunConfig) -> _Outcome:
     from . import normalform as nf
 
     n = _require_dense_n(config)
-    kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
-    state = nf.squeezed_vacuum(kernel)
-    results = {
-        "norm": state.norm,
-        "two_photon_matrix": state.F.tolist(),
-    }
+    state = nf.squeezed_vacuum(_kernel(config, n))
+    results = {"norm": state.norm, "two_photon_matrix": state.F.tolist()}
     if config.cutoff is not None:
+        import numpy as np
+
         from . import fockoracle as fo  # only --cutoff loads the oracle
 
         space = fo.build_space(n, config.cutoff)
@@ -500,20 +522,20 @@ def _results_state(config: RunConfig) -> dict:
             "tail_mass": fo.tail_mass(psi),
             "amplitudes": amplitudes,
         }
-    return results
+    return _Outcome(results)
 
 
-def _results_baseline(config: RunConfig) -> dict:
+def _results_baseline(config: RunConfig) -> _Outcome:
     from . import normalform as nf
 
     state = nf.baseline_two_mode(config.lam)
-    return {
+    return _Outcome({
         "norm": state.norm,
         "f_offdiag": float(state.F[0, 1]),
         "var_x1": math.exp(-2 * config.lam) / 4,
         "var_x2": math.exp(2 * config.lam) / 4,
         "uncertainty_product": 1.0 / 16.0,
-    }
+    })
 
 
 def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -572,16 +594,14 @@ def _parse_axis(axis: str, n: int) -> tuple[str, int]:
     return kind, index
 
 
-def _results_wigner(config: RunConfig) -> dict:
-    from . import coupling as cp
+def _results_wigner(config: RunConfig) -> _Outcome:
     from . import gaussian as ga
 
     n = _require_n(config)
     # no n x n matrix here: DENSE_GUARD's cap on n bounds the 2n columns per point
     if n > math.isqrt(DENSE_GUARD):
         raise ResourceLimitError(f"n={n} is over the guard of {math.isqrt(DENSE_GUARD)} modes")
-    kernel = cp.build_kernel(cp.build_coupling(n), config.lam)
-    wig = ga.wigner_from_kernel(kernel)
+    wig = ga.wigner_from_kernel(_kernel(config, n))
     q, p = _wigner_points(config, n)
     values = ga.wigner_values(wig, q, p)
     closed = None
@@ -593,10 +613,9 @@ def _results_wigner(config: RunConfig) -> dict:
     results: dict = {"points": PointTable(q, p, values, closed)}
     if config.grid:
         results["grid"] = [
-            {"axis": axis, "lo": lo, "hi": hi, "steps": steps}
-            for axis, lo, hi, steps in config.grid
+            {"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid
         ]
-    return results
+    return _Outcome(results)
 
 
 def _record_doc(rec: CheckRecord) -> dict:
@@ -614,48 +633,50 @@ def _record_doc(rec: CheckRecord) -> dict:
     }
 
 
-def verify(config: RunConfig) -> VerifyReport:
-    """Run the acceptance suite under this configuration."""
+def _results_verify(config: RunConfig) -> _Outcome:
+    """The acceptance suite: exit 1 if a check fails, 3 if the resource
+    guard skipped one."""
     from .verification import run_verification
 
-    return run_verification(
+    report = run_verification(
         seed=config.seed if config.seed is not None else 0,
         cutoff=config.cutoff,
         tolerances=config.tolerances,
     )
-
-
-def _require_n(config: RunConfig) -> int:
-    if config.n is None:
-        raise UsageError(f"command {config.command!r} requires --n")
-    return config.n
-
-
-def _require_dense_n(config: RunConfig) -> int:
-    """--n of a command that builds n x n matrices, refused over DENSE_GUARD
-    before any of them exists."""
-    n = _require_n(config)
-    if n > math.isqrt(DENSE_GUARD):
-        raise ResourceLimitError(
-            f"n={n} needs {n}x{n} matrices of {n * n} entries, over the guard of {DENSE_GUARD}"
-        )
-    return n
-
-
-def _refuse_unread_flags(config: RunConfig) -> None:
-    """A usage error for a flag the command does not read, so a document's
-    config never records a setting that had no effect."""
-    reads = {
-        "--n": (config.n is not None, ("coupling", "variances", "normal-form", "state", "wigner")),
-        "--cutoff": (config.cutoff is not None, ("state", "verify")),
-        "--seed": (config.seed is not None, ("verify",)),
-        "--tolerance": (bool(config.tolerances), ("verify",)),
-        "--grid": (bool(config.grid), ("wigner",)),
-        "--point": (bool(config.points), ("wigner",)),
+    executed = [rec for rec in report.checks if not rec.skipped]
+    results = {
+        "overall": report.overall,
+        "seed": report.seed,
+        "checks_run": len(executed),
+        "checks_skipped": len(report.checks) - len(executed),
     }
-    for flag, (given, readers) in reads.items():
-        if given and config.command not in readers:
-            raise UsageError(f"command {config.command!r} does not read {flag}")
+    exit_code = {"fail": EXIT_CHECK_FAILED, "partial": EXIT_RESOURCE}.get(report.overall, EXIT_OK)
+    return _Outcome(results, [_record_doc(rec) for rec in report.checks], exit_code)
+
+
+def _unknown_command(config: RunConfig) -> NoReturn:
+    raise UsageError(f"unknown command {config.command!r}")
+
+
+# The flags only some commands read, in the order they are checked, and the
+# RunConfig field each sets; a flag not given leaves its field None or empty.
+_FLAG_FIELDS = {
+    "--n": "n", "--cutoff": "cutoff", "--seed": "seed",
+    "--tolerance": "tolerances", "--grid": "grid", "--point": "points",
+}
+
+
+# Every command, in the order argparse lists them: the flags it reads of
+# those in _FLAG_FIELDS, and the builder of its results.
+COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[RunConfig], _Outcome]]] = {
+    "coupling": (("--n",), _results_coupling),
+    "variances": (("--n",), _results_variances),
+    "normal-form": (("--n",), _results_normal_form),
+    "state": (("--n", "--cutoff"), _results_state),
+    "wigner": (("--n", "--grid", "--point"), _results_wigner),
+    "verify": (("--cutoff", "--seed", "--tolerance"), _results_verify),
+    "baseline": ((), _results_baseline),
+}
 
 
 def run(config: RunConfig) -> tuple[str, int]:
@@ -668,39 +689,15 @@ def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
     """Execute one configuration; returns (document pieces, exit code).
 
     Every result is computed here, so an error is raised before a piece
-    exists; the pieces are rendered as they are drawn."""
-    _refuse_unread_flags(config)
-    checks: list[dict] = []
-    exit_code = EXIT_OK
-    if config.command == "coupling":
-        results = _results_coupling(config)
-    elif config.command == "variances":
-        results = _results_variances(config)
-    elif config.command == "normal-form":
-        results = _results_normal_form(config)
-    elif config.command == "state":
-        results = _results_state(config)
-    elif config.command == "wigner":
-        results = _results_wigner(config)
-    elif config.command == "baseline":
-        results = _results_baseline(config)
-    elif config.command == "verify":
-        report = verify(config)
-        checks = [_record_doc(rec) for rec in report.checks]
-        executed = [rec for rec in report.checks if not rec.skipped]
-        results = {
-            "overall": report.overall,
-            "seed": report.seed,
-            "checks_run": len(executed),
-            "checks_skipped": len(report.checks) - len(executed),
-        }
-        if report.overall == "fail":
-            exit_code = EXIT_CHECK_FAILED
-        elif report.overall == "partial":
-            exit_code = EXIT_RESOURCE
-    else:
-        raise UsageError(f"unknown command {config.command!r}")
-
+    exists; the pieces are rendered as they are drawn.  A flag the command
+    does not read is a usage error, so a document's config never records a
+    setting that had no effect."""
+    # an unknown command reads no flag, so a flag given to it is named first
+    reads, build = COMMANDS.get(config.command, ((), _unknown_command))
+    for flag, field in _FLAG_FIELDS.items():
+        if getattr(config, field) not in (None, [], {}) and flag not in reads:
+            raise UsageError(f"command {config.command!r} does not read {flag}")
+    results, checks, exit_code = build(config)
     doc = {
         "schema": SCHEMA,
         "command": config.command,
@@ -708,9 +705,7 @@ def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
             "n": config.n,
             "lambda": config.lam,
             "cutoff": config.cutoff,
-            "grid": [
-                {"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid
-            ],
+            "grid": [{"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid],
             "points": [{"q": q, "p": p} for q, p in config.points],
             "format": config.fmt,
             "seed": config.seed,

@@ -135,15 +135,13 @@ def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndar
 
     fn(A) is symmetric, so entry (i, j) reads that row at the cyclic
     distance min(|i - j|, n - |i - j|), which keeps the result exactly
-    symmetric.  An fn that returns an (m, n) stack of spectra (one row per
-    parameter value) gives the (m, n, n) stack of matrices, each with the
-    bits of its own single call.
+    symmetric.
     """
     n = coupling.n
     row = np.fft.ifft(fn(coupling.eigenvalues)).real
     index = np.arange(n)
     dist = np.abs(index[:, None] - index[None, :])
-    return row[..., np.minimum(dist, n - dist)]
+    return row[np.minimum(dist, n - dist)]
 
 
 def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import SqueezeKernel
+from .coupling import CouplingMatrix, SqueezeKernel
 
 # Log-space floor: below this the linear-scale value is reported as 0.0.
 LOG_FLOOR = -700.0
@@ -83,10 +83,14 @@ def wigner_from_kernel(kernel: SqueezeKernel) -> GaussianWigner:
     """Gaussian Wigner function of the squeezed vacuum: the q form is the
     inverse Gram matrix exp(+2 lambda A), the p form the Gram matrix, each
     as weights on the spectrum of A; the peak value at the origin is pi^-n."""
-    return GaussianWigner(
-        qWeights=np.exp(2.0 * kernel.lam * kernel.coupling.eigenvalues),
-        pWeights=np.exp(-2.0 * kernel.lam * kernel.coupling.eigenvalues),
-    )
+    return wigner_from_coupling(kernel.coupling, kernel.lam)
+
+
+def wigner_from_coupling(coupling: CouplingMatrix, lam: float | np.ndarray) -> GaussianWigner:
+    """``wigner_from_kernel`` at lambda, a float, or at each of an (m,)
+    array of lambdas as (m, n) weight stacks; lambda is not range-checked."""
+    exponents = np.multiply.outer(2.0 * np.asarray(lam), coupling.eigenvalues)
+    return GaussianWigner(qWeights=np.exp(exponents), pWeights=np.exp(-exponents))
 
 
 def _spectral_form(weights: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -376,11 +376,8 @@ def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> Chec
     lam_values = np.array(lams)
     worst = 0.0
     for closed_fn, alphas in ((nf.wigner3_closed, alphas3), (nf.wigner4_closed, alphas4)):
-        n = alphas[0].size
-        base = cp.build_coupling(n)
         # the kernels' Wigner weights at every drawn lambda, as (200, n) stacks
-        exponents = 2.0 * lam_values[:, None] * base.eigenvalues
-        wig = ga.GaussianWigner(qWeights=np.exp(exponents), pWeights=np.exp(-exponents))
+        wig = ga.wigner_from_coupling(cp.build_coupling(alphas[0].size), lam_values)
         points = np.array(alphas)
         generic = ga.wigner_value_alpha(wig, points)
         worst = max(worst, float(np.max(_rel_err(closed_fn(lam_values, points), generic))))

@@ -385,6 +385,62 @@ def test_main_flag_the_command_does_not_read_is_a_usage_error(argv, flag, capsys
     assert captured.err == f"error: command {argv[0]!r} does not read {flag}\n"
 
 
+# Which command reads which of the six command-specific flags, written out
+# by hand: True is read, False is a usage error naming the flag.
+FLAG_VALUES = {
+    "--n": "2", "--cutoff": "3", "--seed": "3", "--tolerance": "variance=1",
+    "--grid": "q1=0:1:2", "--point": "0,0:0,0",
+}
+FLAG_MATRIX = {
+    #               --n    --cutoff --seed  --tolerance --grid --point
+    "coupling":    (True,  False,   False,  False,      False, False),
+    "variances":   (True,  False,   False,  False,      False, False),
+    "normal-form": (True,  False,   False,  False,      False, False),
+    "state":       (True,  True,    False,  False,      False, False),
+    "wigner":      (True,  False,   False,  False,      True,  True),
+    "verify":      (False, True,    True,   True,       False, False),
+    "baseline":    (False, False,   False,  False,      False, False),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, read",
+    [
+        pytest.param(command, flag, read, id=f"{command}-{flag[2:]}")
+        for command, row in FLAG_MATRIX.items()
+        for flag, read in zip(FLAG_VALUES, row)
+    ],
+)
+def test_main_flag_matrix(command, flag, read, capsys):
+    # a command that reads --n gets one, so the argv is valid without the flag
+    needs_n = FLAG_MATRIX[command][0] and flag != "--n"
+    argv = [command, *(["--n", "2"] if needs_n else []), flag, FLAG_VALUES[flag]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if read:
+        assert code != EXIT_USAGE and captured.err == ""
+    else:
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: command {command!r} does not read {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["baseline", "--point", "0,0:0,0", "--grid", "q1=0:1:2", "--tolerance", "variance=1",
+          "--seed", "3", "--cutoff", "3", "--n", "2"], "--n"),
+        (["wigner", "--point", "0,0:0,0", "--tolerance", "variance=1", "--seed", "3",
+          "--n", "2"], "--seed"),
+        (["verify", "--point", "0,0:0,0", "--grid", "q1=0:1:2", "--seed", "3"], "--grid"),
+    ],
+)
+def test_main_first_unread_flag_is_named(argv, flag, capsys):
+    # flags are checked in the order --n, --cutoff, --seed, --tolerance,
+    # --grid, --point, whatever their order on the command line
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: command {argv[0]!r} does not read {flag}\n"
+
+
 def test_negative_seed_is_refused_before_any_draw(monkeypatch):
     def no_generator(seed):
         raise AssertionError(f"a generator was built from seed {seed}")
@@ -474,15 +530,15 @@ def _per_point_csv(entries: list[dict]) -> str:
 def test_points_rendering_matches_per_point_dicts(config, monkeypatch):
     text, code = run(config)
     csv_text, csv_code = run(RunConfig(**{**vars(config), "fmt": "csv"}))
-    table = cli._results_wigner(config)["points"]
-    real = cli._results_wigner
+    table = cli._results_wigner(config).results["points"]
+    reads, build = cli.COMMANDS["wigner"]
 
     def per_point(cfg):
-        results = real(cfg)
-        results["points"] = _entries(results["points"])
-        return results
+        outcome = build(cfg)
+        outcome.results["points"] = _entries(outcome.results["points"])
+        return outcome
 
-    monkeypatch.setattr(cli, "_results_wigner", per_point)
+    monkeypatch.setitem(cli.COMMANDS, "wigner", (reads, per_point))
     reference, _ = run(config)
     assert code == csv_code == EXIT_OK
     assert text == reference
@@ -556,7 +612,7 @@ def test_points_grid_formats_each_distinct_pattern_once(monkeypatch):
     config = RunConfig(
         command="wigner", n=4, lam=0.3, grid=[("q2", -2.0, 2.0, 61), ("p4", -1.5, 1.5, 61)]
     )
-    table = cli._results_wigner(config)["points"]
+    table = cli._results_wigner(config).results["points"]
     distinct = [np.unique(col.view(np.int64)) for col in table.columns()]
     assert [len(bits) for bits in distinct[:8]] == [1, 61, 1, 1, 1, 1, 1, 61]
     real = cli._fmt_floats
@@ -788,10 +844,15 @@ def _strict_json(text: str) -> dict:
     return json.loads(text, parse_constant=reject)
 
 
-# sha256 of three whole documents as numpy 2.4.6 renders them: a change
+# sha256 of whole documents as numpy 2.4.6 renders them: a change
 # that moves one byte of them changes what the commands print.  Another
 # numpy may round a last bit differently, so there the pin is skipped.
 PINNED_NUMPY = "2.4.6"
+VARIANCES = {"command": "variances", "n": 5, "lam": 0.37}
+COUPLING = {"command": "coupling", "n": 5, "lam": 0.3}
+NORMAL_FORM = {"command": "normal-form", "n": 4, "lam": 0.3}
+STATE = {"command": "state", "n": 3, "lam": 0.3, "cutoff": 8}
+BASELINE = {"command": "baseline", "lam": 0.6}
 PINNED_DOCUMENTS = [
     pytest.param(
         RunConfig(command="verify", seed=0),
@@ -809,6 +870,35 @@ PINNED_DOCUMENTS = [
         ),
         "6c713989dc5bb967d27bd31742bf6d47b79d7121ad5271a979c218e1b72aecdd",
         id="wigner-n4-201x201",
+    ),
+    *(
+        pytest.param(RunConfig(**config, fmt=fmt), digest, id=f"{name}-{fmt}")
+        for name, config, fmt, digest in [
+            ("verify-seed0", {"command": "verify", "seed": 0}, "csv",
+             "92cbbf4e297ccad9a6543d680c5a04946b2da86a6251746fe3ca56f2f1c61350"),
+            ("verify-seed7", {"command": "verify", "seed": 7}, "csv",
+             "7f11719dfc89235599f26b23d1bf7611943001845f7f4c4169c8cbde6835ef6b"),
+            ("variances", VARIANCES, "json",
+             "a6068e892569cf2cfa42e1630c2c5b8daf48d755585d7d4db3547ea21aa2a681"),
+            ("variances", VARIANCES, "csv",
+             "7c6af4ff516b091c0de300a9d9518566e491f5a30d0a8f90862d46897be73e30"),
+            ("coupling", COUPLING, "json",
+             "ac7669445f42d1086d5695ad80a64bb62c5a391b82cd964e456138347974d518"),
+            ("coupling", COUPLING, "csv",
+             "fd37147a11d54a7b64297a6452ac13e52e184430f69f2b199fabf5bfcedd9dd7"),
+            ("normal-form", NORMAL_FORM, "json",
+             "2eeb5e9e6bbc3c0ce871fb792ba14f196556f9c6672178b0f934219f6b70750b"),
+            ("normal-form", NORMAL_FORM, "csv",
+             "638f56dfc93b4210cb36547b9b0ed608db42fc5930039de5b2a741aa3d6d7e98"),
+            ("state", STATE, "json",
+             "37ecc1c31d79ac2444e86359e5fe0f3be322da496ad219b5b9e2bdbf7442d1e7"),
+            ("state", STATE, "csv",
+             "dd0efc70a72d8e9824efbe40864db3defb267375ad32d17e2784f7b9aa3f4a63"),
+            ("baseline", BASELINE, "json",
+             "b8057d0827073f1e996d1b33a6348bcb55bb6d694f129b7c617fc107eb7f764b"),
+            ("baseline", BASELINE, "csv",
+             "28727eebba97ceef67a888000f69678de66f3c6dabf24cdc56a87c8d33ebffcc"),
+        ]
     ),
 ]
 

@@ -143,16 +143,6 @@ def test_spectrum_orthonormal_and_reconstructs(n):
     assert np.array_equal(identity, matrix_function(coupling, lambda a: a))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 1000])
-def test_matrix_function_stack_matches_single_calls(n):
-    coupling = build_coupling(n)
-    lams = np.array([-20.0, -0.5, 0.0, 0.3, 7.25, 20.0])
-    stack = matrix_function(coupling, lambda a: np.exp(2.0 * lams[:, None] * a))
-    assert stack.shape == (lams.size, n, n)
-    for k, lam in enumerate(lams.tolist()):
-        assert stack[k].tobytes() == build_kernel(coupling, lam).gramInv.tobytes()
-
-
 @pytest.mark.parametrize("n", SWEEP_N)
 def test_kernel_identity_at_zero(n):
     kernel = build_kernel(build_coupling(n), 0.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nmodesqueeze import (
-    GaussianWigner,
     VariancePair,
     build_coupling,
     build_kernel,
@@ -27,7 +26,7 @@ from nmodesqueeze import (
     wigner_values,
 )
 from nmodesqueeze.fockoracle import build_space, two_photon_expand, wigner_numeric
-from nmodesqueeze.gaussian import _FORM_BLOCK, LOG_FLOOR
+from nmodesqueeze.gaussian import _FORM_BLOCK, LOG_FLOOR, wigner_from_coupling
 
 SWEEP_N = range(2, 9)
 SWEEP_LAMBDA = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
@@ -378,8 +377,7 @@ def test_wigner_origin_over_accepted_range(n, lam):
 def _stacked_wigner(n, lams):
     """One GaussianWigner whose weights are the (m, n) stacks of the
     kernels' weights over the m values in lams."""
-    exponents = 2.0 * np.asarray(lams)[:, None] * build_coupling(n).eigenvalues
-    return GaussianWigner(qWeights=np.exp(exponents), pWeights=np.exp(-exponents))
+    return wigner_from_coupling(build_coupling(n), lams)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])

@@ -1,37 +1,7 @@
 """Command-line front end.
 
-Commands, given first or among the flags, and the flags each reads
-besides --lambda, --format and --out, as the table ``COMMANDS`` states
-them: coupling, variances and normal-form read --n; state --n and
---cutoff; wigner --n, --grid and --point; verify --cutoff, --seed and
---tolerance; baseline none.  A flag the command does not read is a usage
-error, which names the first such flag in the order --n, --cutoff,
---seed, --tolerance, --grid, --point.
-Every run emits one document, JSON by default (schema tag
-"nmode-squeeze/1") or CSV with --format csv.  Floats are printed with 17
-significant digits so a parse on any IEEE-754 platform reproduces the
-exact bits; a non-finite float (NaN, +-inf) is written as null.  Exit
-codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard or a document that cannot be written (a closed pipe, a full disk,
-an --out path in a missing directory), 4 numeric failure (a solver broke
-down or a Fock cutoff was too small for the state).  Exits 2, 3 and 4
-write one line to stderr.
-
-Every result is computed before the first piece of the document is
-rendered, so a run that ends in a usage, resource or numeric error writes
-nothing to stdout or --out.  The document then streams: it is rendered
-piece by piece (the points of a wigner run one block of rows at a time)
-and written as it is rendered, in whole multiples of 64 KiB.  An
-exception while rendering is a bug, and may leave a partial document.
-
-This module imports no numpy and no package module that does: each
-command imports what it reads when it runs, so ``variances`` runs without
-numpy.
-
-``main`` returns the exit code, for callers that run it in process.
-``console_main``, the entry point of the installed script and of
-``python -m nmodesqueeze``, runs ``main``, flushes stdout and stderr and
-ends the process at once with ``os._exit``, skipping interpreter teardown.
+``COMMANDS`` names every command once, with the flags it reads and the
+builder of its results; ``build_parser`` writes ``--help`` from it.
 """
 
 from __future__ import annotations
@@ -48,6 +18,9 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
+# No numpy here, and no package module that imports it: each command
+# imports what it reads when it runs, so variances and baseline run without
+# numpy.
 from .errors import (
     ModeCountError,
     NumericFailureError,
@@ -84,8 +57,6 @@ GRID_GUARD = 1 << 22
 # same cap on n bounds the 2n columns rendered per point, whose cost past
 # n = 1448 has not been measured.
 DENSE_GUARD = 1 << 21
-
-POINT_HELP = "phase-space point; one that starts with -inf or -nan needs --point=VALUE"
 
 
 class UsageError(ValueError):
@@ -137,6 +108,11 @@ class PointTable(NamedTuple):
         if self.value_closed is not None:
             cols.append(self.value_closed)
         return cols
+
+    def header(self) -> list[str]:
+        """The names of ``columns``, the CSV header."""
+        names = [f"{part}{i}" for part in "qp" for i in range(1, self.q.shape[1] + 1)]
+        return [*names, "value"] if self.value_closed is None else [*names, "value", "value_closed"]
 
     def entry(self, k: int) -> dict:
         """Point k as the dict the ``points`` list of the document holds."""
@@ -383,33 +359,28 @@ def _flatten(obj, prefix: str = ""):
 
 
 def _csv_pieces(doc: dict) -> Iterator[str]:
-    """The CSV document: its header and any one-row-per-item body in one
-    piece, then the wigner points one piece per block of rows."""
+    """The CSV document, laid out by what it holds: a PointTable at
+    results["points"] one row per point, one piece per block of rows; else
+    check records one row each, less their inputs; else one row per leaf."""
     import csv  # only --format csv reads it
 
     head = io.StringIO()
     writer = csv.writer(head, lineterminator="\n")
-    results = doc["results"]
-    table = None
-    if doc["command"] == "wigner":
-        table = results["points"]
-        nmodes = table.q.shape[1]
-        header = [f"q{i+1}" for i in range(nmodes)] + [f"p{i+1}" for i in range(nmodes)]
-        header.append("value")
-        if table.value_closed is not None:
-            header.append("value_closed")
+    results, checks = doc["results"], doc.get("checks")
+    table = results.get("points")
+    if isinstance(table, PointTable):
+        writer.writerow(table.header())
+    elif checks:
+        header = [key for key in checks[0] if key != "inputs"]
         writer.writerow(header)
-    elif doc["command"] == "verify":
-        header = ["name", "paper_ref", "expected", "actual", "tol", "pass", "tail_mass", "skipped", "note"]
-        writer.writerow(header)
-        for rec in doc["checks"]:
+        for rec in checks:
             writer.writerow([_scalar_csv(rec[key]) for key in header])
     else:
         writer.writerow(["name", "value"])
         for name, value in _flatten(results):
             writer.writerow([name, _scalar_csv(value)])
     yield head.getvalue()
-    if table is not None:
+    if isinstance(table, PointTable):
         # A number never needs csv quoting, so the rows are joined directly.
         columns = [_ColumnTexts(values) for values in table.columns()]
         literals, varying = _row_template([*_interleave(columns, ","), "\n"])
@@ -526,12 +497,12 @@ def _results_state(config: RunConfig) -> _Outcome:
 
 
 def _results_baseline(config: RunConfig) -> _Outcome:
-    from . import normalform as nf
+    from . import variances as va
 
-    state = nf.baseline_two_mode(config.lam)
+    norm, f_offdiag = va.baseline_scalars(config.lam)
     return _Outcome({
-        "norm": state.norm,
-        "f_offdiag": float(state.F[0, 1]),
+        "norm": norm,
+        "f_offdiag": f_offdiag,
         "var_x1": math.exp(-2 * config.lam) / 4,
         "var_x2": math.exp(2 * config.lam) / 4,
         "uncertainty_product": 1.0 / 16.0,
@@ -571,27 +542,24 @@ def _wigner_points(config: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
                 f"grid of {size} points at n={n} holds {size * n} coordinates, "
                 f"over the guard of {GRID_GUARD}"
             )
-        axes_values = [
-            (kind, index, np.linspace(lo, hi, steps))
-            for (kind, index), (_, lo, hi, steps) in zip(axes, config.grid)
-        ]
-        mesh = np.meshgrid(*[vals for _, _, vals in axes_values], indexing="ij")
-        q = np.zeros((mesh[0].size, n))
-        p = np.zeros((mesh[0].size, n))
-        for (kind, index, _), grid_arr in zip(axes_values, mesh):
-            (q if kind == "q" else p)[:, index] = grid_arr.reshape(-1)
-        return q, p
+        spans = [np.linspace(lo, hi, steps) for _, lo, hi, steps in config.grid]
+        mesh = np.meshgrid(*spans, indexing="ij")
+        qp = np.zeros((2, mesh[0].size, n))
+        for (part, index), values in zip(axes, mesh):
+            qp[part, :, index] = values.reshape(-1)
+        return qp[0], qp[1]
     return np.zeros((1, n)), np.zeros((1, n))
 
 
-def _parse_axis(axis: str, n: int) -> tuple[str, int]:
+def _parse_axis(axis: str, n: int) -> tuple[int, int]:
+    """The grid axis q1..qn or p1..pn as (0 for q or 1 for p, mode index)."""
     kind = axis[:1]
     if kind not in ("q", "p") or not axis[1:].isdigit():
         raise UsageError(f"grid axis must look like q1..q{n} or p1..p{n}, got {axis!r}")
     index = int(axis[1:]) - 1
     if not 0 <= index < n:
         raise UsageError(f"grid axis {axis!r} out of range for n={n}")
-    return kind, index
+    return "qp".index(kind), index
 
 
 def _results_wigner(config: RunConfig) -> _Outcome:
@@ -612,25 +580,19 @@ def _results_wigner(config: RunConfig) -> _Outcome:
         closed = closed_fn(config.lam, (q + 1j * p) / math.sqrt(2.0))
     results: dict = {"points": PointTable(q, p, values, closed)}
     if config.grid:
-        results["grid"] = [
-            {"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid
-        ]
+        results["grid"] = _grid_doc(config)
     return _Outcome(results)
 
 
+def _grid_doc(config: RunConfig) -> list[dict]:
+    """--grid as the document holds it, in its config and in its results."""
+    return [{"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid]
+
+
 def _record_doc(rec: CheckRecord) -> dict:
-    return {
-        "name": rec.name,
-        "paper_ref": rec.ref,
-        "inputs": rec.inputs,
-        "expected": rec.expected,
-        "actual": rec.actual,
-        "tol": rec.tol,
-        "pass": rec.passed,
-        "tail_mass": rec.tail_mass,
-        "skipped": rec.skipped,
-        "note": rec.note,
-    }
+    """The record's fields in their order; the document names two of them apart."""
+    renamed = {"ref": "paper_ref", "passed": "pass"}
+    return {renamed.get(key, key): value for key, value in vars(rec).items()}
 
 
 def _results_verify(config: RunConfig) -> _Outcome:
@@ -689,9 +651,10 @@ def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
     """Execute one configuration; returns (document pieces, exit code).
 
     Every result is computed here, so an error is raised before a piece
-    exists; the pieces are rendered as they are drawn.  A flag the command
-    does not read is a usage error, so a document's config never records a
-    setting that had no effect."""
+    exists; the pieces are rendered as they are drawn, and an exception
+    while rendering is a bug that may leave a partial document.  A flag the
+    command does not read is a usage error, so a document's config never
+    records a setting that had no effect."""
     # an unknown command reads no flag, so a flag given to it is named first
     reads, build = COMMANDS.get(config.command, ((), _unknown_command))
     for flag, field in _FLAG_FIELDS.items():
@@ -705,7 +668,7 @@ def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
             "n": config.n,
             "lambda": config.lam,
             "cutoff": config.cutoff,
-            "grid": [{"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid],
+            "grid": _grid_doc(config),
             "points": [{"q": q, "p": p} for q, p in config.points],
             "format": config.fmt,
             "seed": config.seed,
@@ -765,35 +728,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_EPILOG = f"""\
+Every run writes one document, JSON (schema "{SCHEMA}") or CSV;
+floats carry 17 significant digits, so they re-parse to the same bits, and
+a non-finite one is null.  exit codes: 0 success, 1 a check failed, 2 usage
+error, 3 resource guard or a document that cannot be written, 4 numeric
+failure; a run that exits 2, 3 or 4 writes one line to stderr, no document."""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nmode-squeeze", description=__doc__)
-    parser.add_argument("command", choices=COMMANDS)
+    """The parser; its --help lists each command of ``COMMANDS`` with the
+    flags it reads."""
+    width = max(map(len, COMMANDS)) + 2
+    description = "\n".join([
+        "commands, and the flags each reads besides --lambda, --format and --out:",
+        *(f"  {name:<{width}}{' '.join(reads) or 'none'}" for name, (reads, _) in COMMANDS.items()),
+        "A flag the command does not read is a usage error.",
+    ])
+    parser = _Parser(
+        prog="nmode-squeeze",
+        description=description,
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands above"
+    )
     parser.add_argument("--n", type=int, help="mode count")
     parser.add_argument("--lambda", dest="lam", type=float, default=0.0, help="squeezing parameter")
     parser.add_argument("--cutoff", type=int, help="per-mode Fock cutoff")
-    parser.add_argument("--grid", action="append", default=[], metavar="AXIS=lo:hi:steps")
-    parser.add_argument("--point", action="append", default=[], metavar="q,..:p,..", help=POINT_HELP)
+    parser.add_argument(
+        "--grid", action="append", default=[], metavar="AXIS=lo:hi:steps",
+        help="grid axis q1..qn or p1..pn, at most two; other coordinates are 0",
+    )
+    parser.add_argument(
+        "--point", dest="points", action="append", default=[], metavar="q,..:p,..",
+        help="phase-space point; one that starts with -inf or -nan needs --point=VALUE",
+    )
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--seed", type=int, help="seed for pseudo-random draws")
-    parser.add_argument("--tolerance", action="append", default=[], metavar="NAME=VAL")
+    parser.add_argument(
+        "--tolerance", dest="tolerances", action="append", default=[], metavar="NAME=VAL",
+        help="a check's tolerance",
+    )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    tolerances = dict(_parse_tolerance(raw) for raw in args.tolerance)
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        lam=args.lam,
-        cutoff=args.cutoff,
-        grid=[_parse_grid(raw) for raw in args.grid],
-        points=[_parse_point(raw) for raw in args.point],
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        tolerances=tolerances,
-    )
+    """The RunConfig of parsed arguments: each argparse dest is a RunConfig
+    field, and the repeatable flags are read into values here."""
+    return RunConfig(**{
+        **vars(args),
+        "tolerances": dict(_parse_tolerance(raw) for raw in args.tolerances),
+        "grid": [_parse_grid(raw) for raw in args.grid],
+        "points": [_parse_point(raw) for raw in args.points],
+    })
 
 
 def _report(line: str) -> None:
@@ -805,6 +795,7 @@ def _report(line: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; returns the exit code, for callers in process."""
     try:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)

@@ -12,7 +12,8 @@ The squeezed vacuum is Gaussian, so its Wigner function is
 A is circulant, so each exponent is read on its spectrum a_k as
 (1/n) sum_k exp(+-2 lambda a_k) |fft(x)_k|^2: non-negative terms, O(n log n)
 per point, no n x n matrix.  ``wigner_values`` evaluates W at the rows of
-(m, n) arrays q and p; values below exp(-700) are reported as exactly 0.
+(m, n) arrays q and p; ``values_from_exponent`` reports values below
+exp(-700) as exactly 0, for it and for the closed forms.
 ``wigner_value_alpha`` takes complex amplitudes instead, one point of shape
 (n,) or rows (m, n), like the closed forms and the Fock oracle; all three
 read them through ``alpha_rows``.
@@ -127,8 +128,15 @@ def wigner_values(wig: GaussianWigner, q: np.ndarray, p: np.ndarray) -> np.ndarr
     if q.shape[1] != wig.n:
         raise ValueError(f"point has {q.shape[1]} modes, Wigner function has {wig.n}")
     quad = _spectral_form(wig.qWeights, q) + _spectral_form(wig.pWeights, p)
-    values = wig.normConst * np.exp(-quad)
-    values[-quad - wig.n * math.log(math.pi) < LOG_FLOOR] = 0.0
+    return values_from_exponent(-quad, wig.n)
+
+
+def values_from_exponent(expo: np.ndarray, n: int) -> np.ndarray:
+    """pi^-n exp(expo) for the exponents of an n-mode Wigner function, 0.0
+    where log W < LOG_FLOOR or expo is not finite: a negative definite form
+    that overflowed (inf - inf at a far point) lies below the float range."""
+    values = math.pi**-n * np.exp(expo)
+    values[~np.isfinite(expo) | (expo - n * math.log(math.pi) < LOG_FLOOR)] = 0.0
     return values
 
 

@@ -25,8 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import SqueezeKernel, matrix_function
-from .errors import LAMBDA_GUARD, check_lambda
-from .gaussian import alpha_rows
+from .errors import check_lambda
+from .gaussian import alpha_rows, values_from_exponent
+from .variances import baseline_scalars
 
 
 def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
@@ -167,16 +168,12 @@ def squeezed_vacuum(kernel: SqueezeKernel) -> TwoPhotonState:
 
 
 def baseline_two_mode(lam: float) -> TwoPhotonState:
-    """Standard two-mode squeezed vacuum sech(lambda) exp(-a1~ a2~ tanh lambda)|00>.
-
-    Comparison target for the enhancement claim: the n = 2 member of the
-    cyclic family at lambda reproduces this baseline at 2 lambda, so the
-    accepted range is that of the doubled member, |lambda| <= 2 LAMBDA_GUARD.
-    """
-    check_lambda(lam, 2 * LAMBDA_GUARD)
-    F = np.array([[0.0, -math.tanh(lam)], [-math.tanh(lam), 0.0]])
-    sech2 = np.full(2, math.cosh(lam) ** -2)
-    return TwoPhotonState(norm=1.0 / math.cosh(lam), F=F, sech2=sech2)
+    """Standard two-mode squeezed vacuum sech(lambda) exp(-a1~ a2~ tanh lambda)|00>,
+    the comparison target for the enhancement claim, from
+    ``variances.baseline_scalars`` (|lambda| <= 2 LAMBDA_GUARD)."""
+    norm, f = baseline_scalars(lam)
+    F = np.array([[0.0, f], [f, 0.0]])
+    return TwoPhotonState(norm=norm, F=F, sech2=np.full(2, math.cosh(lam) ** -2))
 
 
 def three_mode_closed(lam: float) -> ThreeModeClosed:
@@ -190,16 +187,6 @@ def three_mode_closed(lam: float) -> ThreeModeClosed:
         A2=math.sinh(3.0 * lam) / (2.0 * math.cosh(lam) * math.cosh(2.0 * lam)),
         A3=(1.0 / math.cosh(lam)) * math.cosh(2.0 * lam) ** -0.5,
     )
-
-
-def _closed_values(expo: np.ndarray, n: int, alpha: np.ndarray) -> float | np.ndarray:
-    """pi^-n exp(expo): a float for one alpha of shape (n,), the array for
-    alpha rows (m, n).  The exponent is a negative definite form, so a
-    non-finite one (inf - inf between overflowed terms at a far point) lies
-    below the float range and gives 0."""
-    expo[~np.isfinite(expo)] = -np.inf
-    values = math.pi**-n * np.exp(expo)
-    return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
 def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
@@ -246,7 +233,8 @@ def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
             + k_diff_re * sum(d.real**2 for d in diffs)
             + k_diff_im * sum(d.imag**2 for d in diffs)
         )
-    return _closed_values(expo, 3, alpha)
+    values = values_from_exponent(expo, 3)
+    return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
 def four_mode_closed(lam: float) -> FourModeClosed:
@@ -285,4 +273,5 @@ def wigner4_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
         u, v = a0 + a2, (a1 + a3).conjugate()
         expo = -0.5 * (k_plus * np.abs(u + v) ** 2 + k_minus * np.abs(u - v) ** 2)
         expo -= np.abs(a0 - a2) ** 2 + np.abs(a1 - a3) ** 2
-    return _closed_values(expo, 4, alpha)
+    values = values_from_exponent(expo, 4)
+    return float(values[0]) if np.ndim(alpha) == 1 else values

@@ -1,9 +1,11 @@
-"""Collective quadrature variances of the n-mode squeezed vacuum.
+"""Collective quadrature variances of the n-mode squeezed vacuum, and the
+scalars of the standard two-mode baseline.
 
 X1 = sum Q_i / sqrt(2n) and X2 = sum P_i / sqrt(2n) have variances
 exp(-4 lambda)/4 and exp(+4 lambda)/4 whatever the mode count.  Each route
 here is two ``math.exp`` calls on plain floats, so this module imports no
-numpy and builds no coupling: the ``variances`` command runs on it alone.
+numpy and builds no coupling: the ``variances`` and ``baseline`` commands
+run on it alone.
 """
 
 from __future__ import annotations
@@ -70,3 +72,11 @@ def variances_closed(lam: float) -> VariancePair:
     """
     check_lambda(lam, LAMBDA_GUARD)
     return VariancePair(varX1=math.exp(-4.0 * lam) / 4.0, varX2=math.exp(4.0 * lam) / 4.0)
+
+
+def baseline_scalars(lam: float) -> tuple[float, float]:
+    """sech(lambda) and -tanh(lambda), the norm and pair coefficient of the
+    standard two-mode squeezed vacuum, for |lambda| <= 2 LAMBDA_GUARD: the
+    n = 2 cyclic member reproduces it at 2 lambda, within its own guard."""
+    check_lambda(lam, 2 * LAMBDA_GUARD)
+    return 1.0 / math.cosh(lam), -math.tanh(lam)

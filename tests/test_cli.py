@@ -1000,6 +1000,31 @@ def test_main_closed_wigner_past_float_range_is_zero(n, point, capsys):
     assert entry["value_closed"] == 0.0
 
 
+@pytest.mark.parametrize("q1", ["26", "26.5", "27", "27.2"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_main_closed_wigner_below_the_floor_is_zero(n, q1, capsys):
+    # log W passes LOG_FLOOR = -700 between q1 = 26 and 26.5 at lambda = 0:
+    # below it both forms print exactly 0, above it the same value
+    point = ",".join([q1] + ["0"] * (n - 1)) + ":" + ",".join(["0"] * n)
+    assert main(["wigner", "--n", str(n), f"--point={point}"]) == EXIT_OK
+    (entry,) = _strict_json(capsys.readouterr().out)["results"]["points"]
+    assert entry["value_closed"] == entry["value"]
+    assert (entry["value"] == 0.0) == (q1 != "26")
+
+
+def test_help_lists_each_command_with_its_flags(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    for command, (reads, _) in cli.COMMANDS.items():
+        (line,) = [line for line in lines if line.split()[:1] == [command]]
+        assert line.split()[1:] == (list(reads) or ["none"])
+    assert "os._exit" not in text and "64 KiB" not in text
+    assert len(lines) < 47
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--lambda", "-1e-3"), ("--lambda", "-1.5e+00"), ("--point", "-1.2e-100,0,0,0:0,0,0,0")],

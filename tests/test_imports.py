@@ -1,9 +1,9 @@
 """What importing the package costs: importing the cli and running
-variances load no numpy at all, the Fock oracle loads only when a command
-needs it, no command loads scipy, only verify loads numpy.random and
-numpy.polynomial, each command loads only the package modules and the
-parts of numpy and the stdlib it reads, and every re-exported name
-resolves on first use."""
+variances or baseline load no numpy at all, the Fock oracle loads only
+when a command needs it, no command loads scipy, only verify loads
+numpy.random and numpy.polynomial, each command loads only the package
+modules and the parts of numpy and the stdlib it reads, and every
+re-exported name resolves on first use."""
 
 import importlib
 import json
@@ -30,9 +30,9 @@ HEAVY = (
     "nmodesqueeze.verification",
 )
 # Loaded only by the commands that read them: gaussian by wigner and the
-# commands that load normalform (which imports it), numpy.fft by the
-# commands that read the spectrum, csv by --format csv.  No command loads
-# dataclasses.
+# commands that load normalform (which imports it; baseline loads
+# neither), numpy.fft by the commands that read the spectrum, csv by
+# --format csv.  No command loads dataclasses.
 PER_COMMAND = (
     "csv",
     "dataclasses",
@@ -151,8 +151,10 @@ def test_cold_start_loads_no_fock_oracle():
     [
         ["variances", "--n", "3000", "--lambda", "0.3"],
         ["variances", "--n", "5", "--format", "csv"],
+        ["baseline", "--lambda", "0.6"],
+        ["baseline", "--lambda", "0.6", "--format", "csv"],
     ],
-    ids=["variances", "variances-csv"],
+    ids=["variances", "variances-csv", "baseline", "baseline-csv"],
 )
 def test_variances_loads_no_numpy(argv):
     stages = _loaded_modules(argv, ("numpy",))
@@ -210,7 +212,7 @@ GAUSSIAN, NORMALFORM, FFT = "nmodesqueeze.gaussian", "nmodesqueeze.normalform", 
             ["csv", GAUSSIAN, NORMALFORM, FFT],
             id="wigner-n4-csv",
         ),
-        pytest.param(["baseline", "--lambda", "0.3"], [GAUSSIAN, NORMALFORM], id="baseline"),
+        pytest.param(["baseline", "--lambda", "0.3"], [], id="baseline"),
         pytest.param(["verify"], [GAUSSIAN, NORMALFORM, FFT], id="verify"),
     ],
 )

@@ -50,12 +50,11 @@ EXIT_NUMERIC = 4
 GRID_GUARD = 1 << 22
 
 # Largest n x n matrix, counted in entries, that coupling, normal-form and
-# state build; variances is O(1) and has no such guard.  Peak RSS grew by
-# 253, 220 and 140 bytes per entry for normal-form, coupling and state at
-# n = 2000 (JSON to a file, 2 vCPUs), so a normal-form at the guard,
-# n = 1448, stays near 0.55 GB.  wigner builds no such matrix; there the
-# same cap on n bounds the 2n columns rendered per point, whose cost past
-# n = 1448 has not been measured.
+# state build; variances is O(1) and has no such guard.  At the guard,
+# n = 1448, normal-form, coupling and state peaked at 204, 203 and 172 MB
+# in JSON, 200, 199 and 169 MB in CSV (child VmHWM, to /dev/null, 2 vCPUs).
+# wigner builds no such matrix; there the same cap on n bounds the 2n
+# columns rendered per point, whose cost past n = 1448 has not been measured.
 DENSE_GUARD = 1 << 21
 
 
@@ -91,35 +90,34 @@ class RunConfig:
         self.tolerances = {} if tolerances is None else tolerances
 
 
-class PointTable(NamedTuple):
-    """Wigner values at m phase points, kept as arrays up to rendering.
+class Table:
+    """m rows of named numeric fields, kept as arrays up to rendering.
 
-    q and p are (m, n); value_closed is None unless n has a closed form.
+    A field is an (m,) column, which a row holds as one number, or an
+    (m, k) group, which a row holds as a list of k numbers; a row is the
+    dict of its fields.  A matrix is one group named None, and its row is
+    that list.
     """
 
-    q: np.ndarray
-    p: np.ndarray
-    value: np.ndarray
-    value_closed: np.ndarray | None
+    def __init__(self, fields: dict[str | None, np.ndarray]):
+        self.fields = fields
+        self.size = len(next(iter(fields.values())))
 
-    def columns(self) -> list[np.ndarray]:
-        """q1..qn, p1..pn, value and value_closed (if any), in CSV column order."""
-        cols = [*self.q.T, *self.p.T, self.value]
-        if self.value_closed is not None:
-            cols.append(self.value_closed)
-        return cols
+    def columns(self) -> Iterator[tuple[str, str, np.ndarray]]:
+        """Each column's CSV header name, its path within a row and its
+        values: a group column by column, numbered from 1 in the header and
+        from 0 in the path."""
+        for name, values in self.fields.items():
+            if values.ndim == 1:
+                yield name, name, values
+            else:
+                for c, column in enumerate(values.T):
+                    yield f"{name}{c + 1}", str(c) if name is None else f"{name}.{c}", column
 
-    def header(self) -> list[str]:
-        """The names of ``columns``, the CSV header."""
-        names = [f"{part}{i}" for part in "qp" for i in range(1, self.q.shape[1] + 1)]
-        return [*names, "value"] if self.value_closed is None else [*names, "value", "value_closed"]
-
-    def entry(self, k: int) -> dict:
-        """Point k as the dict the ``points`` list of the document holds."""
-        entry = {"q": self.q[k].tolist(), "p": self.p[k].tolist(), "value": float(self.value[k])}
-        if self.value_closed is not None:
-            entry["value_closed"] = float(self.value_closed[k])
-        return entry
+    def entry(self, k: int) -> list | dict:
+        """Row k as the document holds it."""
+        row = {name: values[k].tolist() for name, values in self.fields.items()}
+        return row[None] if None in row else row
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +125,10 @@ class PointTable(NamedTuple):
 
 # A list whose items all render shorter than this stays on one line.
 _INLINE_WIDTH = 24
-# Rows of the points table rendered as one piece: 1024 rows of a
-# four-mode grid make a piece of about 190 KB.
+# Rows of a Table rendered as one piece: 1024 rows of a four-mode grid make
+# a piece of about 190 KB, and the cell cap keeps n = 1448 matrix rows to 45.
 _BLOCK_ROWS = 1024
+_BLOCK_CELLS = 1 << 16
 # main writes the document in whole multiples of this size, the capacity
 # of a Linux pipe, so a reader draining the pipe gets full reads.  Writes
 # of uneven size leave it a short read at every write boundary; the
@@ -155,7 +154,7 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
 
 
 class _ColumnTexts:
-    """The texts of one column of a PointTable, formatted block by block.
+    """The texts of one column of a Table, formatted block by block.
 
     The distinct bit patterns of the column (so 0.0 and -0.0 apart) are
     numbered in order of first appearance, and ``codes`` holds the number
@@ -166,7 +165,7 @@ class _ColumnTexts:
     inline list.
     """
 
-    def __init__(self, values: np.ndarray, measure: bool = False):
+    def __init__(self, values: np.ndarray | range, measure: bool = False):
         import numpy as np
 
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
@@ -239,31 +238,46 @@ def _interleave(columns: list[_ColumnTexts], sep: str) -> list:
     return parts[1:]
 
 
-def _render_points(table: PointTable, indent: int) -> Iterator[str]:
-    """The points list, laid out as ``_render_json`` lays out the list of
-    ``table.entry`` dicts, one piece per block of rows.  A row with a
-    coordinate too wide for an inline q/p list is handed to ``_json_text``
-    itself."""
+def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """first, last and ``_row_pieces`` of each block of rows 0..rows-1 of
+    the row template ``parts``."""
+    literals, varying = _row_template(parts)
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(1, len(varying))))
+    for first in range(0, rows, step):
+        last = min(first + step, rows)
+        yield first, last, _row_pieces(literals, varying, first, last)
+
+
+def _render_table(table: Table, indent: int) -> Iterator[str]:
+    """The list of ``table.entry`` rows, laid out as ``_json_text`` lays it
+    out, one piece per block of rows.  A row with a group entry too wide for
+    an inline list is handed to ``_json_text`` itself."""
     import numpy as np
 
-    m, n = table.q.shape
+    matrix = table.fields.get(None)
+    # A row of k numbers takes at least 3k characters, so only a matrix of
+    # fewer than 8 columns can have rows short enough to share one line.
+    if matrix is not None and 3 * matrix.shape[1] < _INLINE_WIDTH:
+        yield _json_text([table.entry(k) for k in range(table.size)], indent)
+        return
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
-    columns = [_ColumnTexts(values, measure=c < 2 * n) for c, values in enumerate(table.columns())]
-    parts = [
-        f',\n{row_pad}{{\n{key_pad}"q": [', *_interleave(columns[:n], ", "),
-        f'],\n{key_pad}"p": [', *_interleave(columns[n:2 * n], ", "),
-        f'],\n{key_pad}"value": ', columns[2 * n],
-    ]
-    if table.value_closed is not None:
-        parts += [f',\n{key_pad}"value_closed": ', columns[-1]]
-    parts.append(f"\n{row_pad}}}")
-    literals, varying = _row_template(parts)
+    parts, grouped, lead = [f",\n{row_pad}"], [], "{"
+    for name, values in table.fields.items():
+        if name is not None:
+            parts.append(f'{lead}\n{key_pad}"{name}": ')
+            lead = ","
+        if values.ndim == 1:
+            parts.append(_ColumnTexts(values))
+        else:
+            group = [_ColumnTexts(column, measure=True) for column in values.T]
+            parts += ["[", *_interleave(group, ", "), "]"]
+            grouped += group
+    if matrix is None:
+        parts.append(f"\n{row_pad}}}")
     yield "[\n"
-    for first in range(0, m, _BLOCK_ROWS):
-        last = min(first + _BLOCK_ROWS, m)
-        pieces = _row_pieces(literals, varying, first, last)
+    for first, last, pieces in _row_blocks(parts, table.size):
         wide = np.zeros(last - first, dtype=bool)
-        for column in columns[:2 * n]:
+        for column in grouped:
             wide |= column.wide[column.rows(first, last)]
         start = 0
         for stop in [*np.flatnonzero(wide).tolist(), last - first]:
@@ -279,10 +293,10 @@ def _render_points(table: PointTable, indent: int) -> Iterator[str]:
 
 def _render_json(obj, indent: int) -> Iterator[str]:
     """The JSON text of obj, nested ``indent`` levels deep, in pieces.
-    Dicts and ``PointTable``s yield as they go; any other value is one
+    Dicts and Tables yield as they go; any other value is one
     ``_json_text`` piece."""
-    if isinstance(obj, PointTable):
-        yield from _render_points(obj, indent)
+    if isinstance(obj, Table):
+        yield from _render_table(obj, indent)
     elif isinstance(obj, dict):
         inner = "  " * (indent + 1)
         sep = "{\n"
@@ -298,7 +312,7 @@ def _render_json(obj, indent: int) -> Iterator[str]:
 def _json_text(obj, indent: int = 0) -> str:
     """The JSON text of obj, nested ``indent`` levels deep, as one string.
     A list renders its items first, to decide whether it fits on one line."""
-    if isinstance(obj, (dict, PointTable)):  # first: a PointTable is a tuple too
+    if isinstance(obj, (dict, Table)):
         return "".join(_render_json(obj, indent))
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -358,36 +372,51 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
+def _csv_rows(table: Table, name: str | None) -> Iterator[str]:
+    """The table's CSV rows, one piece per block of rows: one row per table
+    row, or with a name one ``name.k.path,text`` row per number.  A number
+    never needs csv quoting, so the rows are joined directly."""
+    columns = [(path, _ColumnTexts(values)) for _, path, values in table.columns()]
+    if name is None:
+        parts = [*_interleave([column for _, column in columns], ","), "\n"]
+    else:
+        index = _ColumnTexts(range(table.size))  # the row number k
+        parts = [p for path, col in columns for p in (f"{name}.", index, f".{path},", col, "\n")]
+    for _, _, pieces in _row_blocks(parts, table.size):
+        yield "".join(pieces.ravel().tolist())
+
+
 def _csv_pieces(doc: dict) -> Iterator[str]:
-    """The CSV document, laid out by what it holds: a PointTable at
-    results["points"] one row per point, one piece per block of rows; else
-    check records one row each, less their inputs; else one row per leaf."""
+    """The CSV document, laid out by what it holds: a Table at
+    results["points"] one row per point; else check records one row each,
+    less their inputs; else one row per leaf, a Table's numbers included."""
     import csv  # only --format csv reads it
 
     head = io.StringIO()
     writer = csv.writer(head, lineterminator="\n")
     results, checks = doc["results"], doc.get("checks")
-    table = results.get("points")
-    if isinstance(table, PointTable):
-        writer.writerow(table.header())
+    points = results.get("points")
+    if isinstance(points, Table):
+        writer.writerow([header for header, _, _ in points.columns()])
+        leaves = [(None, points)]  # unnamed: one CSV row per point
     elif checks:
         header = [key for key in checks[0] if key != "inputs"]
         writer.writerow(header)
         for rec in checks:
             writer.writerow([_scalar_csv(rec[key]) for key in header])
+        leaves = []
     else:
         writer.writerow(["name", "value"])
-        for name, value in _flatten(results):
+        leaves = _flatten(results)
+    for name, value in leaves:
+        if isinstance(value, Table):
+            yield head.getvalue()
+            head.seek(0)
+            head.truncate()
+            yield from _csv_rows(value, name)
+        else:
             writer.writerow([name, _scalar_csv(value)])
     yield head.getvalue()
-    if isinstance(table, PointTable):
-        # A number never needs csv quoting, so the rows are joined directly.
-        columns = [_ColumnTexts(values) for values in table.columns()]
-        literals, varying = _row_template([*_interleave(columns, ","), "\n"])
-        m = table.q.shape[0]
-        for first in range(0, m, _BLOCK_ROWS):
-            pieces = _row_pieces(literals, varying, first, min(first + _BLOCK_ROWS, m))
-            yield "".join(pieces.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +462,10 @@ def _results_coupling(config: RunConfig) -> _Outcome:
     kernel = _kernel(config, _require_dense_n(config))
     base = kernel.coupling
     return _Outcome({
-        "A": base.entries.tolist(),
+        "A": Table({None: base.entries}),
         "eigenvalues": np.sort(base.eigenvalues)[::-1].tolist(),
-        "Lambda": kernel.Lambda.tolist(),
-        "gram": kernel.gram.tolist(),
+        "Lambda": Table({None: kernel.Lambda}),
+        "gram": Table({None: kernel.gram}),
         "det_lambda": kernel.detLambda,
         "det_n": kernel.detN,
     })
@@ -461,9 +490,9 @@ def _results_normal_form(config: RunConfig) -> _Outcome:
     form = nf.normal_form(_kernel(config, _require_dense_n(config)))
     return _Outcome({
         "prefactor": form.prefactor,
-        "cre_mat": form.creMat.tolist(),
-        "cross_mat": form.crossMat.tolist(),
-        "ann_mat": form.annMat.tolist(),
+        "cre_mat": Table({None: form.creMat}),
+        "cross_mat": Table({None: form.crossMat}),
+        "ann_mat": Table({None: form.annMat}),
     })
 
 
@@ -472,7 +501,7 @@ def _results_state(config: RunConfig) -> _Outcome:
 
     n = _require_dense_n(config)
     state = nf.squeezed_vacuum(_kernel(config, n))
-    results = {"norm": state.norm, "two_photon_matrix": state.F.tolist()}
+    results = {"norm": state.norm, "two_photon_matrix": Table({None: state.F})}
     if config.cutoff is not None:
         import numpy as np
 
@@ -482,16 +511,12 @@ def _results_state(config: RunConfig) -> _Outcome:
         psi = fo.two_photon_expand(state, space)
         nonzero = np.flatnonzero(psi.amps)
         amps = psi.amps[nonzero]
-        amplitudes = [
-            {"occupation": occupation, "re": real, "im": imag}
-            for occupation, real, imag in zip(
-                fo.occupation_table(space)[nonzero].tolist(), amps.real.tolist(), amps.imag.tolist()
-            )
-        ]
         results["fock"] = {
             "cutoff": config.cutoff,
             "tail_mass": fo.tail_mass(psi),
-            "amplitudes": amplitudes,
+            "amplitudes": Table({
+                "occupation": fo.occupation_table(space)[nonzero], "re": amps.real, "im": amps.imag
+            }),
         }
     return _Outcome(results)
 
@@ -571,14 +596,13 @@ def _results_wigner(config: RunConfig) -> _Outcome:
         raise ResourceLimitError(f"n={n} is over the guard of {math.isqrt(DENSE_GUARD)} modes")
     wig = ga.wigner_from_kernel(_kernel(config, n))
     q, p = _wigner_points(config, n)
-    values = ga.wigner_values(wig, q, p)
-    closed = None
+    fields = {"q": q, "p": p, "value": ga.wigner_values(wig, q, p)}
     if n in (3, 4):
         from . import normalform as nf
 
         closed_fn = nf.wigner3_closed if n == 3 else nf.wigner4_closed
-        closed = closed_fn(config.lam, (q + 1j * p) / math.sqrt(2.0))
-    results: dict = {"points": PointTable(q, p, values, closed)}
+        fields["value_closed"] = closed_fn(config.lam, (q + 1j * p) / math.sqrt(2.0))
+    results: dict = {"points": Table(fields)}
     if config.grid:
         results["grid"] = _grid_doc(config)
     return _Outcome(results)

@@ -275,13 +275,14 @@ def _pair_sum(
     w_j[k] * w_i[k + s_j] to the bit, so the raising block
     sum_ij (scale * c_ij) a_i~ a_j~ is the same arrays at the negated offsets.
     """
+    strides = np.array([stride for stride, _ in ladders])
+    pairs = (coeff != 0) & (strides[:, None] + strides[None, :] < dim)
     total = {}
-    for i, (s_i, w_i) in enumerate(ladders):
-        for j, (s_j, w_j) in enumerate(ladders):
-            offset = s_i + s_j
-            if coeff[i, j] != 0 and offset < dim:
-                term = (scale * coeff[i, j]) * (w_i[: dim - offset] * w_j[s_i:])
-                total[offset] = total.get(offset, 0) + term
+    for i, j in zip(*np.nonzero(pairs)):  # row-major order
+        (s_i, w_i), (s_j, w_j) = ladders[i], ladders[j]
+        offset = s_i + s_j
+        term = (scale * coeff[i, j]) * (w_i[: dim - offset] * w_j[s_i:])
+        total[offset] = total.get(offset, 0) + term
     return total
 
 

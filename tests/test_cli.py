@@ -491,38 +491,47 @@ LAYOUT_CONFIGS = [
 ]
 
 
-def _entries(table) -> list[dict]:
-    """The per-point dicts of the same arrays, as the document used to hold them."""
+def _entries(table) -> list:
+    """The rows of the same arrays as lists and dicts of Python floats, as
+    the document used to hold them."""
     entries = []
-    for k in range(table.q.shape[0]):
-        entry = {
-            "q": [float(v) for v in table.q[k]],
-            "p": [float(v) for v in table.p[k]],
-            "value": float(table.value[k]),
+    for k in range(table.size):
+        row = {
+            name: [float(v) for v in values[k]] if values.ndim == 2 else float(values[k])
+            for name, values in table.fields.items()
         }
-        if table.value_closed is not None:
-            entry["value_closed"] = float(table.value_closed[k])
-        entries.append(entry)
+        entries.append(row[None] if None in row else row)
     return entries
 
 
-def _per_point_csv(entries: list[dict]) -> str:
-    """The CSV writer of the per-point renderer, row by row over the dicts."""
+def _as_lists(obj):
+    """obj with each Table in it replaced by ``_entries`` of it."""
+    if isinstance(obj, cli.Table):
+        return _entries(obj)
+    if isinstance(obj, dict):
+        return {key: _as_lists(val) for key, val in obj.items()}
+    return obj
+
+
+def _csv_oracle(results: dict) -> str:
+    """The CSV of results with its Tables as lists and dicts, written row by
+    row with csv.writer: one row per point for a Table at "points", else
+    one row per leaf of ``_flatten``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    nmodes = len(entries[0]["q"])
-    header = [f"q{i+1}" for i in range(nmodes)] + [f"p{i+1}" for i in range(nmodes)]
-    header.append("value")
-    has_closed = "value_closed" in entries[0]
-    if has_closed:
-        header.append("value_closed")
-    writer.writerow(header)
-    for pt in entries:
-        row = [cli._fmt_float(v) for v in pt["q"]] + [cli._fmt_float(v) for v in pt["p"]]
-        row.append(cli._fmt_float(pt["value"]))
-        if has_closed:
-            row.append(cli._fmt_float(pt["value_closed"]))
-        writer.writerow(row)
+    lists = _as_lists(results)
+    if isinstance(results.get("points"), cli.Table):
+        header = []
+        for key, val in lists["points"][0].items():
+            header += [f"{key}{c + 1}" for c in range(len(val))] if isinstance(val, list) else [key]
+        writer.writerow(header)
+        for entry in lists["points"]:
+            cells = [v for val in entry.values() for v in (val if isinstance(val, list) else [val])]
+            writer.writerow([cli._fmt_float(v) for v in cells])
+    else:
+        writer.writerow(["name", "value"])
+        for name, value in cli._flatten(lists):
+            writer.writerow([name, cli._scalar_csv(value)])
     return buf.getvalue()
 
 
@@ -542,8 +551,8 @@ def test_points_rendering_matches_per_point_dicts(config, monkeypatch):
     reference, _ = run(config)
     assert code == csv_code == EXIT_OK
     assert text == reference
-    assert csv_text == _per_point_csv(_entries(table))
-    assert len(json.loads(text)["results"]["points"]) == table.q.shape[0]
+    assert csv_text == _csv_oracle({"points": table})
+    assert len(json.loads(text)["results"]["points"]) == table.size
 
 
 def test_points_rendering_covers_wide_and_null_rows(monkeypatch):
@@ -574,53 +583,101 @@ def test_points_rendering_covers_wide_and_null_rows(monkeypatch):
 
 
 # Values the property below draws table entries from: signed zeros, NaN,
-# infinities, subnormals, the ends of the float range and 24-character texts.
+# infinities, subnormals, the ends of the float range, 24-character texts
+# and one-character ones.
 TABLE_VALUES = [
     0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300,
-    -1e-300, WIDE_Q, WIDE_P, 0.5, -1.25, 0.1, 2.0 / 3.0,
+    -1e-300, WIDE_Q, WIDE_P, 0.5, -1.25, 0.1, 2.0 / 3.0, 1.0,
 ]
 
 
 @st.composite
-def point_tables(draw):
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
-    value = st.sampled_from(TABLE_VALUES)
+def tables(draw):
+    """A matrix of 1-12 columns, or rows of 1-3 fields, each a column or a
+    group of 1-6 columns."""
+    m = draw(st.integers(1, 40))
+    # one-character values only, at times, so rows of up to 7 can share a line
+    value = st.sampled_from(draw(st.sampled_from([TABLE_VALUES, [0.0, 1.0]])))
 
     def column():
         if draw(st.booleans()):  # one text down the whole column
             return np.full(m, draw(value))
         return np.array(draw(st.lists(value, min_size=m, max_size=m)))
 
-    q = np.column_stack([column() for _ in range(n)])
-    p = np.column_stack([column() for _ in range(n)])
-    closed = column() if draw(st.booleans()) else None
-    return cli.PointTable(q, p, column(), closed)
+    def group(k):
+        return np.column_stack([column() for _ in range(k)])
+
+    if draw(st.booleans()):
+        return cli.Table({None: group(draw(st.integers(1, 12)))})
+    fields = {}
+    for name in ["q", "p", "value"][: draw(st.integers(1, 3))]:
+        k = draw(st.integers(0, 6))
+        fields[name] = group(k) if k else column()
+    return cli.Table(fields)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(table=point_tables(), indent=st.integers(0, 3), block_rows=st.sampled_from([1, 2, 7, 1024]))
-def test_points_renderer_matches_per_point_dicts_property(table, indent, block_rows):
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    table=tables(),
+    indent=st.integers(0, 3),
+    block_rows=st.sampled_from([1, 2, 7, 1024]),
+    block_cells=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_table_renderer_matches_row_lists_property(table, indent, block_rows, block_cells):
     entries = _entries(table)
-    with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    leaves = {"before": 0.5, "t": table, "after": [1.0, -0.0]}
+    with mock.patch.multiple(cli, _BLOCK_ROWS=block_rows, _BLOCK_CELLS=block_cells):
         text = cli._json_text(table, indent)
-        csv_text = "".join(cli._csv_pieces({"command": "wigner", "results": {"points": table}}))
+        leaf_csv = "".join(cli._csv_pieces({"results": leaves}))
+        point_csv = "".join(cli._csv_pieces({"results": {"points": table}}))
     assert text == cli._json_text(entries, indent)
-    assert csv_text == _per_point_csv(entries)
+    assert leaf_csv == _csv_oracle(leaves)
+    if None not in table.fields:  # a matrix is never a points table
+        assert point_csv == _csv_oracle({"points": table})
 
 
-def test_points_grid_formats_each_distinct_pattern_once(monkeypatch):
-    config = RunConfig(
-        command="wigner", n=4, lam=0.3, grid=[("q2", -2.0, 2.0, 61), ("p4", -1.5, 1.5, 61)]
-    )
-    table = cli._results_wigner(config).results["points"]
-    distinct = [np.unique(col.view(np.int64)) for col in table.columns()]
-    assert [len(bits) for bits in distinct[:8]] == [1, 61, 1, 1, 1, 1, 1, 61]
+def _tables(results: dict) -> list:
+    return [
+        table
+        for value in results.values()
+        for table in ([value] if isinstance(value, cli.Table) else
+                      _tables(value) if isinstance(value, dict) else [])
+    ]
+
+
+FORMAT_ONCE_CONFIGS = [
+    RunConfig(command="wigner", n=4, lam=0.3, grid=[("q2", -2.0, 2.0, 61), ("p4", -1.5, 1.5, 61)]),
+    RunConfig(command="normal-form", n=64, lam=-7.0),
+    # n >= 8, so no matrix takes the one-line path, which formats entry by entry
+    RunConfig(command="state", n=8, lam=0.5, cutoff=2),
+]
+
+
+@pytest.mark.parametrize("config", FORMAT_ONCE_CONFIGS, ids=lambda c: c.command)
+def test_tables_format_each_distinct_pattern_once(config, monkeypatch):
+    results = cli.COMMANDS[config.command][1](config).results
+    tables = _tables(results)
+    distinct = [
+        np.unique(np.asarray(values, dtype=float).view(np.int64))
+        for table in tables
+        for _, _, values in table.columns()
+    ]
+    # the one-row-per-leaf layout also formats each table's row numbers
+    indices = [np.arange(table.size, dtype=float).view(np.int64) for table in tables]
+    if config.command == "wigner":
+        assert [len(bits) for bits in distinct[:8]] == [1, 61, 1, 1, 1, 1, 1, 61]
+        indices = []
     real = cli._fmt_floats
-    for render, reference in [
-        (lambda: cli._json_text(table, 2), lambda: cli._json_text(_entries(table), 2)),
+    for render, reference, expected in [
         (
-            lambda: "".join(cli._csv_pieces({"command": "wigner", "results": {"points": table}})),
-            lambda: _per_point_csv(_entries(table)),
+            lambda: cli._json_text(results, 2),
+            lambda: cli._json_text(_as_lists(results), 2),
+            distinct,
+        ),
+        (
+            lambda: "".join(cli._csv_pieces({"results": results})),
+            lambda: _csv_oracle(results),
+            distinct + indices,
         ),
     ]:
         formatted = []
@@ -633,8 +690,9 @@ def test_points_grid_formats_each_distinct_pattern_once(monkeypatch):
         text = render()
         monkeypatch.setattr(cli, "_fmt_floats", real)
         assert text == reference()
-        assert len(formatted) > len(distinct)  # the value columns are formatted block by block
-        assert sorted(np.concatenate(formatted).view(np.int64)) == sorted(np.concatenate(distinct))
+        if config.command == "wigner":  # the value columns are formatted block by block
+            assert len(formatted) > len(distinct)
+        assert sorted(np.concatenate(formatted).view(np.int64)) == sorted(np.concatenate(expected))
 
 
 GRID_ARGV = ["wigner", "--n", "4", "--lambda", "0.3", "--grid", "q1=-2:2:41", "--grid", "p3=-2:2:41"]
@@ -853,6 +911,11 @@ COUPLING = {"command": "coupling", "n": 5, "lam": 0.3}
 NORMAL_FORM = {"command": "normal-form", "n": 4, "lam": 0.3}
 STATE = {"command": "state", "n": 3, "lam": 0.3, "cutoff": 8}
 BASELINE = {"command": "baseline", "lam": 0.6}
+COUPLING_N8 = {"command": "coupling", "n": 8, "lam": 0.0}
+NORMAL_FORM_SUBNORMAL = {"command": "normal-form", "n": 8, "lam": 1e-320}
+STATE_N8_CUTOFF1 = {"command": "state", "n": 8, "lam": -20.0, "cutoff": 1}
+STATE_N3_CUTOFF12 = {"command": "state", "n": 3, "lam": 0.5, "cutoff": 12}
+NORMAL_FORM_N64 = {"command": "normal-form", "n": 64, "lam": -7.0}
 PINNED_DOCUMENTS = [
     pytest.param(
         RunConfig(command="verify", seed=0),
@@ -898,6 +961,28 @@ PINNED_DOCUMENTS = [
              "b8057d0827073f1e996d1b33a6348bcb55bb6d694f129b7c617fc107eb7f764b"),
             ("baseline", BASELINE, "csv",
              "28727eebba97ceef67a888000f69678de66f3c6dabf24cdc56a87c8d33ebffcc"),
+            # n >= 8 renders a matrix row past the inline list of seven or
+            # fewer entries, and entries of 24 characters take a wide row.
+            ("coupling-n8", COUPLING_N8, "json",
+             "4bf18a098231c183d27989228c33147e22c1642933ed5bb1061cf2071a4bacfd"),
+            ("coupling-n8", COUPLING_N8, "csv",
+             "2b3f0d3184b1d2cf442251970642bf6fa819dd7631e97175b50b59947f8bd6ae"),
+            ("normal-form-subnormal", NORMAL_FORM_SUBNORMAL, "json",
+             "a933784c776e5f6f75393702985a32c8bed9f35f77d24db3738169c680f2869b"),
+            ("normal-form-subnormal", NORMAL_FORM_SUBNORMAL, "csv",
+             "42398e0342cd40bbffab1bf64422d8fc0b9b7e67226fa4cb84d08371b7fb0c5c"),
+            ("state-n8-cutoff1", STATE_N8_CUTOFF1, "json",
+             "34c5048465a1f319a260658d7fdbd72014009e80759883beaeb53be508d72159"),
+            ("state-n8-cutoff1", STATE_N8_CUTOFF1, "csv",
+             "580fa55f2a827aa24ee53f56a54800eaef3869a2277130eff447f39b33d8d83a"),
+            ("state-n3-cutoff12", STATE_N3_CUTOFF12, "json",
+             "a486ebe708119f36997793e1638622d5eb1236fafa92648c457d397f8f56da79"),
+            ("state-n3-cutoff12", STATE_N3_CUTOFF12, "csv",
+             "b5955b4a4dd967c32af8e32e2e2823ed948b2a359d9f0cc7cc617b7b9ac9e230"),
+            ("normal-form-n64", NORMAL_FORM_N64, "json",
+             "d6ce9d4cee508afb276854b6bb8bb36685891f76a587695a227b58129638f15d"),
+            ("normal-form-n64", NORMAL_FORM_N64, "csv",
+             "05cc634090158f65a67bc38ed6e3b3f7b1dc0b28e983f119d4b08de840bc0f11"),
         ]
     ),
 ]

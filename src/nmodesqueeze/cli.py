@@ -169,7 +169,7 @@ class _ColumnTexts:
         import numpy as np
 
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
-        if (bits == bits[0]).all():  # a pinned coordinate needs no sort
+        if (bits == bits[:1]).all():  # a pinned coordinate, or none, needs no sort
             self.codes = np.zeros(bits.size, dtype=np.intp)
             self.values = bits[:1].view(np.float64)
         else:
@@ -257,7 +257,7 @@ def _render_table(table: Table, indent: int) -> Iterator[str]:
     matrix = table.fields.get(None)
     # A row of k numbers takes at least 3k characters, so only a matrix of
     # fewer than 8 columns can have rows short enough to share one line.
-    if matrix is not None and 3 * matrix.shape[1] < _INLINE_WIDTH:
+    if table.size == 0 or matrix is not None and 3 * matrix.shape[1] < _INLINE_WIDTH:
         yield _json_text([table.entry(k) for k in range(table.size)], indent)
         return
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))

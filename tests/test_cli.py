@@ -594,8 +594,8 @@ TABLE_VALUES = [
 @st.composite
 def tables(draw):
     """A matrix of 1-12 columns, or rows of 1-3 fields, each a column or a
-    group of 1-6 columns."""
-    m = draw(st.integers(1, 40))
+    group of 1-6 columns; 0-40 rows."""
+    m = draw(st.integers(0, 40))
     # one-character values only, at times, so rows of up to 7 can share a line
     value = st.sampled_from(draw(st.sampled_from([TABLE_VALUES, [0.0, 1.0]])))
 
@@ -632,7 +632,8 @@ def test_table_renderer_matches_row_lists_property(table, indent, block_rows, bl
         point_csv = "".join(cli._csv_pieces({"results": {"points": table}}))
     assert text == cli._json_text(entries, indent)
     assert leaf_csv == _csv_oracle(leaves)
-    if None not in table.fields:  # a matrix is never a points table
+    # a matrix is never a points table, and a grid has at least one point
+    if None not in table.fields and table.size:
         assert point_csv == _csv_oracle({"points": table})
 
 
@@ -916,6 +917,7 @@ NORMAL_FORM_SUBNORMAL = {"command": "normal-form", "n": 8, "lam": 1e-320}
 STATE_N8_CUTOFF1 = {"command": "state", "n": 8, "lam": -20.0, "cutoff": 1}
 STATE_N3_CUTOFF12 = {"command": "state", "n": 3, "lam": 0.5, "cutoff": 12}
 NORMAL_FORM_N64 = {"command": "normal-form", "n": 64, "lam": -7.0}
+STATE_NO_AMPLITUDES = {"command": "state", "n": 64, "lam": 20.0, "cutoff": 0}
 PINNED_DOCUMENTS = [
     pytest.param(
         RunConfig(command="verify", seed=0),
@@ -983,6 +985,11 @@ PINNED_DOCUMENTS = [
              "d6ce9d4cee508afb276854b6bb8bb36685891f76a587695a227b58129638f15d"),
             ("normal-form-n64", NORMAL_FORM_N64, "csv",
              "05cc634090158f65a67bc38ed6e3b3f7b1dc0b28e983f119d4b08de840bc0f11"),
+            # the prefactor underflows to 0, so no amplitude is nonzero
+            ("state-no-amplitudes", STATE_NO_AMPLITUDES, "json",
+             "4a71d71c52758a21a8451fe8a11369b682196d6898ea521bc5e2e1ef587f3b29"),
+            ("state-no-amplitudes", STATE_NO_AMPLITUDES, "csv",
+             "58ad2ce59298edfb5b2b21e002a62c3377c522924870f7783656bbe09df10fc9"),
         ]
     ),
 ]

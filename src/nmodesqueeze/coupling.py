@@ -54,9 +54,8 @@ class CouplingMatrix(_ReadOnly):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """A itself, int64 and read-only: entry (i, j) is row[(j - i) mod n]."""
-        index = np.arange(self.n)
-        return _freeze(self.row[(index[None, :] - index[:, None]) % self.n])
+        """A itself, int64 and read-only."""
+        return _freeze(_symmetric_circulant(self.row))
 
 
 class SqueezeKernel(_ReadOnly):
@@ -108,6 +107,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _symmetric_circulant(row: np.ndarray) -> np.ndarray:
+    """The dense symmetric circulant with first row ``row``: entry (i, j)
+    reads row at the cyclic distance min(|i - j|, n - |i - j|), so the
+    result is exactly symmetric even where row[k] and row[n - k] differ
+    by rounding."""
+    n = row.size
+    index = np.arange(n)
+    dist = np.abs(index[:, None] - index[None, :])
+    return row[np.minimum(dist, n - dist)]
+
+
 def build_coupling(n: int) -> CouplingMatrix:
     """Accumulate the first row of the coupling matrix of the generator sum.
 
@@ -131,17 +141,9 @@ def build_coupling(n: int) -> CouplingMatrix:
 
 
 def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evaluate fn(A) as the dense circulant with first row ifft(fn(a_k)).
-
-    fn(A) is symmetric, so entry (i, j) reads that row at the cyclic
-    distance min(|i - j|, n - |i - j|), which keeps the result exactly
-    symmetric.
-    """
-    n = coupling.n
-    row = np.fft.ifft(fn(coupling.eigenvalues)).real
-    index = np.arange(n)
-    dist = np.abs(index[:, None] - index[None, :])
-    return row[np.minimum(dist, n - dist)]
+    """Evaluate fn(A) as the dense circulant with first row ifft(fn(a_k)),
+    symmetric as fn(A) is."""
+    return _symmetric_circulant(np.fft.ifft(fn(coupling.eigenvalues)).real)
 
 
 def build_kernel(coupling: CouplingMatrix, lam: float) -> SqueezeKernel:
@@ -165,19 +167,22 @@ def sum_identities(kernel: SqueezeKernel) -> tuple[float, float]:
     return float(kernel.gram.sum()), float(kernel.gramInv.sum())
 
 
-def expm_taylor(mat: np.ndarray, ntaylor: int = 24) -> np.ndarray:
+_TAYLOR_DEGREE = 24
+
+
+def expm_taylor(mat: np.ndarray) -> np.ndarray:
     """Scaling-and-squaring Taylor matrix exponential (test oracle).
 
     Independent of the spectral route: scales mat by 2**-s until the norm
-    is below 1/2, sums the truncated Taylor series by Horner's rule, then
-    squares s times.
+    is below 1/2, sums the Taylor series to degree 24 by Horner's rule,
+    then squares s times.
     """
     norm = float(np.linalg.norm(mat, np.inf))
     nsquare = max(0, math.ceil(math.log2(max(norm, 1e-300) / 0.5)))
     scaled = mat / (2.0 ** nsquare)
     n = mat.shape[0]
-    result = np.eye(n) / math.factorial(ntaylor)
-    for k in range(ntaylor - 1, -1, -1):
+    result = np.eye(n) / math.factorial(_TAYLOR_DEGREE)
+    for k in range(_TAYLOR_DEGREE - 1, -1, -1):
         result = scaled @ result + np.eye(n) / math.factorial(k)
     for _ in range(nsquare):
         result = result @ result

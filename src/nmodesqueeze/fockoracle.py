@@ -347,7 +347,7 @@ def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
     """
     if state.n != space.n:
         raise ValueError(f"state has {state.n} modes, space has {space.n}")
-    if np.max(np.abs(state.F - state.F.T)) > 1e-12:
+    if not np.max(np.abs(state.F - state.F.T)) <= 1e-12:  # NaN refused too
         raise ValueError("two-photon matrix must be symmetric")
     quad = _raising(_pair_sum(state.F, 0.5, _ladders(space), space.dim), space.dim)
     amps = _terminating_series(quad, vacuum(space).amps, space)

@@ -33,7 +33,7 @@ from .variances import baseline_scalars
 def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
     """Symmetric matrices and a normalizable vacuum image, 0 < sech2 <= 1."""
     for name, mat in mats.items():
-        if np.max(np.abs(mat - mat.T)) > 1e-12:
+        if not np.max(np.abs(mat - mat.T)) <= 1e-12:  # NaN refused too
             raise ValueError(f"{name} must be symmetric")
     if not np.all((sech2 > 0.0) & (sech2 <= 1.0)):
         raise ValueError("two-photon spectrum 1 - f^2 must lie in (0, 1]")

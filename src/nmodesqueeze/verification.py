@@ -153,13 +153,22 @@ def _draw_alpha(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     return vec * (radius * rng.random())
 
 
-def _kernels(ns=SWEEP_N, lams=SWEEP_LAMBDA):
-    """(n, lambda, kernel) for every n in ns and lambda in lams, one
-    coupling per n."""
+def _worst(errors):
+    """The largest of ``errors`` (numbers or arrays) as a Python scalar,
+    NaN if any error is NaN: ``max(0.0, nan)`` is 0.0, which would pass."""
+    return np.max([np.max(err) for err in errors]).item()
+
+
+def _sweep(errors, ns=SWEEP_N, lams=SWEEP_LAMBDA) -> tuple[dict, float]:
+    """A sweep record's inputs and the ``_worst`` of ``errors(n, lam, kernel)``
+    over every n in ns and lambda in lams, one coupling per n."""
+    found = []
     for n in ns:
         base = cp.build_coupling(n)
         for lam in lams:
-            yield n, lam, cp.build_kernel(base, lam)
+            found.extend(errors(n, lam, cp.build_kernel(base, lam)))
+    inputs = {"n": list(ns), "lambda": list(lams)} if len(ns) > 1 else {"lambda": list(lams)}
+    return inputs, _worst(found)
 
 
 def _cutoff(config: tuple[int, int, float], cutoff: int | None) -> tuple[int, int, float]:
@@ -178,78 +187,70 @@ def _literal_variances(kernel: cp.SqueezeKernel) -> tuple[float, float]:
 
 
 def check_variance_closed_forms(tol: float) -> CheckRecord:
-    worst = 0.0
-    for _, lam, kernel in _kernels():
+    def errors(n, lam, kernel):
         v1, v2 = _literal_variances(kernel)
-        worst = max(worst, _rel_err(v1, math.exp(-4 * lam) / 4))
-        worst = max(worst, _rel_err(v2, math.exp(4 * lam) / 4))
+        return _rel_err(v1, math.exp(-4 * lam) / 4), _rel_err(v2, math.exp(4 * lam) / 4)
     return _record(
         "variances_closed_form", "var_x1 = exp(-4 lambda)/4, var_x2 = exp(+4 lambda)/4",
-        {"n": list(SWEEP_N), "lambda": list(SWEEP_LAMBDA)}, worst, tol,
+        *_sweep(errors), tol,
     )
 
 
 def check_uncertainty_product(tol: float) -> CheckRecord:
-    worst = 0.0
-    for _, _, kernel in _kernels():
+    def errors(n, lam, kernel):
         v1, v2 = _literal_variances(kernel)
-        worst = max(worst, abs(v1 * v2 - 1.0 / 16.0))
+        return (abs(v1 * v2 - 1.0 / 16.0),)
     return _record(
-        "uncertainty_product", "var_x1 * var_x2 = 1/16",
-        {"n": list(SWEEP_N), "lambda": list(SWEEP_LAMBDA)}, worst, tol,
+        "uncertainty_product", "var_x1 * var_x2 = 1/16", *_sweep(errors), tol,
         expected=1.0 / 16.0, note="actual is worst |product - 1/16|",
     )
 
 
 def check_sum_identities(tol: float) -> CheckRecord:
-    worst = 0.0
-    for n, lam, kernel in _kernels():
+    def errors(n, lam, kernel):
         sum_g, sum_ginv = cp.sum_identities(kernel)
-        worst = max(worst, _rel_err(sum_g, n * math.exp(-4 * lam)))
-        worst = max(worst, _rel_err(sum_ginv, n * math.exp(4 * lam)))
+        return _rel_err(sum_g, n * math.exp(-4 * lam)), _rel_err(sum_ginv, n * math.exp(4 * lam))
     return _record(
         "gram_sum_identity", "sum_ij gram = n exp(-4 lambda), sum_ij gram^-1 = n exp(+4 lambda)",
-        {"n": list(SWEEP_N), "lambda": list(SWEEP_LAMBDA)}, worst, tol,
+        *_sweep(errors), tol,
     )
 
 
 def check_power_sum_identity(tol: float) -> CheckRecord:
-    worst = 0
+    errors = []
     for n in SWEEP_N:
         doubled = 2 * cp.build_coupling(n).entries  # A + A~ in exact integers
         power = np.eye(n, dtype=np.int64)
         for exponent in range(0, 7):
-            worst = max(worst, abs(int(power.sum()) - 4**exponent * n))
+            errors.append(abs(int(power.sum()) - 4**exponent * n))
             power = power @ doubled
     return _record(
         "power_sum_identity", "sum_ij (A + A~)^l = 4^l n, integer exact",
-        {"n": list(SWEEP_N), "l": list(range(7))}, worst, tol,
+        {"n": list(SWEEP_N), "l": list(range(7))}, _worst(errors), tol,
         expected=0,
     )
 
 
 def check_enhanced_squeezing(tol: float) -> CheckRecord:
-    margin = math.inf
-    for n in SWEEP_N:
-        for lam in (0.1, 0.5, 1.0):
-            margin = min(margin, math.exp(-2 * lam) / 4 - va.variances_matrix_sum(n, lam).varX1)
+    lams = (0.1, 0.5, 1.0)
+    gaps = [math.exp(-2 * lam) / 4 - va.variances_matrix_sum(n, lam).varX1
+            for n in SWEEP_N for lam in lams]
+    margin = np.min(gaps).item()  # NaN-strict, where min(inf, nan) is inf
     return _record(
         "enhanced_squeezing", "var_x1 < exp(-2 lambda)/4 (standard two-mode value)",
-        {"n": list(SWEEP_N), "lambda": [0.1, 0.5, 1.0]}, margin, tol,
+        {"n": list(SWEEP_N), "lambda": list(lams)}, margin, tol,
         expected="margin > 0", passed=margin > tol,
     )
 
 
 def check_doubling_reduction(tol: float) -> CheckRecord:
-    worst = 0.0
-    for _, lam, kernel in _kernels((2,), (0.1, 0.3, 0.5, 1.0)):
+    def errors(n, lam, kernel):
         member = nf.squeezed_vacuum(kernel)
         target = nf.baseline_two_mode(2 * lam)
-        worst = max(worst, float(np.max(np.abs(member.F - target.F))))
-        worst = max(worst, abs(member.norm - target.norm))
+        return np.abs(member.F - target.F), abs(member.norm - target.norm)
     return _record(
         "doubled_two_mode_reduction", "two-mode member at lambda = standard squeeze at 2 lambda",
-        {"lambda": [0.1, 0.3, 0.5, 1.0]}, worst, tol,
+        *_sweep(errors, (2,), (0.1, 0.3, 0.5, 1.0)), tol,
     )
 
 
@@ -270,14 +271,13 @@ def check_normal_form_assembly(tol: float, cutoff: int | None = None) -> CheckRe
 
 
 def check_cremat_identity(tol: float) -> CheckRecord:
-    worst = 0.0
-    for n, _, kernel in _kernels(lams=(0.5, -0.5, 0.1, -0.1)):
+    def errors(n, lam, kernel):
         # the paper's product form Lambda Ninv Lambda~ - I: independent of normal_form
         literal = kernel.Lambda @ kernel.NmatInv @ kernel.Lambda.T - np.eye(n)
-        worst = max(worst, float(np.max(np.abs(nf.normal_form(kernel).creMat - literal))))
+        return (np.abs(nf.normal_form(kernel).creMat - literal),)
     return _record(
         "cremat_tanh_identity", "creation block = -tanh(lambda A)",
-        {"n": list(SWEEP_N), "lambda": [0.5, -0.5, 0.1, -0.1]}, worst, tol,
+        *_sweep(errors, lams=(0.5, -0.5, 0.1, -0.1)), tol,
     )
 
 
@@ -308,62 +308,55 @@ def check_overlap(which: str, tol: float, cutoff: int | None = None) -> CheckRec
 
 
 def check_evolved_norm(tol: float, cutoff: int | None = None) -> CheckRecord:
-    worst = 0.0
-    for config in (CONFIG_OVERLAP_N2, CONFIG_OVERLAP_N3):
-        _, norm_dev, _ = _overlap_config(*_cutoff(config, cutoff))
-        worst = max(worst, norm_dev)
+    configs = (CONFIG_OVERLAP_N2, CONFIG_OVERLAP_N3)
+    worst = _worst(_overlap_config(*_cutoff(config, cutoff))[1] for config in configs)
     return _record(
         "evolved_norm", "unitarity: |exp(iH)|0>| = 1",
-        {"configs": [list(CONFIG_OVERLAP_N2), list(CONFIG_OVERLAP_N3)]}, worst, tol,
+        {"configs": [list(config) for config in configs]}, worst, tol,
         expected=1.0, note="actual is worst | |psi| - 1 |",
     )
 
 
 def check_three_mode_state(tol: float) -> CheckRecord:
-    worst = 0.0
-    for _, lam, kernel in _kernels((3,), (0.1, 0.2, 0.3, 0.5)):
+    def errors(n, lam, kernel):
         state = nf.squeezed_vacuum(kernel)
         closed = nf.three_mode_closed(lam)
         target = np.where(np.eye(3, dtype=bool), closed.A1 / 3, -2 * closed.A2 / 3)
-        worst = max(worst, float(np.max(np.abs(state.F - target))))
-        worst = max(worst, abs(state.norm - closed.A3))
+        return np.abs(state.F - target), abs(state.norm - closed.A3)
     return _record(
         "three_mode_state", "F diag = A1/3, F offdiag = -2 A2/3, norm = A3",
-        {"lambda": [0.1, 0.2, 0.3, 0.5]}, worst, tol,
+        *_sweep(errors, (3,), (0.1, 0.2, 0.3, 0.5)), tol,
     )
 
 
 def check_four_mode_state(tol: float) -> CheckRecord:
-    worst = 0.0
-    for _, lam, kernel in _kernels((4,), (0.1, 0.2, 0.3, 0.5)):
+    def errors(n, lam, kernel):
         state = nf.squeezed_vacuum(kernel)
         closed = nf.four_mode_closed(lam)
         pattern = -closed.stateTanh / 2 * kernel.coupling.entries.astype(float)
-        worst = max(worst, float(np.max(np.abs(state.F - pattern))))
-        worst = max(worst, abs(state.norm - closed.stateNorm))
+        return np.abs(state.F - pattern), abs(state.norm - closed.stateNorm)
     return _record(
         "four_mode_state", "norm = sech(2 lambda), F = -tanh(2 lambda)/2 on the ring, 0 elsewhere",
-        {"lambda": [0.1, 0.2, 0.3, 0.5]}, worst, tol,
+        *_sweep(errors, (4,), (0.1, 0.2, 0.3, 0.5)), tol,
     )
 
 
 def check_four_mode_ninv(tol: float) -> CheckRecord:
-    worst = 0.0
     opposite = np.zeros((4, 4))
     opposite[0, 2] = opposite[2, 0] = opposite[1, 3] = opposite[3, 1] = 1.0
-    for _, lam, kernel in _kernels((4,), (0.1, 0.2, 0.3, 0.5)):
+
+    def errors(n, lam, kernel):
         closed = nf.four_mode_closed(lam)
         # the ring has 1s exactly on the near pairs, so it carries that pattern
         ring = kernel.coupling.entries.astype(float)
         pattern = (
             closed.ninv_diag * np.eye(4) + closed.ninv_near * ring + closed.ninv_far * opposite
         )
-        worst = max(worst, float(np.max(np.abs(kernel.NmatInv - pattern))))
-        worst = max(worst, abs(kernel.detN - closed.detN))
+        return np.abs(kernel.NmatInv - pattern), abs(kernel.detN - closed.detN)
     return _record(
         "four_mode_ninv",
         "N^-1: diag 1, near tanh(2 lambda)/2, opposite 0; det N = cosh^2(2 lambda)",
-        {"lambda": [0.1, 0.2, 0.3, 0.5]}, worst, tol,
+        *_sweep(errors, (4,), (0.1, 0.2, 0.3, 0.5)), tol,
     )
 
 
@@ -374,16 +367,16 @@ def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> Chec
     ]
     lams, alphas3, alphas4 = zip(*draws)
     lam_values = np.array(lams)
-    worst = 0.0
+    errors = []
     for closed_fn, alphas in ((nf.wigner3_closed, alphas3), (nf.wigner4_closed, alphas4)):
         # the kernels' Wigner weights at every drawn lambda, as (200, n) stacks
         wig = ga.wigner_from_coupling(cp.build_coupling(alphas[0].size), lam_values)
         points = np.array(alphas)
         generic = ga.wigner_value_alpha(wig, points)
-        worst = max(worst, float(np.max(_rel_err(closed_fn(lam_values, points), generic))))
+        errors.append(_rel_err(closed_fn(lam_values, points), generic))
     return _record(
         "wigner_closed_vs_generic", "closed 3- and 4-mode Wigner forms = generic Gaussian form",
-        {"draws": 200, "|lambda| <=": 0.5, "|alpha| <=": 1.5}, worst, tol,
+        {"draws": 200, "|lambda| <=": 0.5, "|alpha| <=": 1.5}, _worst(errors), tol,
     )
 
 
@@ -406,13 +399,11 @@ def check_wigner_parity_oracle(
 
 
 def check_wigner_origin(tol: float) -> CheckRecord:
-    worst = 0.0
-    for n, _, kernel in _kernels((2, 3, 4, 5), (0.0, 0.2, 0.5)):
+    def errors(n, lam, kernel):
         value = ga.wigner_value_alpha(ga.wigner_from_kernel(kernel), np.zeros(n))
-        worst = max(worst, abs(value - math.pi ** (-n)))
+        return (abs(value - math.pi ** (-n)),)
     return _record(
-        "wigner_origin", "W(0, 0) = pi^-n",
-        {"n": [2, 3, 4, 5], "lambda": [0.0, 0.2, 0.5]}, worst, tol,
+        "wigner_origin", "W(0, 0) = pi^-n", *_sweep(errors, (2, 3, 4, 5), (0.0, 0.2, 0.5)), tol,
     )
 
 

@@ -1,9 +1,11 @@
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import sys
+import types
 import warnings
 from unittest import mock
 
@@ -17,6 +19,7 @@ from nmodesqueeze import coupling as cp
 from nmodesqueeze import fockoracle as fo
 from nmodesqueeze import gaussian as ga
 from nmodesqueeze import normalform as nf
+from nmodesqueeze import variances as va
 from nmodesqueeze.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERIC,
@@ -315,6 +318,115 @@ def test_verify_evolves_each_overlap_config_once(monkeypatch):
     monkeypatch.setattr(fo, "evolve_vacuum", counting)
     run_verification(seed=0)
     assert sorted(evolved) == [2, 3]
+
+
+def _nan_sum_identities(kernel):
+    return math.nan, math.nan
+
+
+def _nan_variances(n, lam):
+    return types.SimpleNamespace(varX1=math.nan, varX2=math.nan)
+
+
+def _nan_state(kernel):
+    # _replace skips the construction checks, which refuse a NaN F
+    n = kernel.coupling.n
+    return nf.baseline_two_mode(0.0)._replace(norm=math.nan, F=np.full((n, n), math.nan))
+
+
+def _nan_normal_form(kernel, _real=nf.normal_form):
+    form = _real(kernel)
+    return form._replace(creMat=np.full_like(form.creMat, math.nan))
+
+
+@functools.cache
+def _nan_overlap_config(n, cutoff, lam):
+    return math.nan, math.nan, math.nan
+
+
+def _nan_wigner_value_alpha(wig, alpha, _real=ga.wigner_value_alpha):
+    return _real(wig, alpha) * math.nan
+
+
+# The twelve scored records that fold several errors into one actual, each
+# with a route it reads, patched to give NaN.
+NAN_ROUTES = {
+    "variances_closed_form": (cp, "sum_identities", _nan_sum_identities),
+    "uncertainty_product": (cp, "sum_identities", _nan_sum_identities),
+    "gram_sum_identity": (cp, "sum_identities", _nan_sum_identities),
+    "enhanced_squeezing": (va, "variances_matrix_sum", _nan_variances),
+    "doubled_two_mode_reduction": (nf, "squeezed_vacuum", _nan_state),
+    "cremat_tanh_identity": (nf, "normal_form", _nan_normal_form),
+    "evolved_norm": (verification, "_overlap_config", _nan_overlap_config),
+    "three_mode_state": (nf, "squeezed_vacuum", _nan_state),
+    "four_mode_state": (nf, "squeezed_vacuum", _nan_state),
+    "four_mode_ninv": (cp.SqueezeKernel, "detN", property(lambda kernel: math.nan)),
+    "wigner_closed_vs_generic": (ga, "wigner_value_alpha", _nan_wigner_value_alpha),
+    "wigner_origin": (ga, "wigner_value_alpha", _nan_wigner_value_alpha),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_ROUTES))
+def test_verify_nan_error_fails_its_check(name, monkeypatch):
+    """A NaN error is no error of 0: the record fails and reports NaN."""
+    owner, attr, nan_route = NAN_ROUTES[name]
+    monkeypatch.setattr(owner, attr, nan_route)
+    (record,) = [rec for rec in run_verification(seed=0).checks if rec.name == name]
+    assert record.passed is False
+    assert math.isnan(record.actual)
+
+
+def test_main_verify_nan_error_exits_failed(monkeypatch, capsys):
+    monkeypatch.setattr(cp, "sum_identities", _nan_sum_identities)
+    assert main(["verify"]) == EXIT_CHECK_FAILED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["overall"] == "fail"
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["gram_sum_identity"]["actual"] is None
+    assert by_name["gram_sum_identity"]["pass"] is False
+
+
+# The records that sweep one kernel per (n, lambda) pair of their inputs.
+SWEEP_RECORDS = (
+    "variances_closed_form",
+    "uncertainty_product",
+    "gram_sum_identity",
+    "doubled_two_mode_reduction",
+    "cremat_tanh_identity",
+    "three_mode_state",
+    "four_mode_state",
+    "four_mode_ninv",
+    "wigner_origin",
+)
+
+
+def test_verify_sweep_inputs_name_the_kernels_built(monkeypatch):
+    built = []
+    real_build = cp.build_kernel
+
+    def counting(coupling, lam):
+        built.append((coupling.n, lam))
+        return real_build(coupling, lam)
+
+    monkeypatch.setattr(cp, "build_kernel", counting)
+    pairs = {}
+    for attr, obj in list(vars(verification).items()):
+        if attr.startswith(("check_", "probe_")) and callable(obj):
+
+            def traced(*args, _fn=obj, **kwargs):
+                built.clear()
+                record = _fn(*args, **kwargs)
+                pairs[record.name] = list(built)
+                return record
+
+            monkeypatch.setattr(verification, attr, traced)
+    records = {rec.name: rec for rec in run_verification(seed=0).checks}
+    for name in SWEEP_RECORDS:
+        inputs = records[name].inputs
+        # a single-n sweep prints its lambdas alone
+        ns = inputs["n"] if "n" in inputs else [pairs[name][0][0]]
+        assert set(inputs) <= {"n", "lambda"}
+        assert pairs[name] == [(n, lam) for n in ns for lam in inputs["lambda"]], name
 
 
 def test_main_writes_output_file(tmp_path):

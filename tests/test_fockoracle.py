@@ -410,9 +410,10 @@ def test_two_photon_four_mode_first_order():
 
 def test_two_photon_rejects_asymmetric_matrix():
     # _replace skips the construction checks, as a hand-built state could
-    state = baseline_two_mode(0.3)._replace(F=np.array([[0.0, 0.2], [0.4, 0.0]]))
-    with pytest.raises(ValueError):
-        two_photon_expand(state, build_space(2, 4))
+    for F in (np.array([[0.0, 0.2], [0.4, 0.0]]), np.full((2, 2), np.nan)):
+        state = baseline_two_mode(0.3)._replace(F=F)
+        with pytest.raises(ValueError, match="symmetric"):
+            two_photon_expand(state, build_space(2, 4))
 
 
 def test_variance_vacuum():

@@ -147,6 +147,8 @@ def test_two_photon_state_validation():
     assert TwoPhotonState(norm=math.sqrt(0.75), F=half, sech2=sech2).norm > 0
     with pytest.raises(ValueError, match="symmetric"):
         TwoPhotonState(norm=math.sqrt(0.75), F=np.array([[0.0, 0.5], [0.2, 0.0]]), sech2=sech2)
+    with pytest.raises(ValueError, match="symmetric"):
+        TwoPhotonState(norm=1.0, F=np.full((2, 2), np.nan), sech2=np.ones(2))
     with pytest.raises(ValueError, match="does not match"):
         TwoPhotonState(norm=0.9, F=half, sech2=sech2)
     with pytest.raises(ValueError, match="must lie in"):

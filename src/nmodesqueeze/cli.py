@@ -62,32 +62,20 @@ class UsageError(ValueError):
     """Malformed configuration; mapped onto exit code 2."""
 
 
-class RunConfig:
-    """Parsed invocation; one per CLI run."""
+class RunConfig(NamedTuple):
+    """Parsed invocation; one per CLI run.  A grid, points or tolerances of
+    None are read as empty."""
 
-    def __init__(
-        self,
-        command: str,
-        n: int | None = None,
-        lam: float = 0.0,
-        cutoff: int | None = None,
-        grid: list[tuple[str, float, float, int]] | None = None,
-        points: list[tuple[list[float], list[float]]] | None = None,
-        fmt: str = "json",
-        out: str | None = None,
-        seed: int | None = None,
-        tolerances: dict[str, float] | None = None,
-    ):
-        self.command = command
-        self.n = n
-        self.lam = lam
-        self.cutoff = cutoff
-        self.grid = [] if grid is None else grid
-        self.points = [] if points is None else points
-        self.fmt = fmt
-        self.out = out
-        self.seed = seed
-        self.tolerances = {} if tolerances is None else tolerances
+    command: str
+    n: int | None = None
+    lam: float = 0.0
+    cutoff: int | None = None
+    grid: list[tuple[str, float, float, int]] | None = None
+    points: list[tuple[list[float], list[float]]] | None = None
+    fmt: str = "json"
+    out: str | None = None
+    seed: int | None = None
+    tolerances: dict[str, float] | None = None
 
 
 class Table:
@@ -610,13 +598,15 @@ def _results_wigner(config: RunConfig) -> _Outcome:
 
 def _grid_doc(config: RunConfig) -> list[dict]:
     """--grid as the document holds it, in its config and in its results."""
-    return [{"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid]
+    return [{"axis": a, "lo": lo, "hi": hi, "steps": s} for a, lo, hi, s in config.grid or ()]
 
 
 def _record_doc(rec: CheckRecord) -> dict:
-    """The record's fields in their order; the document names two of them apart."""
+    """The record's fields in their order, a blank record's inputs as {};
+    the document names two of them apart."""
     renamed = {"ref": "paper_ref", "passed": "pass"}
-    return {renamed.get(key, key): value for key, value in vars(rec).items()}
+    fields = rec._replace(inputs=rec.inputs or {})._asdict()
+    return {renamed.get(key, key): value for key, value in fields.items()}
 
 
 def _results_verify(config: RunConfig) -> _Outcome:
@@ -693,10 +683,10 @@ def _execute(config: RunConfig) -> tuple[Iterator[str], int]:
             "lambda": config.lam,
             "cutoff": config.cutoff,
             "grid": _grid_doc(config),
-            "points": [{"q": q, "p": p} for q, p in config.points],
+            "points": [{"q": q, "p": p} for q, p in config.points or ()],
             "format": config.fmt,
             "seed": config.seed,
-            "tolerance": dict(config.tolerances),
+            "tolerance": dict(config.tolerances or {}),
         },
         "results": results,
         "checks": checks,
@@ -757,7 +747,8 @@ Every run writes one document, JSON (schema "{SCHEMA}") or CSV;
 floats carry 17 significant digits, so they re-parse to the same bits, and
 a non-finite one is null.  exit codes: 0 success, 1 a check failed, 2 usage
 error, 3 resource guard or a document that cannot be written, 4 numeric
-failure; a run that exits 2, 3 or 4 writes one line to stderr, no document."""
+failure; a run that exits 2, 3 or 4 writes one line to stderr, no document,
+bar a verify run left partial by the guard: it exits 3 with its whole report."""
 
 
 def build_parser() -> argparse.ArgumentParser:

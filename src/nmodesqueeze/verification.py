@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import fockoracle as fo
 from . import gaussian as ga
 from . import normalform as nf
 from . import variances as va
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, TruncationError
 
 SWEEP_N = tuple(range(2, 9))
 SWEEP_LAMBDA = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
@@ -65,43 +66,29 @@ CONFIG_PARITY = (3, 8, 0.1)
 CONFIG_PROBE_FOCK = (3, 20, 0.5)
 
 
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verified claim: worst measured error against its tolerance.
 
     A record made from its name alone is blank: the check gave no result.
     """
 
-    def __init__(
-        self,
-        name: str,
-        ref: str = "",
-        inputs: dict | None = None,
-        expected: object = None,
-        actual: object = None,
-        tol: float = math.nan,
-        passed: bool | None = None,
-        tail_mass: float | None = None,
-        skipped: bool = False,
-        note: str = "",
-    ):
-        self.name = name
-        self.ref = ref
-        self.inputs = {} if inputs is None else inputs
-        self.expected = expected
-        self.actual = actual
-        self.tol = tol
-        self.passed = passed
-        self.tail_mass = tail_mass
-        self.skipped = skipped
-        self.note = note
+    name: str
+    ref: str = ""
+    inputs: dict | None = None
+    expected: object = None
+    actual: object = None
+    tol: float = math.nan
+    passed: bool | None = None
+    tail_mass: float | None = None
+    skipped: bool = False
+    note: str = ""
 
 
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """The records of one run of the suite, in table order."""
 
-    def __init__(self, seed: int, checks: list[CheckRecord] | None = None):
-        self.seed = seed
-        self.checks = [] if checks is None else checks
+    seed: int
+    checks: tuple[CheckRecord, ...] = ()
 
     @property
     def overall(self) -> str:
@@ -281,18 +268,27 @@ def check_cremat_identity(tol: float) -> CheckRecord:
     )
 
 
+def _truncated_state(
+    n: int, cutoff: int, lam: float
+) -> tuple[fo.FockSpace, cp.SqueezeKernel, fo.FockTensor]:
+    """(space, kernel, psi) of one Fock config, psi the kernel's analytic
+    squeezed vacuum expanded in the space."""
+    space = fo.build_space(n, cutoff)
+    kernel = cp.build_kernel(cp.build_coupling(n), lam)
+    return space, kernel, fo.two_photon_expand(nf.squeezed_vacuum(kernel), space)
+
+
 @functools.cache
 def _overlap_config(n: int, cutoff: int, lam: float) -> tuple[float, float, float]:
     """(overlap deficit, norm deviation, analytic tail mass) for one config.
 
+    The deficit is |1 - |overlap||, so an overlap over 1 cannot pass.
     Cached so the overlap and norm checks share one vacuum evolution per
     config; ``run_verification`` clears it so every run evolves afresh.
     """
-    space = fo.build_space(n, cutoff)
-    base = cp.build_coupling(n)
-    evolved = fo.evolve_vacuum(fo.generator(space, base, lam))
-    analytic = fo.two_photon_expand(nf.squeezed_vacuum(cp.build_kernel(base, lam)), space)
-    deficit = 1.0 - abs(fo.overlap(evolved, analytic))
+    space, kernel, analytic = _truncated_state(n, cutoff, lam)
+    evolved = fo.evolve_vacuum(fo.generator(space, kernel.coupling, lam))
+    deficit = abs(1.0 - abs(fo.overlap(evolved, analytic)))
     return deficit, abs(evolved.norm - 1.0), fo.tail_mass(analytic)
 
 
@@ -384,17 +380,18 @@ def check_wigner_parity_oracle(
     tol: float, rng: np.random.Generator, cutoff: int | None = None
 ) -> CheckRecord:
     n, cutoff, lam = _cutoff(CONFIG_PARITY, cutoff)
-    space = fo.build_space(n, cutoff)
-    kernel = cp.build_kernel(cp.build_coupling(n), lam)
-    psi = fo.two_photon_expand(nf.squeezed_vacuum(kernel), space)
-    wig = ga.wigner_from_kernel(kernel)
+    _, kernel, psi = _truncated_state(n, cutoff, lam)
     alphas = np.array([_draw_alpha(rng, n, 0.6) for _ in range(20)])
-    gaussian = ga.wigner_value_alpha(wig, alphas)
-    worst = float(np.max(np.abs(fo.wigner_numeric(psi, alphas) - gaussian)))
+    gaussian = ga.wigner_value_alpha(ga.wigner_from_kernel(kernel), alphas)
+    note = ""
+    try:
+        worst = float(np.max(np.abs(fo.wigner_numeric(psi, alphas) - gaussian)))
+    except TruncationError as exc:  # fail, and keep the tail mass measured below
+        worst, note = math.nan, f"error: {exc!r}"
     return _record(
         "wigner_parity_oracle", "W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>",
         {"n": n, "cutoff": cutoff, "lambda": lam, "points": 20, "|alpha| <=": 0.6}, worst, tol,
-        tail_mass=fo.tail_mass(psi),
+        tail_mass=fo.tail_mass(psi), note=note,
     )
 
 
@@ -427,12 +424,10 @@ def probe_antisqueezed_sum(cutoff: int | None = None) -> CheckRecord:
     numbers and takes no side.  A Fock-space cross-check at the smallest
     lambda shows the same growth within its (reported) truncation bias.
     """
-    base = cp.build_coupling(3)
     lams = (0.5, 1.0, 1.5)
     exact = [va.variances_matrix_sum(3, lam).varX2 for lam in lams]
     n, use_cutoff, lam0 = _cutoff(CONFIG_PROBE_FOCK, cutoff)
-    space = fo.build_space(n, use_cutoff)
-    psi = fo.two_photon_expand(nf.squeezed_vacuum(cp.build_kernel(base, lam0)), space)
+    _, _, psi = _truncated_state(n, use_cutoff, lam0)
     fock_value = fo.variance_numeric(fo.normalized(psi), "X2")
     return CheckRecord(
         name="antisqueezed_sum_probe",
@@ -470,7 +465,6 @@ def run_verification(
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     tols = resolve_tolerances(tolerances)
     rng = np.random.default_rng(seed)
-    report = VerifyReport(seed=seed)
     _overlap_config.cache_clear()
     # Built per run, so each check is looked up in this module when it runs.
     checks = (
@@ -494,6 +488,7 @@ def run_verification(
         ("wigner_normalization", check_wigner_normalization, tols["wigner_norm"]),
         ("antisqueezed_sum_probe", probe_antisqueezed_sum, cutoff),
     )
+    records = []
     for name, check, *args in checks:
         try:
             record = check(*args)
@@ -501,5 +496,5 @@ def run_verification(
             record = CheckRecord(name, skipped=True, note=f"skipped: {exc}")
         except Exception as exc:  # surface as a failed check, not a crash
             record = CheckRecord(name, passed=False, note=f"error: {exc!r}")
-        report.checks.append(record)
-    return report
+        records.append(record)
+    return VerifyReport(seed, tuple(records))

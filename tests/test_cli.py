@@ -320,6 +320,67 @@ def test_verify_evolves_each_overlap_config_once(monkeypatch):
     assert sorted(evolved) == [2, 3]
 
 
+def test_verify_overlap_fails_on_a_scaled_two_photon_matrix(monkeypatch):
+    """F x 1.01 at the same norm puts the analytic state's norm, and its
+    overlap with the evolved state, over 1: a deficit below 0 that used to
+    pass (-1.69e-3 and -6.91e-4)."""
+    real = nf.squeezed_vacuum
+
+    def scaled(kernel):
+        state = real(kernel)
+        return state._replace(F=state.F * 1.01)
+
+    monkeypatch.setattr(nf, "squeezed_vacuum", scaled)
+    records = {rec.name: rec for rec in run_verification(seed=0).checks}
+    for name in ("vacuum_overlap_n2", "vacuum_overlap_n3"):
+        assert records[name].passed is False
+        assert records[name].actual > records[name].tol
+
+
+def test_verify_parity_record_keeps_its_tail_when_the_cutoff_is_too_small():
+    (record,) = [
+        rec for rec in run_verification(seed=0, cutoff=4).checks
+        if rec.name == "wigner_parity_oracle"
+    ]
+    assert record.passed is False and math.isnan(record.actual)
+    assert record.note.startswith("error: TruncationError('displaced state has 1.298e-04 mass")
+    assert record.ref == "W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>"
+    assert record.inputs == {"n": 3, "cutoff": 4, "lambda": 0.1, "points": 20, "|alpha| <=": 0.6}
+    assert record.tol == verification.DEFAULT_TOLERANCES["wigner_oracle"]
+    _, _, psi = verification._truncated_state(3, 4, 0.1)
+    assert record.tail_mass == fo.tail_mass(psi) > 0
+
+
+@pytest.mark.parametrize(
+    "record",
+    [RunConfig(command="verify"), verification.CheckRecord("x"), verification.VerifyReport(0)],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_named_tuples_with_read_only_fields(record):
+    assert isinstance(record, tuple) and record._fields
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_blank_record_prints_empty_inputs():
+    doc = cli._record_doc(verification.CheckRecord("x", skipped=True, note="skipped: guard"))
+    assert doc["inputs"] == {} and doc["paper_ref"] == "" and doc["pass"] is None
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig(command="wigner", n=3, lam=0.2, grid=None, points=None, tolerances=None),
+        RunConfig(command="verify", grid=None, points=None, tolerances=None, fmt="csv"),
+    ],
+    ids=lambda config: config.command,
+)
+def test_run_config_reads_none_as_empty(config):
+    empty = config._replace(grid=[], points=[], tolerances={})
+    assert run(config) == run(empty)
+
+
 def _nan_sum_identities(kernel):
     return math.nan, math.nan
 
@@ -553,6 +614,62 @@ def test_main_first_unread_flag_is_named(argv, flag, capsys):
     assert capsys.readouterr().err == f"error: command {argv[0]!r} does not read {flag}\n"
 
 
+# --lambda at the edges of the accepted range, |lambda| <= 20, and past them.
+EDGE_LAMBDAS = [
+    5e-324, -5e-324, 20.0, -20.0, math.nextafter(20.0, math.inf),
+    math.nextafter(-20.0, -math.inf), math.nan, math.inf, -math.inf,
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line over the accepted input range and just past it, verify
+    drawn at one in thirteen: a flag of --n, --cutoff and one --grid axis is
+    given at nine in ten when the command reads it, else at one in ten."""
+    others = [name for name in cli.COMMANDS if name != "verify"]
+    command = draw(st.sampled_from([*others, *others, "verify"]))
+    reads = cli.COMMANDS[command][0]
+
+    def present(flag):
+        return draw(st.sampled_from([flag in reads] * 9 + [flag not in reads]))
+
+    lam = draw(st.floats(-20.0, 20.0) | st.floats(-20.0, 20.0) | st.sampled_from(EDGE_LAMBDAS))
+    argv = [command, f"--lambda={lam!r}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    if present("--n"):
+        argv.append(f"--n={draw(st.integers(-1, 64))}")
+    if present("--cutoff"):
+        argv.append(f"--cutoff={draw(st.integers(-1, 12) | st.just(450))}")
+    if present("--grid"):
+        axis = draw(st.sampled_from("qp")) + str(draw(st.integers(0, 9) | st.integers(0, 65)))
+        lo, hi = (draw(st.floats(-1e3, 1e3) | st.floats()) for _ in range(2))
+        argv.append(f"--grid={axis}={lo!r}:{hi!r}:{draw(st.integers(0, 40))}")
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=command_lines())
+def test_main_output_contract_property(argv):
+    """Every exit code is one main states; a document and an error line never
+    mix, bar verify's partial report, and no run warns."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    verify = argv[0] == "verify"
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE, EXIT_NUMERIC) or (
+        verify and code == EXIT_CHECK_FAILED
+    )
+    if code in (EXIT_USAGE, EXIT_NUMERIC) or code == EXIT_RESOURCE and not verify:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert out.endswith("\n") and err == ""
+        if "--format=json" in argv:
+            _strict_json(out)
+
+
 def test_negative_seed_is_refused_before_any_draw(monkeypatch):
     def no_generator(seed):
         raise AssertionError(f"a generator was built from seed {seed}")
@@ -650,7 +767,7 @@ def _csv_oracle(results: dict) -> str:
 @pytest.mark.parametrize("config", LAYOUT_CONFIGS, ids=lambda c: f"n{c.n}")
 def test_points_rendering_matches_per_point_dicts(config, monkeypatch):
     text, code = run(config)
-    csv_text, csv_code = run(RunConfig(**{**vars(config), "fmt": "csv"}))
+    csv_text, csv_code = run(config._replace(fmt="csv"))
     table = cli._results_wigner(config).results["points"]
     reads, build = cli.COMMANDS["wigner"]
 

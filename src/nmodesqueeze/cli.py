@@ -51,8 +51,8 @@ GRID_GUARD = 1 << 22
 
 # Largest n x n matrix, counted in entries, that coupling, normal-form and
 # state build; variances is O(1) and has no such guard.  At the guard,
-# n = 1448, normal-form, coupling and state peaked at 204, 203 and 172 MB
-# in JSON, 200, 199 and 169 MB in CSV (child VmHWM, to /dev/null, 2 vCPUs).
+# n = 1448, normal-form, coupling and state peaked at 162, 176 and 128 MB
+# in JSON, 163, 176 and 142 MB in CSV (child VmHWM, to /dev/null, 2 vCPUs).
 # wigner builds no such matrix; there the same cap on n bounds the 2n
 # columns rendered per point, whose cost past n = 1448 has not been measured.
 DENSE_GUARD = 1 << 21
@@ -91,16 +91,16 @@ class Table:
         self.fields = fields
         self.size = len(next(iter(fields.values())))
 
-    def columns(self) -> Iterator[tuple[str, str, np.ndarray]]:
-        """Each column's CSV header name, its path within a row and its
-        values: a group column by column, numbered from 1 in the header and
-        from 0 in the path."""
+    def columns(self) -> Iterator[tuple[str, str]]:
+        """Each column's CSV header name and its path within a row: a group
+        column by column, numbered from 1 in the header and from 0 in the
+        path."""
         for name, values in self.fields.items():
             if values.ndim == 1:
-                yield name, name, values
+                yield name, name
             else:
-                for c, column in enumerate(values.T):
-                    yield f"{name}{c + 1}", str(c) if name is None else f"{name}.{c}", column
+                for c in range(values.shape[1]):
+                    yield f"{name}{c + 1}", str(c) if name is None else f"{name}.{c}"
 
     def entry(self, k: int) -> list | dict:
         """Row k as the document holds it."""
@@ -141,99 +141,97 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
     return texts
 
 
-class _ColumnTexts:
-    """The texts of one column of a Table, formatted block by block.
+class _FieldTexts:
+    """The texts of one field of a Table, formatted block by block.
 
-    The distinct bit patterns of the column (so 0.0 and -0.0 apart) are
-    numbered in order of first appearance, and ``codes`` holds the number
-    of every row.  The rows of a block then use the patterns numbered
-    below the largest number among them, so the block formats only the
-    contiguous slice of patterns that it is the first to use.  With
-    ``measure``, the column also notes which texts are too wide for an
-    inline list.
+    A column whose rows all hold one value is pinned, and its text is
+    formatted once.  Over the other, varying columns, the distinct bit
+    patterns (so 0.0 and -0.0 apart) are numbered in order of first
+    appearance, row by row, and ``codes`` holds the number of every entry.
+    The rows of a block then use the patterns numbered below the largest
+    number among them, so the block formats only the contiguous slice of
+    patterns that it is the first to use; a group also notes which of
+    their texts are too wide for an inline list.  ``cells`` holds each
+    column's text if it is pinned, else its index among the varying
+    columns.
     """
 
-    def __init__(self, values: np.ndarray | range, measure: bool = False):
+    def __init__(self, values: np.ndarray | range):
         import numpy as np
 
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
-        if (bits == bits[:1]).all():  # a pinned coordinate, or none, needs no sort
-            self.codes = np.zeros(bits.size, dtype=np.intp)
-            self.values = bits[:1].view(np.float64)
-        else:
-            distinct, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            self.codes = rank[inverse]
-            self.values = distinct[order].view(np.float64)
+        self.group = bits.ndim == 2
+        bits = bits if self.group else bits[:, None]
+        pinned = np.array([len(bits) > 0 and (col == col[0]).all() for col in bits.T], dtype=bool)
+        texts = iter(_fmt_floats(bits[:1, pinned].view(np.float64).ravel()))
+        index = itertools.count()
+        self.cells = [next(texts) if pin else next(index) for pin in pinned.tolist()]
+        varying = bits[:, ~pinned] if pinned.any() else bits  # no copy of a whole matrix
+        distinct, first, inverse = np.unique(varying, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # numpy 1.x returns the inverse flat, numpy 2.x in the input's shape
+        self.codes = rank[inverse].reshape(varying.shape)
+        self.values = distinct[order].view(np.float64)
         self.texts = np.empty(self.values.size, dtype=object)
-        self.wide = np.zeros(self.values.size, dtype=bool) if measure else None
+        self.wide = np.zeros(self.values.size, dtype=bool)
         self.ready = 0
-        if self.values.size == 1:
-            self._format(1)
-
-    def _format(self, stop: int) -> None:
-        texts = _fmt_floats(self.values[self.ready:stop])
-        self.texts[self.ready:stop] = texts
-        if self.wide is not None:
-            self.wide[self.ready:stop] = [len(text) >= _INLINE_WIDTH for text in texts]
-        self.ready = stop
 
     def rows(self, first: int, last: int) -> np.ndarray:
-        """The codes of rows first..last-1, with their texts formatted."""
+        """The codes of rows first..last-1, one column per varying column,
+        with their texts formatted."""
         codes = self.codes[first:last]
         stop = int(codes.max()) + 1
         if stop > self.ready:
-            self._format(stop)
+            texts = _fmt_floats(self.values[self.ready:stop])
+            self.texts[self.ready:stop] = texts
+            if self.group:
+                self.wide[self.ready:stop] = [len(text) >= _INLINE_WIDTH for text in texts]
+            self.ready = stop
         return codes
 
 
-def _row_template(parts: list) -> tuple[list[str], list[_ColumnTexts]]:
-    """Split a row template, a list of texts and columns, into its literal
-    texts and its varying columns, one literal before, between and after
-    them.  A column with one text is written into the literal around it."""
-    literals, varying = [""], []
+def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """first, last, pieces and wide of each block of rows 0..rows-1 of the
+    row template ``parts``, a list of texts and (field texts, column) cells.
+
+    A pinned cell is written into the text around it.  pieces is a
+    (rows, 2 * varying cells + 1) object array of the literal texts before,
+    between and after the varying cells, interleaved with their texts: the
+    "".join of its ravel is the rows' text.  wide marks the rows that hold
+    a text of a group too wide for an inline list.  Each block formats each
+    field's texts once.
+    """
+    import numpy as np
+
+    literals, slots, always_wide = [""], {}, False
     for part in parts:
         if isinstance(part, str):
             literals[-1] += part
-        elif part.texts.size == 1:
-            literals[-1] += part.texts[0]
+            continue
+        field, column = part
+        cell = field.cells[column]
+        if isinstance(cell, str):
+            literals[-1] += cell
+            always_wide |= field.group and len(cell) >= _INLINE_WIDTH
         else:
-            varying.append(part)
+            targets, sources = slots.setdefault(field, ([], []))
+            targets.append(2 * len(literals) - 1)
+            sources.append(cell)
             literals.append("")
-    return literals, varying
-
-
-def _row_pieces(literals: list[str], varying: list[_ColumnTexts], first: int, last: int) -> np.ndarray:
-    """Rows first..last-1 as a (rows, 2 * len(varying) + 1) object array of
-    the literals interleaved with the columns' texts: the "".join of its
-    ravel is their text."""
-    import numpy as np
-
-    pieces = np.empty((last - first, len(literals) + len(varying)), dtype=object)
-    pieces[:, 0::2] = np.array(literals, dtype=object)
-    for j, column in enumerate(varying):
-        pieces[:, 2 * j + 1] = column.texts.take(column.rows(first, last))
-    return pieces
-
-
-def _interleave(columns: list[_ColumnTexts], sep: str) -> list:
-    """The columns with sep between each two, as row-template parts."""
-    parts: list = []
-    for column in columns:
-        parts += [sep, column]
-    return parts[1:]
-
-
-def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """first, last and ``_row_pieces`` of each block of rows 0..rows-1 of
-    the row template ``parts``."""
-    literals, varying = _row_template(parts)
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(1, len(varying))))
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(1, len(literals) - 1)))
     for first in range(0, rows, step):
         last = min(first + step, rows)
-        yield first, last, _row_pieces(literals, varying, first, last)
+        pieces = np.empty((last - first, 2 * len(literals) - 1), dtype=object)
+        pieces[:, 0::2] = np.array(literals, dtype=object)
+        wide = np.full(last - first, always_wide)
+        for field, (targets, sources) in slots.items():
+            codes = field.rows(first, last)
+            pieces[:, targets] = field.texts.take(codes[:, sources])
+            if field.group:
+                wide |= field.wide.take(codes).any(axis=1)
+        yield first, last, pieces, wide
 
 
 def _render_table(table: Table, indent: int) -> Iterator[str]:
@@ -249,24 +247,18 @@ def _render_table(table: Table, indent: int) -> Iterator[str]:
         yield _json_text([table.entry(k) for k in range(table.size)], indent)
         return
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
-    parts, grouped, lead = [f",\n{row_pad}"], [], "{"
+    parts, lead = [f",\n{row_pad}"], "{"
     for name, values in table.fields.items():
         if name is not None:
             parts.append(f'{lead}\n{key_pad}"{name}": ')
             lead = ","
-        if values.ndim == 1:
-            parts.append(_ColumnTexts(values))
-        else:
-            group = [_ColumnTexts(column, measure=True) for column in values.T]
-            parts += ["[", *_interleave(group, ", "), "]"]
-            grouped += group
+        field = _FieldTexts(values)
+        cells = [p for c in range(len(field.cells)) for p in (", ", (field, c))][1:]
+        parts += ["[", *cells, "]"] if field.group else cells
     if matrix is None:
         parts.append(f"\n{row_pad}}}")
     yield "[\n"
-    for first, last, pieces in _row_blocks(parts, table.size):
-        wide = np.zeros(last - first, dtype=bool)
-        for column in grouped:
-            wide |= column.wide[column.rows(first, last)]
+    for first, last, pieces, wide in _row_blocks(parts, table.size):
         start = 0
         for stop in [*np.flatnonzero(wide).tolist(), last - first]:
             if start < stop:
@@ -362,15 +354,18 @@ def _flatten(obj, prefix: str = ""):
 
 def _csv_rows(table: Table, name: str | None) -> Iterator[str]:
     """The table's CSV rows, one piece per block of rows: one row per table
-    row, or with a name one ``name.k.path,text`` row per number.  A number
-    never needs csv quoting, so the rows are joined directly."""
-    columns = [(path, _ColumnTexts(values)) for _, path, values in table.columns()]
+    row, or with a name one ``name.k.path,text`` row per number, the row
+    number k one more field.  A number never needs csv quoting, so the rows
+    are joined directly."""
+    fields = map(_FieldTexts, table.fields.values())
+    cells = [(field, c) for field in fields for c in range(len(field.cells))]
     if name is None:
-        parts = [*_interleave([column for _, column in columns], ","), "\n"]
+        parts = [*[p for cell in cells for p in (",", cell)][1:], "\n"]
     else:
-        index = _ColumnTexts(range(table.size))  # the row number k
-        parts = [p for path, col in columns for p in (f"{name}.", index, f".{path},", col, "\n")]
-    for _, _, pieces in _row_blocks(parts, table.size):
+        index, parts = (_FieldTexts(range(table.size)), 0), []
+        for (_, path), cell in zip(table.columns(), cells):
+            parts += [f"{name}.", index, f".{path},", cell, "\n"]
+    for _, _, pieces, _ in _row_blocks(parts, table.size):
         yield "".join(pieces.ravel().tolist())
 
 
@@ -385,7 +380,7 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
     results, checks = doc["results"], doc.get("checks")
     points = results.get("points")
     if isinstance(points, Table):
-        writer.writerow([header for header, _, _ in points.columns()])
+        writer.writerow([header for header, _ in points.columns()])
         leaves = [(None, points)]  # unnamed: one CSV row per point
     elif checks:
         header = [key for key in checks[0] if key != "inputs"]

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import types
 import warnings
@@ -670,6 +671,45 @@ def test_main_output_contract_property(argv):
             _strict_json(out)
 
 
+# A JSON string, or a number, null, true or false as a document writes them.
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[-+.\w]+')
+
+
+def _json_number_texts(text: str) -> list[str]:
+    """The sorted texts of the numbers, nulls and booleans in a JSON
+    document's results, less a wigner run's grid, which its CSV leaves out."""
+    results = text[text.index('"results": '):text.index(',\n  "checks": ')]
+    results = results.split(',\n    "grid": ')[0]
+    return sorted(token for token in JSON_TOKEN.findall(results) if not token.startswith('"'))
+
+
+def _csv_value_cells(text: str) -> list[str]:
+    """The sorted value cells of a CSV document: the value column of the
+    one-row-per-leaf layout, or every cell below the header of a points
+    table."""
+    header, *rows = csv.reader(io.StringIO(text))
+    if header == ["name", "value"]:
+        return sorted(value for _, value in rows)
+    return sorted(cell for row in rows for cell in row)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=command_lines())
+def test_json_and_csv_carry_the_same_number_texts_property(argv):
+    """A run other than verify that exits 0 writes the same number texts in
+    its JSON results as in its CSV value cells, as many times each."""
+    argv = [arg for arg in argv if not arg.startswith("--format=")]
+    documents = {}
+    for fmt in ["json", "csv"]:
+        out = io.StringIO()
+        with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", io.StringIO()):
+            code = main([*argv, f"--format={fmt}"])
+        if argv[0] == "verify" or code != EXIT_OK:
+            return
+        documents[fmt] = out.getvalue()
+    assert _json_number_texts(documents["json"]) == _csv_value_cells(documents["csv"])
+
+
 def test_negative_seed_is_refused_before_any_draw(monkeypatch):
     def no_generator(seed):
         raise AssertionError(f"a generator was built from seed {seed}")
@@ -883,21 +923,37 @@ FORMAT_ONCE_CONFIGS = [
 ]
 
 
+def _field_patterns(values) -> np.ndarray:
+    """The bit patterns a field formats: each distinct one of its varying
+    columns once, and one per column whose rows all hold one value."""
+    bits = np.asarray(values, dtype=float).view(np.int64).reshape(len(values), -1)
+    pinned = (bits == bits[:1]).all(axis=0)
+    return np.concatenate([np.unique(bits[:, ~pinned]), bits[0, pinned]])
+
+
+def _counting_formats(monkeypatch) -> list:
+    """Patch ``cli._fmt_floats`` to record a copy of each array it formats."""
+    formatted, real = [], cli._fmt_floats
+
+    def counting(values):
+        formatted.append(values.copy())
+        return real(values)
+
+    monkeypatch.setattr(cli, "_fmt_floats", counting)
+    return formatted
+
+
 @pytest.mark.parametrize("config", FORMAT_ONCE_CONFIGS, ids=lambda c: c.command)
 def test_tables_format_each_distinct_pattern_once(config, monkeypatch):
     results = cli.COMMANDS[config.command][1](config).results
     tables = _tables(results)
-    distinct = [
-        np.unique(np.asarray(values, dtype=float).view(np.int64))
-        for table in tables
-        for _, _, values in table.columns()
-    ]
+    distinct = [_field_patterns(values) for table in tables for values in table.fields.values()]
     # the one-row-per-leaf layout also formats each table's row numbers
     indices = [np.arange(table.size, dtype=float).view(np.int64) for table in tables]
     if config.command == "wigner":
-        assert [len(bits) for bits in distinct[:8]] == [1, 61, 1, 1, 1, 1, 1, 61]
+        # q and p each hold one gridded column of 61 values and three pinned at 0
+        assert [len(bits) for bits in distinct[:2]] == [61 + 3, 61 + 3]
         indices = []
-    real = cli._fmt_floats
     for render, reference, expected in [
         (
             lambda: cli._json_text(results, 2),
@@ -910,19 +966,24 @@ def test_tables_format_each_distinct_pattern_once(config, monkeypatch):
             distinct + indices,
         ),
     ]:
-        formatted = []
-
-        def counting(values):
-            formatted.append(values.copy())
-            return real(values)
-
-        monkeypatch.setattr(cli, "_fmt_floats", counting)
-        text = render()
-        monkeypatch.setattr(cli, "_fmt_floats", real)
+        with monkeypatch.context() as patch:
+            formatted = _counting_formats(patch)
+            text = render()
         assert text == reference()
         if config.command == "wigner":  # the value columns are formatted block by block
             assert len(formatted) > len(distinct)
         assert sorted(np.concatenate(formatted).view(np.int64)) == sorted(np.concatenate(expected))
+
+
+def test_circulant_blocks_format_each_distinct_entry_once(monkeypatch):
+    # each block is a symmetric circulant: its 64 x 64 entries take at most
+    # 64 // 2 + 1 = 33 values, and a column holds every one of them
+    results = cli._results_normal_form(RunConfig(command="normal-form", n=64, lam=-7.0)).results
+    for name in ["cre_mat", "cross_mat", "ann_mat"]:
+        with monkeypatch.context() as patch:
+            formatted = _counting_formats(patch)
+            cli._json_text(results[name], 2)
+        assert 0 < sum(values.size for values in formatted) <= 33, name
 
 
 GRID_ARGV = ["wigner", "--n", "4", "--lambda", "0.3", "--grid", "q1=-2:2:41", "--grid", "p3=-2:2:41"]
@@ -944,11 +1005,12 @@ def test_main_writes_the_run_document(fmt, tmp_path, capfdbinary):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_main_writes_before_the_last_block_is_formatted(fmt, monkeypatch):
     events, written = [], []
-    real = cli._row_pieces
+    real = cli._row_blocks
 
-    def rendering(literals, varying, first, last):
-        events.append(("block", first))
-        return real(literals, varying, first, last)
+    def rendering(parts, rows):
+        for block in real(parts, rows):
+            events.append(("block", block[0]))
+            yield block
 
     class Stdout:
         def write(self, text):
@@ -961,7 +1023,7 @@ def test_main_writes_before_the_last_block_is_formatted(fmt, monkeypatch):
     argv = [*GRID_ARGV, "--format", fmt]
     text, _ = run(cli.config_from_args(cli.build_parser().parse_args(argv)))
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
-    monkeypatch.setattr(cli, "_row_pieces", rendering)
+    monkeypatch.setattr(cli, "_row_blocks", rendering)
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert main(argv) == EXIT_OK
     assert "".join(written) == text

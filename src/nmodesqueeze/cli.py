@@ -162,7 +162,7 @@ class _FieldTexts:
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         self.group = bits.ndim == 2
         bits = bits if self.group else bits[:, None]
-        pinned = np.array([len(bits) > 0 and (col == col[0]).all() for col in bits.T], dtype=bool)
+        pinned = (bits == bits[:1]).all(axis=0) & (len(bits) > 0)
         texts = iter(_fmt_floats(bits[:1, pinned].view(np.float64).ravel()))
         index = itertools.count()
         self.cells = [next(texts) if pin else next(index) for pin in pinned.tolist()]

@@ -14,87 +14,71 @@ an independent scaling-and-squaring oracle the tests compare against.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import LAMBDA_GUARD, check_lambda, check_modes
 
 
-class _ReadOnly:
-    """Fields set once by ``__init__``; assigning or deleting any attribute
-    afterwards raises.  Cached properties still fill in, since
-    ``functools.cached_property`` writes the instance dict directly."""
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
-
-
-class CouplingMatrix(_ReadOnly):
+class CouplingMatrix(NamedTuple):
     """The cyclic coupling A as its first row: O(n) data.
 
     A is the symmetric circulant with first row ``row`` (integer, zero
     diagonal, row sum 2).  Its spectrum ``eigenvalues`` is the DFT of that
     row, in DFT order, so ``eigenvalues[0] == 2`` belongs to the all-ones
-    mode; it and the dense n x n ``entries`` are each built on first read
-    and then kept.
+    mode; ``build_coupling`` computes it with the row.  The dense n x n
+    ``entries`` is built, read-only, on each read.
     """
 
-    def __init__(self, n: int, row: np.ndarray):
-        vars(self).update(n=n, row=row)
+    n: int
+    row: np.ndarray
+    eigenvalues: np.ndarray
 
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """The real spectrum of A, fft(row).real, read-only."""
-        return _freeze(np.fft.fft(self.row).real)
-
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
         """A itself, int64 and read-only."""
         return _freeze(_symmetric_circulant(self.row))
 
 
-class SqueezeKernel(_ReadOnly):
+class SqueezeKernel(NamedTuple):
     """lambda with the dense matrix functions of A and two determinants.
 
     Lambda = exp(-lambda A) (symmetric, so it equals its transpose), gram =
     exp(-2 lambda A), gramInv = exp(+2 lambda A), NmatInv = ((1 + gram)/2)^-1,
-    each built on first use; the normal form's product-form oracle uses them.
+    each built, read-only, on each read; the normal form's product-form
+    oracle uses them.
     """
 
-    def __init__(self, coupling: CouplingMatrix, lam: float):
-        vars(self).update(coupling=coupling, lam=lam)
+    coupling: CouplingMatrix
+    lam: float
 
     def _function(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         return _freeze(matrix_function(self.coupling, fn))
 
-    @cached_property
+    @property
     def Lambda(self) -> np.ndarray:
         return self._function(lambda a: np.exp(-self.lam * a))
 
-    @cached_property
+    @property
     def gram(self) -> np.ndarray:
         return self._function(lambda a: np.exp(-2.0 * self.lam * a))
 
-    @cached_property
+    @property
     def gramInv(self) -> np.ndarray:
         return self._function(lambda a: np.exp(2.0 * self.lam * a))
 
-    @cached_property
+    @property
     def NmatInv(self) -> np.ndarray:
         return self._function(lambda a: 2.0 / (1.0 + np.exp(-2.0 * self.lam * a)))
 
-    @cached_property
+    @property
     def detLambda(self) -> float:
         """det exp(-lambda A) = exp(-lambda tr A), with tr A = n row[0]: a
         product over the spectrum would underflow at large n and lambda."""
         return math.exp(-self.lam * float(self.coupling.n * self.coupling.row[0]))
 
-    @cached_property
+    @property
     def detN(self) -> float:
         """Product over the spectrum; past the float range (n = 300 at
         lambda = 20) it is inf, a value and not a fault, so no warning."""
@@ -125,8 +109,8 @@ def build_coupling(n: int) -> CouplingMatrix:
     and A[i+1, i]; in row 0 that is A[0, 1] from the first term and
     A[0, n-1] from the last.  For n = 2 both hit the same entry, which is
     what makes the two-mode member twice as strong as the standard
-    two-mode squeeze.  The spectrum (the DFT of this row) and the dense
-    ``entries`` are left until a caller reads them.
+    two-mode squeeze.  The spectrum, the DFT of this row, is computed
+    here; the dense ``entries`` only when a caller reads them.
 
     Raises
     ------
@@ -137,7 +121,7 @@ def build_coupling(n: int) -> CouplingMatrix:
     row = np.zeros(n, dtype=np.int64)
     row[1] += 1
     row[-1] += 1
-    return CouplingMatrix(n=n, row=_freeze(row))
+    return CouplingMatrix(n=n, row=_freeze(row), eigenvalues=_freeze(np.fft.fft(row).real))
 
 
 def matrix_function(coupling: CouplingMatrix, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

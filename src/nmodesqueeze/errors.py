@@ -34,7 +34,9 @@ class TruncationError(RuntimeError):
 
 
 class NumericFailureError(RuntimeError):
-    """An eigensolver or other numeric kernel failed to converge."""
+    """A Fock evolution (``FockOperator.evolve``) met a non-finite generator
+    1-norm or amplitude.  The CLI makes every such call inside ``verify``,
+    which reports it as a failed check."""
 
 
 def check_modes(n: int) -> None:

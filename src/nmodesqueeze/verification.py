@@ -260,7 +260,8 @@ def check_normal_form_assembly(tol: float, cutoff: int | None = None) -> CheckRe
 def check_cremat_identity(tol: float) -> CheckRecord:
     def errors(n, lam, kernel):
         # the paper's product form Lambda Ninv Lambda~ - I: independent of normal_form
-        literal = kernel.Lambda @ kernel.NmatInv @ kernel.Lambda.T - np.eye(n)
+        lam_mat = kernel.Lambda
+        literal = lam_mat @ kernel.NmatInv @ lam_mat.T - np.eye(n)
         return (np.abs(nf.normal_form(kernel).creMat - literal),)
     return _record(
         "cremat_tanh_identity", "creation block = -tanh(lambda A)",

@@ -491,6 +491,36 @@ def test_verify_sweep_inputs_name_the_kernels_built(monkeypatch):
         assert pairs[name] == [(n, lam) for n in ns for lam in inputs["lambda"]], name
 
 
+# The kernel keeps no matrix function, so each read builds one: these are
+# the builds each command makes, each kernel's functions read once.
+MATRIX_FUNCTION_BUILDS = [
+    (RunConfig(command="coupling", n=5, lam=0.3), 2),
+    (RunConfig(command="normal-form", n=5, lam=0.3), 2),
+    (RunConfig(command="state", n=5, lam=0.3), 2),
+    (RunConfig(command="state", n=3, lam=0.3, cutoff=8), 2),
+    (RunConfig(command="wigner", n=4, lam=0.3, grid=[("q1", -1.0, 1.0, 5)]), 0),
+    (RunConfig(command="verify", seed=0), 444),
+]
+
+
+@pytest.mark.parametrize(
+    "config, builds", MATRIX_FUNCTION_BUILDS,
+    ids=["coupling", "normal-form", "state", "state-cutoff", "wigner", "verify"],
+)
+def test_matrix_functions_built_per_command(config, builds, monkeypatch):
+    calls = []
+    real = cp.matrix_function
+
+    def counting(coupling, fn):
+        calls.append(coupling.n)
+        return real(coupling, fn)
+
+    monkeypatch.setattr(cp, "matrix_function", counting)
+    monkeypatch.setattr(nf, "matrix_function", counting)
+    assert run(config)[1] == EXIT_OK
+    assert len(calls) == builds
+
+
 def test_main_writes_output_file(tmp_path):
     out = tmp_path / "report.json"
     code = main(["variances", "--n", "3", "--lambda", "0.25", "--out", str(out)])
@@ -620,13 +650,19 @@ EDGE_LAMBDAS = [
     5e-324, -5e-324, 20.0, -20.0, math.nextafter(20.0, math.inf),
     math.nextafter(-20.0, -math.inf), math.nan, math.inf, -math.inf,
 ]
+WIDE_Q = -1.2345678901234567e-100  # renders as 24 characters
+WIDE_P = -9.9999999999999997e199  # renders as 24 characters
+# --point entries at the edges of the float range and of the text width
+EDGE_ENTRIES = [5e-324, -5e-324, 1e308, -1e308, WIDE_Q, WIDE_P]
 
 
 @st.composite
 def command_lines(draw):
     """A command line over the accepted input range and just past it, verify
     drawn at one in thirteen: a flag of --n, --cutoff and one --grid axis is
-    given at nine in ten when the command reads it, else at one in ten."""
+    given at nine in ten when the command reads it, else at one in ten; a
+    --point comes in place of the grid at one in two.  n is at most 5 at one
+    in two, so that some state --cutoff runs pass the dim guard."""
     others = [name for name in cli.COMMANDS if name != "verify"]
     command = draw(st.sampled_from([*others, *others, "verify"]))
     reads = cli.COMMANDS[command][0]
@@ -636,11 +672,19 @@ def command_lines(draw):
 
     lam = draw(st.floats(-20.0, 20.0) | st.floats(-20.0, 20.0) | st.sampled_from(EDGE_LAMBDAS))
     argv = [command, f"--lambda={lam!r}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    n = draw(st.integers(-1, 64) | st.integers(-1, 5))
     if present("--n"):
-        argv.append(f"--n={draw(st.integers(-1, 64))}")
+        argv.append(f"--n={n}")
     if present("--cutoff"):
         argv.append(f"--cutoff={draw(st.integers(-1, 12) | st.just(450))}")
-    if present("--grid"):
+    if present("--point") and draw(st.booleans()):
+        entry = st.floats(-30.0, 30.0) | st.sampled_from(EDGE_ENTRIES)
+        for _ in range(draw(st.integers(1, 2))):
+            # n entries a side, or at one in ten any count up to n + 1
+            sizes = st.just(max(n, 0)) if draw(st.integers(0, 9)) else st.integers(0, max(n, 0) + 1)
+            q, p = (draw(st.lists(entry, min_size=k, max_size=k)) for k in [draw(sizes), draw(sizes)])
+            argv.append(f"--point={','.join(map(repr, q))}:{','.join(map(repr, p))}")
+    elif present("--grid"):
         axis = draw(st.sampled_from("qp")) + str(draw(st.integers(0, 9) | st.integers(0, 65)))
         lo, hi = (draw(st.floats(-1e3, 1e3) | st.floats()) for _ in range(2))
         argv.append(f"--grid={axis}={lo!r}:{hi!r}:{draw(st.integers(0, 40))}")
@@ -651,7 +695,9 @@ def command_lines(draw):
 @given(argv=command_lines())
 def test_main_output_contract_property(argv):
     """Every exit code is one main states; a document and an error line never
-    mix, bar verify's partial report, and no run warns."""
+    mix, bar verify's partial report, and no run warns.  A JSON document
+    holds Wigner values in [0, pi^-n], the variance product 1/16 and a
+    Fock tail mass in [0, 1]."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -668,7 +714,17 @@ def test_main_output_contract_property(argv):
     else:
         assert out.endswith("\n") and err == ""
         if "--format=json" in argv:
-            _strict_json(out)
+            doc = _strict_json(out)
+            results = doc["results"]
+            if argv[0] == "wigner":
+                peak = math.pi ** -doc["config"]["n"]
+                values = [point.get(key, 0.0) for point in results["points"]
+                          for key in ["value", "value_closed"]]
+                assert all(v is not None and 0.0 <= v <= peak for v in values), values
+            elif argv[0] == "variances":
+                assert abs(results["product_matrix_sum"] - 1 / 16) <= 1e-12
+            elif "fock" in results:
+                assert 0.0 <= results["fock"]["tail_mass"] <= 1.0
 
 
 # A JSON string, or a number, null, true or false as a document writes them.
@@ -737,9 +793,6 @@ def test_main_resource_guard_exit():
 
 # ---------------------------------------------------------------------------
 # the points block: rendered from arrays, laid out as the per-point dicts were
-
-WIDE_Q = -1.2345678901234567e-100  # renders as 24 characters
-WIDE_P = -9.9999999999999997e199  # renders as 24 characters
 
 LAYOUT_CONFIGS = [
     RunConfig(command="wigner", n=2, lam=0.3, grid=[("q1", -1.0, 1.0, 5), ("p2", -0.5, 0.5, 4)]),

@@ -11,7 +11,6 @@ import contextlib
 import io
 import itertools
 import math
-import numbers
 import os
 import re
 import sys
@@ -322,11 +321,6 @@ def _scalar_text(obj) -> str | None:
         return str(int(obj))
     if isinstance(obj, float):
         return _fmt_float(obj)
-    # numpy registers its scalar types here, and is not imported for them
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _fmt_float(float(obj))
     return None
 
 

@@ -39,28 +39,22 @@ def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
         raise ValueError("two-photon spectrum 1 - f^2 must lie in (0, 1]")
 
 
-# Each record below is a NamedTuple of its fields, subclassed to check them
-# once at construction.
+# NormalOrderedForm and the closed-form records are plain NamedTuples: only
+# their builders make them, and each builder states what its record holds.
+# TwoPhotonState is subclassed to check its fields once at construction,
+# since callers also build it by hand (as they do variances.VariancePair and
+# fockoracle.BandedOperator, which keep their subclasses for the same reason).
 
 
-class _NormalOrderedFormFields(NamedTuple):
+class NormalOrderedForm(NamedTuple):
+    """Prefactor and coefficient matrices of the factored squeeze, and the
+    spectrum sech2 = 1 - f_k^2 of the creation block."""
+
     prefactor: float
     creMat: np.ndarray
     crossMat: np.ndarray
     annMat: np.ndarray
     sech2: np.ndarray
-
-
-class NormalOrderedForm(_NormalOrderedFormFields):
-    """Prefactor and coefficient matrices of the factored squeeze, and the
-    spectrum sech2 = 1 - f_k^2 of the creation block."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _validate(self.sech2, creMat=self.creMat, annMat=self.annMat)
-        return self
 
 
 class _TwoPhotonStateFields(NamedTuple):
@@ -91,7 +85,9 @@ class TwoPhotonState(_TwoPhotonStateFields):
         return self
 
 
-class _ThreeModeClosedFields(NamedTuple):
+class ThreeModeClosed(NamedTuple):
+    """Hand-derived n = 3 scalars: Gram entries u, v and state coefficients A1-A3."""
+
     lam: float
     u: float
     v: float
@@ -100,21 +96,10 @@ class _ThreeModeClosedFields(NamedTuple):
     A3: float
 
 
-class ThreeModeClosed(_ThreeModeClosedFields):
-    """Hand-derived n = 3 scalars: Gram entries u, v and state coefficients A1-A3."""
+class FourModeClosed(NamedTuple):
+    """Hand-derived n = 4 scalars: Gram pattern r, s, t, the inverse-N pattern
+    (diagonal, nearest, opposite) and the state norm/tanh factors."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if abs(self.u + 2.0 * self.v - math.exp(-4.0 * self.lam)) > 1e-12:
-            raise ValueError("row sum u + 2v must equal exp(-4 lambda)")
-        if abs(self.A3**2 * math.cosh(2 * self.lam) * math.cosh(self.lam) ** 2 - 1.0) > 1e-10:
-            raise ValueError("A3 normalization identity violated")
-        return self
-
-
-class _FourModeClosedFields(NamedTuple):
     lam: float
     r: float
     s: float
@@ -127,23 +112,6 @@ class _FourModeClosedFields(NamedTuple):
     stateTanh: float
 
 
-class FourModeClosed(_FourModeClosedFields):
-    """Hand-derived n = 4 scalars: Gram pattern r, s, t, the inverse-N pattern
-    (diagonal, nearest, opposite) and the state norm/tanh factors."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if abs(self.r - self.s - 1.0) > 1e-12:
-            raise ValueError("r - s must equal 1")
-        if abs(self.r + self.s + 2.0 * self.t - math.exp(-4.0 * self.lam)) > 1e-12:
-            raise ValueError("row sum r + s + 2t must equal exp(-4 lambda)")
-        if abs(self.detN - self.r) > 1e-12:
-            raise ValueError("det N must equal r")
-        return self
-
-
 def normal_form(kernel: SqueezeKernel) -> NormalOrderedForm:
     """Coefficient matrices of the normally ordered squeeze, each one
     circulant function of A, and the prefactor as a sum of log sech."""
@@ -151,13 +119,15 @@ def normal_form(kernel: SqueezeKernel) -> NormalOrderedForm:
     x = np.abs(lam * coupling.eigenvalues)
     log_sech = math.log(2.0) - x - np.log1p(np.exp(-2.0 * x))  # finite at every finite x
     tanh = matrix_function(coupling, lambda a: np.tanh(lam * a))
-    return NormalOrderedForm(
+    form = NormalOrderedForm(
         prefactor=math.exp(0.5 * float(np.sum(log_sech))),
         creMat=-tanh,
         crossMat=matrix_function(coupling, lambda a: 1.0 / np.cosh(lam * a) - 1.0),
         annMat=tanh,
         sech2=np.cosh(x) ** -2.0,
     )
+    _validate(form.sech2, creMat=form.creMat, annMat=form.annMat)
+    return form
 
 
 def squeezed_vacuum(kernel: SqueezeKernel) -> TwoPhotonState:

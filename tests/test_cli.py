@@ -554,13 +554,31 @@ def test_main_usage_errors(capsys):
         (["verify", "--tolerance", "overlap=inf"], "overlap must be a finite number"),
         (["verify", "--tolerance", "power=-inf", "--format", "csv"], "must be a finite number"),
         (["verify", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["wigner", "--n", "3", "--grid", "q1=0:1"], "--grid must look like AXIS=lo:hi:steps"),
+        (["verify", "--tolerance", "cremat"], "--tolerance must look like NAME=VALUE"),
+        (["wigner", "--n", "3", "--grid", "q1=0:1:3", "--point", "0,0,0:0,0,0"],
+         "give either --point or --grid, not both"),
     ],
 )
-def test_main_verify_bad_inputs_are_usage_errors(argv, message, capsys):
+def test_main_bad_inputs_are_usage_errors(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_run_unknown_command_is_a_usage_error():
+    with pytest.raises(cli.UsageError, match="^unknown command 'bogus'$"):
+        run(RunConfig(command="bogus"))
+
+
+def test_verify_overlap_alias_sets_both_overlap_tolerances():
+    text, code = run(RunConfig(command="verify", tolerances={"overlap": 1e-3}))
+    assert code == EXIT_OK
+    doc = json.loads(text)
+    assert doc["config"]["tolerance"] == {"overlap": 0.001}
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["vacuum_overlap_n2"]["tol"] == by_name["vacuum_overlap_n3"]["tol"] == 0.001
 
 
 @pytest.mark.parametrize(

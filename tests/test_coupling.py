@@ -84,7 +84,7 @@ def test_variances_keep_the_coupling_o_n(monkeypatch):
     assert peak < 100_000
 
 
-def test_spectrum_is_built_on_first_read():
+def test_spectrum_is_built_with_the_coupling():
     coupling = build_coupling(7)
     assert build_kernel(coupling, 0.3).coupling.eigenvalues is coupling.eigenvalues
     assert coupling.eigenvalues is coupling.eigenvalues

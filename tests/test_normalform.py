@@ -23,7 +23,7 @@ from nmodesqueeze import (
     wigner_value_alpha,
     wigner_values,
 )
-from nmodesqueeze.errors import ParameterRangeError
+from nmodesqueeze.errors import LAMBDA_GUARD, ParameterRangeError
 
 SWEEP_N = range(2, 9)
 
@@ -234,7 +234,7 @@ def test_three_mode_closed_values():
     assert (trivial.A1, trivial.A2, trivial.A3) == (0.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.2, 0.5, -0.3])
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.5, -0.3, -4.5, -12.0, -19.9])
 def test_three_mode_closed_matches_generic_gram(lam):
     gram = _kernel(3, lam).gram
     closed = three_mode_closed(lam)
@@ -282,7 +282,7 @@ def test_four_mode_closed_values():
     assert (trivial.r, trivial.s, trivial.t, trivial.detN) == (1.0, 0.0, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, -0.2])
+@pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, -0.2, 2.5, -10.0, 20.0])
 def test_four_mode_closed_matches_generic(lam):
     kernel = _kernel(4, lam)
     closed = four_mode_closed(lam)
@@ -295,6 +295,26 @@ def test_four_mode_closed_matches_generic(lam):
     pattern = closed.ninv_diag * np.eye(4) + closed.ninv_near * ring
     assert_allclose(kernel.NmatInv, pattern, atol=1e-12)
     assert kernel.detN == pytest.approx(closed.detN, rel=1e-12)
+
+
+def test_closed_form_identities_over_accepted_range():
+    """Each identity of the n = 3 and n = 4 scalars holds to 16 eps of its
+    largest term on a 4001-point grid over |lambda| <= LAMBDA_GUARD: each
+    side sums at most four terms of at most two roundings each."""
+    eps = np.finfo(float).eps
+
+    def residual(lhs_terms, rhs):
+        terms = [*lhs_terms, rhs]
+        return abs(math.fsum(lhs_terms) - rhs) / (eps * max(map(abs, terms)))
+
+    for lam in np.linspace(-LAMBDA_GUARD, LAMBDA_GUARD, 4001).tolist():
+        three, four = three_mode_closed(lam), four_mode_closed(lam)
+        c1, c2 = math.cosh(lam), math.cosh(2.0 * lam)
+        assert residual([three.u, 2.0 * three.v], math.exp(-4.0 * lam)) <= 16, lam
+        assert residual([three.A3**2 * c2 * c1**2], 1.0) <= 16, lam
+        assert residual([four.r, -four.s], 1.0) <= 16, lam
+        assert residual([four.r, four.s, 2.0 * four.t], math.exp(-4.0 * lam)) <= 16, lam
+        assert four.detN == four.r, lam
 
 
 def _closed_vs_generic_per_draw(rng):

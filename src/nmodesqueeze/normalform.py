@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import SqueezeKernel, matrix_function
-from .errors import check_lambda
+from .errors import LAMBDA_GUARD, check_lambda
 from .gaussian import alpha_rows, values_from_exponent
 from .variances import baseline_scalars
 
@@ -147,8 +147,9 @@ def baseline_two_mode(lam: float) -> TwoPhotonState:
 
 
 def three_mode_closed(lam: float) -> ThreeModeClosed:
-    """Hand-derived three-mode scalars evaluated at a finite lambda."""
-    check_lambda(lam)
+    """Hand-derived three-mode scalars at |lambda| <= LAMBDA_GUARD, the
+    range of the generic pipeline they are checked against."""
+    check_lambda(lam, LAMBDA_GUARD)
     return ThreeModeClosed(
         lam=lam,
         u=(2.0 / 3.0) * math.exp(2.0 * lam) + (1.0 / 3.0) * math.exp(-4.0 * lam),
@@ -208,8 +209,9 @@ def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.nda
 
 
 def four_mode_closed(lam: float) -> FourModeClosed:
-    """Hand-derived four-mode scalars evaluated at a finite lambda."""
-    check_lambda(lam)
+    """Hand-derived four-mode scalars at |lambda| <= LAMBDA_GUARD, the
+    range of the generic pipeline they are checked against."""
+    check_lambda(lam, LAMBDA_GUARD)
     c2, s2, t2 = math.cosh(2.0 * lam), math.sinh(2.0 * lam), math.tanh(2.0 * lam)
     return FourModeClosed(
         lam=lam,

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmodesqueeze import cli, verification
@@ -20,6 +20,7 @@ from nmodesqueeze import coupling as cp
 from nmodesqueeze import fockoracle as fo
 from nmodesqueeze import gaussian as ga
 from nmodesqueeze import normalform as nf
+from nmodesqueeze import tables as tb
 from nmodesqueeze import variances as va
 from nmodesqueeze.cli import (
     EXIT_CHECK_FAILED,
@@ -711,11 +712,24 @@ def command_lines(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(argv=command_lines())
+# Runs the draws may miss: states with a Fock expansion, from a nearly
+# complete one to one whose every amplitude underflows, and a prefactor at
+# the lambda guard.
+@example(argv=["state", "--lambda=0.5", "--format=json", "--n=3", "--cutoff=6"])
+@example(argv=["state", "--lambda=-1.5", "--format=json", "--n=2", "--cutoff=12"])
+@example(argv=["state", "--lambda=0.1", "--format=json", "--n=5", "--cutoff=3"])
+@example(argv=["state", "--lambda=20.0", "--format=json", "--n=4", "--cutoff=2"])
+@example(argv=["state", "--lambda=20.0", "--format=json", "--n=64", "--cutoff=0"])
+@example(argv=["normal-form", "--lambda=-20.0", "--format=json", "--n=5"])
 def test_main_output_contract_property(argv):
     """Every exit code is one main states; a document and an error line never
     mix, bar verify's partial report, and no run warns.  A JSON document
-    holds Wigner values in [0, pi^-n], the variance product 1/16 and a
-    Fock tail mass in [0, 1]."""
+    holds Wigner values in [0, pi^-n], the variance product 1/16, and a
+    normal-form prefactor, a state norm and a Fock tail mass in [0, 1].
+    With --cutoff, the mass S of the m printed amplitudes, summed in order,
+    is at most 1 + 2 m eps and within 2 m eps of 1 - tail mass: the
+    recursive-summation bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 4.2)."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -741,8 +755,29 @@ def test_main_output_contract_property(argv):
                 assert all(v is not None and 0.0 <= v <= peak for v in values), values
             elif argv[0] == "variances":
                 assert abs(results["product_matrix_sum"] - 1 / 16) <= 1e-12
-            elif "fock" in results:
-                assert 0.0 <= results["fock"]["tail_mass"] <= 1.0
+            elif argv[0] == "normal-form":
+                assert _in_unit_interval(results["prefactor"]), results["prefactor"]
+            elif argv[0] == "state":
+                assert _in_unit_interval(results["norm"]), results["norm"]
+                if "fock" in results:
+                    _assert_fock_mass(results["fock"])
+
+
+def _in_unit_interval(value) -> bool:
+    return value is not None and 0.0 <= value <= 1.0
+
+
+def _assert_fock_mass(fock: dict) -> None:
+    """The printed amplitudes hold 1 - tail mass, to the rounding of their
+    sum of squares."""
+    tail, amplitudes = fock["tail_mass"], fock["amplitudes"]
+    assert _in_unit_interval(tail), tail
+    bound = 2 * len(amplitudes) * sys.float_info.epsilon
+    mass = 0.0
+    for amp in amplitudes:
+        mass += amp["re"] ** 2 + amp["im"] ** 2
+    assert mass <= 1.0 + bound, (mass, bound)
+    assert abs(math.fsum([mass, tail, -1.0])) <= bound, (mass, tail, bound)
 
 
 # A JSON string, or a number, null, true or false as a document writes them.
@@ -846,7 +881,7 @@ def _entries(table) -> list:
 
 def _as_lists(obj):
     """obj with each Table in it replaced by ``_entries`` of it."""
-    if isinstance(obj, cli.Table):
+    if isinstance(obj, tb.Table):
         return _entries(obj)
     if isinstance(obj, dict):
         return {key: _as_lists(val) for key, val in obj.items()}
@@ -860,7 +895,7 @@ def _csv_oracle(results: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     lists = _as_lists(results)
-    if isinstance(results.get("points"), cli.Table):
+    if isinstance(results.get("points"), tb.Table):
         header = []
         for key, val in lists["points"][0].items():
             header += [f"{key}{c + 1}" for c in range(len(val))] if isinstance(val, list) else [key]
@@ -870,8 +905,8 @@ def _csv_oracle(results: dict) -> str:
             writer.writerow([cli._fmt_float(v) for v in cells])
     else:
         writer.writerow(["name", "value"])
-        for name, value in cli._flatten(lists):
-            writer.writerow([name, cli._scalar_csv(value)])
+        for name, value in tb._flatten(lists):
+            writer.writerow([name, tb._scalar_csv(value)])
     return buf.getvalue()
 
 
@@ -879,7 +914,7 @@ def _csv_oracle(results: dict) -> str:
 def test_points_rendering_matches_per_point_dicts(config, monkeypatch):
     text, code = run(config)
     csv_text, csv_code = run(config._replace(fmt="csv"))
-    table = cli._results_wigner(config).results["points"]
+    table = tb._results_wigner(config).results["points"]
     reads, build = cli.COMMANDS["wigner"]
 
     def per_point(cfg):
@@ -948,12 +983,12 @@ def tables(draw):
         return np.column_stack([column() for _ in range(k)])
 
     if draw(st.booleans()):
-        return cli.Table({None: group(draw(st.integers(1, 12)))})
+        return tb.Table({None: group(draw(st.integers(1, 12)))})
     fields = {}
     for name in ["q", "p", "value"][: draw(st.integers(1, 3))]:
         k = draw(st.integers(0, 6))
         fields[name] = group(k) if k else column()
-    return cli.Table(fields)
+    return tb.Table(fields)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -966,10 +1001,10 @@ def tables(draw):
 def test_table_renderer_matches_row_lists_property(table, indent, block_rows, block_cells):
     entries = _entries(table)
     leaves = {"before": 0.5, "t": table, "after": [1.0, -0.0]}
-    with mock.patch.multiple(cli, _BLOCK_ROWS=block_rows, _BLOCK_CELLS=block_cells):
+    with mock.patch.multiple(tb, _BLOCK_ROWS=block_rows, _BLOCK_CELLS=block_cells):
         text = cli._json_text(table, indent)
-        leaf_csv = "".join(cli._csv_pieces({"results": leaves}))
-        point_csv = "".join(cli._csv_pieces({"results": {"points": table}}))
+        leaf_csv = "".join(tb._csv_pieces({"results": leaves}))
+        point_csv = "".join(tb._csv_pieces({"results": {"points": table}}))
     assert text == cli._json_text(entries, indent)
     assert leaf_csv == _csv_oracle(leaves)
     # a matrix is never a points table, and a grid has at least one point
@@ -981,7 +1016,7 @@ def _tables(results: dict) -> list:
     return [
         table
         for value in results.values()
-        for table in ([value] if isinstance(value, cli.Table) else
+        for table in ([value] if isinstance(value, tb.Table) else
                       _tables(value) if isinstance(value, dict) else [])
     ]
 
@@ -1003,14 +1038,14 @@ def _field_patterns(values) -> np.ndarray:
 
 
 def _counting_formats(monkeypatch) -> list:
-    """Patch ``cli._fmt_floats`` to record a copy of each array it formats."""
-    formatted, real = [], cli._fmt_floats
+    """Patch ``tb._fmt_floats`` to record a copy of each array it formats."""
+    formatted, real = [], tb._fmt_floats
 
     def counting(values):
         formatted.append(values.copy())
         return real(values)
 
-    monkeypatch.setattr(cli, "_fmt_floats", counting)
+    monkeypatch.setattr(tb, "_fmt_floats", counting)
     return formatted
 
 
@@ -1032,7 +1067,7 @@ def test_tables_format_each_distinct_pattern_once(config, monkeypatch):
             distinct,
         ),
         (
-            lambda: "".join(cli._csv_pieces({"results": results})),
+            lambda: "".join(tb._csv_pieces({"results": results})),
             lambda: _csv_oracle(results),
             distinct + indices,
         ),
@@ -1049,7 +1084,7 @@ def test_tables_format_each_distinct_pattern_once(config, monkeypatch):
 def test_circulant_blocks_format_each_distinct_entry_once(monkeypatch):
     # each block is a symmetric circulant: its 64 x 64 entries take at most
     # 64 // 2 + 1 = 33 values, and a column holds every one of them
-    results = cli._results_normal_form(RunConfig(command="normal-form", n=64, lam=-7.0)).results
+    results = tb._results_normal_form(RunConfig(command="normal-form", n=64, lam=-7.0)).results
     for name in ["cre_mat", "cross_mat", "ann_mat"]:
         with monkeypatch.context() as patch:
             formatted = _counting_formats(patch)
@@ -1076,7 +1111,7 @@ def test_main_writes_the_run_document(fmt, tmp_path, capfdbinary):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_main_writes_before_the_last_block_is_formatted(fmt, monkeypatch):
     events, written = [], []
-    real = cli._row_blocks
+    real = tb._row_blocks
 
     def rendering(parts, rows):
         for block in real(parts, rows):
@@ -1093,8 +1128,8 @@ def test_main_writes_before_the_last_block_is_formatted(fmt, monkeypatch):
 
     argv = [*GRID_ARGV, "--format", fmt]
     text, _ = run(cli.config_from_args(cli.build_parser().parse_args(argv)))
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
-    monkeypatch.setattr(cli, "_row_blocks", rendering)
+    monkeypatch.setattr(tb, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(tb, "_row_blocks", rendering)
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert main(argv) == EXIT_OK
     assert "".join(written) == text
@@ -1148,11 +1183,11 @@ def test_grid_guard_counts_coordinates():
     def grid(steps):
         return RunConfig(command="wigner", n=n, grid=[("p7", -1.0, 1.0, steps)])
 
-    q, p = cli._wigner_points(grid(steps), n)
+    q, p = tb._wigner_points(grid(steps), n)
     assert q.shape == p.shape == (steps, n)
     assert p[-1, 6] == 1.0
     with pytest.raises(ResourceLimitError, match="over the guard"):
-        cli._wigner_points(grid(steps + 1), n)
+        tb._wigner_points(grid(steps + 1), n)
 
 
 def test_main_grid_span_past_float_range_is_refused(capsys):
@@ -1175,7 +1210,7 @@ def test_dense_guard_counts_matrix_entries(command, monkeypatch):
         raise Reached(n)
 
     monkeypatch.setattr(cp, "build_coupling", stop)
-    results = getattr(cli, f"_results_{command.replace('-', '_')}")
+    results = getattr(tb, f"_results_{command.replace('-', '_')}")
     largest = math.isqrt(cli.DENSE_GUARD)
     with pytest.raises(Reached):
         results(RunConfig(command=command, n=largest))

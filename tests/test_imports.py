@@ -1,9 +1,10 @@
 """What importing the package costs: importing the cli and running
 variances or baseline load no numpy at all, the Fock oracle loads only
 when a command needs it, no command loads scipy, only verify loads
-numpy.random and numpy.polynomial, each command loads only the package
-modules and the parts of numpy and the stdlib it reads, and every
-re-exported name resolves on first use."""
+numpy.random and numpy.polynomial, importing the cli loads no package
+module but errors, each command loads only the package modules and the
+parts of numpy and the stdlib it reads, and every re-exported name
+resolves on first use."""
 
 import importlib
 import json
@@ -32,12 +33,14 @@ HEAVY = (
 # Loaded only by the commands that read them: gaussian by wigner and the
 # commands that load normalform (which imports it; baseline loads
 # neither), numpy.fft by the commands that read the spectrum, csv by
+# --format csv, tables by the commands that print a Table and by
 # --format csv.  No command loads dataclasses.
 PER_COMMAND = (
     "csv",
     "dataclasses",
     "nmodesqueeze.gaussian",
     "nmodesqueeze.normalform",
+    "nmodesqueeze.tables",
     "numpy.fft",
 )
 FOCK_NAMES = (
@@ -141,6 +144,19 @@ def _loaded_modules(argv: list[str], watch: tuple[str, ...] = HEAVY) -> dict:
     return result["stages"]
 
 
+def test_cli_import_loads_no_package_module_but_errors():
+    # so it compiles no Table renderer, CSV writer or Table-command builder;
+    # argparse comes with it, since every command line parses through it
+    stages = _loaded_modules(["baseline"], ("argparse", "nmodesqueeze"))
+    assert stages["import nmodesqueeze"] == ["nmodesqueeze"]
+    assert stages["import nmodesqueeze.cli"] == [
+        "argparse",
+        "nmodesqueeze",
+        "nmodesqueeze.cli",
+        "nmodesqueeze.errors",
+    ]
+
+
 def test_cold_start_loads_no_fock_oracle():
     stages = _loaded_modules(["variances", "--n", "50", "--lambda", "0.3"])
     assert stages == {"import nmodesqueeze": [], "import nmodesqueeze.cli": [], "main": []}
@@ -195,25 +211,40 @@ def test_verify_loads_no_scipy():
 
 
 GAUSSIAN, NORMALFORM, FFT = "nmodesqueeze.gaussian", "nmodesqueeze.normalform", "numpy.fft"
+TABLES = "nmodesqueeze.tables"
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         pytest.param(["variances", "--n", "50", "--lambda", "0.3"], [], id="variances"),
-        pytest.param(["variances", "--n", "5", "--format", "csv"], ["csv"], id="variances-csv"),
-        pytest.param(["coupling", "--n", "5", "--lambda", "0.3"], [FFT], id="coupling"),
-        pytest.param(["coupling", "--n", "5", "--format", "csv"], ["csv", FFT], id="coupling-csv"),
-        pytest.param(["normal-form", "--n", "5"], [GAUSSIAN, NORMALFORM, FFT], id="normal-form"),
-        pytest.param(["state", "--n", "5"], [GAUSSIAN, NORMALFORM, FFT], id="state"),
-        pytest.param(["wigner", "--n", "2"], [GAUSSIAN, FFT], id="wigner-n2"),
+        pytest.param(
+            ["variances", "--n", "5", "--format", "csv"], ["csv", TABLES], id="variances-csv"
+        ),
+        pytest.param(["coupling", "--n", "5", "--lambda", "0.3"], [TABLES, FFT], id="coupling"),
+        pytest.param(
+            ["coupling", "--n", "5", "--format", "csv"], ["csv", TABLES, FFT], id="coupling-csv"
+        ),
+        pytest.param(
+            ["normal-form", "--n", "5"], [GAUSSIAN, NORMALFORM, TABLES, FFT], id="normal-form"
+        ),
+        pytest.param(["state", "--n", "5"], [GAUSSIAN, NORMALFORM, TABLES, FFT], id="state"),
+        pytest.param(["wigner", "--n", "2"], [GAUSSIAN, TABLES, FFT], id="wigner-n2"),
         pytest.param(
             ["wigner", "--n", "4", "--grid", "q1=-1:1:5", "--format", "csv"],
-            ["csv", GAUSSIAN, NORMALFORM, FFT],
+            ["csv", GAUSSIAN, NORMALFORM, TABLES, FFT],
             id="wigner-n4-csv",
         ),
         pytest.param(["baseline", "--lambda", "0.3"], [], id="baseline"),
+        pytest.param(
+            ["baseline", "--lambda", "0.3", "--format", "csv"], ["csv", TABLES], id="baseline-csv"
+        ),
         pytest.param(["verify"], [GAUSSIAN, NORMALFORM, FFT], id="verify"),
+        pytest.param(
+            ["verify", "--format", "csv"],
+            ["csv", GAUSSIAN, NORMALFORM, TABLES, FFT],
+            id="verify-csv",
+        ),
     ],
 )
 def test_each_command_loads_only_what_it_reads(argv, loaded):

@@ -196,6 +196,15 @@ def test_non_finite_lambda_is_a_range_error(evaluate, lam):
         evaluate(lam)
 
 
+@pytest.mark.parametrize("evaluate", [three_mode_closed, four_mode_closed])
+def test_closed_scalars_refuse_lambda_past_the_guard(evaluate):
+    for lam in [20.0, -20.0]:
+        assert evaluate(lam).lam == lam
+    for lam in [20.5, -20.5, 178.0, -178.0, 237.0]:
+        with pytest.raises(ParameterRangeError, match=r"^\|lambda\| <= 20.0 required, got "):
+            evaluate(lam)
+
+
 @settings(derandomize=True, deadline=None)
 @given(n=st.integers(2, 64), lam=st.floats(-20.0, 20.0))
 def test_normal_form_over_accepted_range(n, lam):

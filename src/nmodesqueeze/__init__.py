@@ -41,6 +41,8 @@ _EXPORTS = {
             "GaussianWigner",
             "alpha_rows",
             "normalization_by_quadrature",
+            "wigner3_closed",
+            "wigner4_closed",
             "wigner_from_kernel",
             "wigner_value_alpha",
             "wigner_values",
@@ -60,8 +62,6 @@ _EXPORTS = {
             "normal_form",
             "squeezed_vacuum",
             "three_mode_closed",
-            "wigner3_closed",
-            "wigner4_closed",
         ),
         "fockoracle": (
             "FockOperator",

@@ -34,7 +34,7 @@ needed.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,9 @@ from .errors import (
     check_lambda,
 )
 from .gaussian import alpha_rows
-from .normalform import NormalOrderedForm, TwoPhotonState
+
+if TYPE_CHECKING:
+    from .normalform import NormalOrderedForm, TwoPhotonState
 
 # Largest truncated basis any Fock computation accepts.  The banded paths
 # hold the generator (2 diagonals per coupled mode pair: 2 at n = 2, 2n

@@ -1,5 +1,5 @@
-"""Phase-space engine: the Gaussian Wigner function of the squeezed vacuum
-(its collective variances are in ``variances``).
+"""Phase-space engine: the Gaussian Wigner function of the squeezed vacuum,
+with its hand-derived n = 3/4 closed forms (variances are in ``variances``).
 
 Conventions (fixed here, used everywhere):
     Q = (a + a~)/sqrt(2),  P = (a - a~)/(i sqrt(2)),  so [Q, P] = i,
@@ -13,10 +13,10 @@ A is circulant, so each exponent is read on its spectrum a_k as
 (1/n) sum_k exp(+-2 lambda a_k) |fft(x)_k|^2: non-negative terms, O(n log n)
 per point, no n x n matrix.  ``wigner_values`` evaluates W at the rows of
 (m, n) arrays q and p; ``values_from_exponent`` reports values below
-exp(-700) as exactly 0, for it and for the closed forms.
-``wigner_value_alpha`` takes complex amplitudes instead, one point of shape
-(n,) or rows (m, n), like the closed forms and the Fock oracle; all three
-read them through ``alpha_rows``.
+exp(-700) as exactly 0.  ``wigner_value_alpha`` takes complex amplitudes
+instead, one point of shape (n,) or rows (m, n), like ``wigner3_closed`` /
+``wigner4_closed`` and the Fock oracle; all read them through ``alpha_rows``,
+which with that floor is all the closed forms share with the spectral route.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import CouplingMatrix, SqueezeKernel
+from .errors import check_lambda
 
 # Log-space floor: below this the linear-scale value is reported as 0.0.
 LOG_FLOOR = -700.0
@@ -127,6 +128,8 @@ def wigner_values(wig: GaussianWigner, q: np.ndarray, p: np.ndarray) -> np.ndarr
     q, p = _checked_points(q, p)
     if q.shape[1] != wig.n:
         raise ValueError(f"point has {q.shape[1]} modes, Wigner function has {wig.n}")
+    if not {wig.qWeights.shape[:-1], wig.pWeights.shape[:-1]} <= {(), q.shape[:1]}:
+        raise ValueError(f"weights must be one row or hold one row per point ({len(q)})")
     quad = _spectral_form(wig.qWeights, q) + _spectral_form(wig.pWeights, p)
     return values_from_exponent(-quad, wig.n)
 
@@ -159,6 +162,8 @@ def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -
     """
     if wig.n > 3:
         raise ValueError("quadrature grid is only sensible for n <= 3")
+    if wig.qWeights.ndim != 1 or wig.pWeights.ndim != 1:
+        raise ValueError("weights must be one row, not one per point, for the quadrature")
     nodes, weights = np.polynomial.hermite.hermgauss(nodes_per_axis)
     points = np.stack(np.meshgrid(*([nodes] * wig.n), indexing="ij"), axis=-1).reshape(-1, wig.n)
     point_weights = np.prod(np.stack(np.meshgrid(*([weights] * wig.n), indexing="ij")), axis=0)
@@ -168,3 +173,73 @@ def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -
         for w in (wig.qWeights, wig.pWeights)
     )
     return wig.normConst * q_block * p_block
+
+
+def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
+    """coefficients(lam) for one lambda; for lam of shape (m,), one lambda
+    per alpha row, each coefficient stacked into an (m,) array.  Every
+    lambda goes through the same math calls as a scalar one, so each row
+    keeps the bits of the call at its own lambda.  A non-finite lambda, or
+    row of lambdas, is a ParameterRangeError."""
+    if np.ndim(lam) == 0:
+        check_lambda(lam)
+        return coefficients(lam)
+    lams = np.asarray(lam, dtype=float)
+    if lams.shape != rows.shape[:1]:
+        raise ValueError(f"lambda must be a scalar or hold one value per alpha row ({len(rows)})")
+    for value in lams.tolist():
+        check_lambda(value)
+    return tuple(np.array(col) for col in zip(*map(coefficients, lams.tolist())))
+
+
+def _wigner3_coefficients(lam: float) -> tuple[float, float, float, float]:
+    return math.exp(4.0 * lam), math.exp(-4.0 * lam), math.exp(-2.0 * lam), math.exp(2.0 * lam)
+
+
+def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
+    """Three-mode Wigner function in its hand-derived closed form.
+
+    alpha is one point, shape (3,), giving a float, or one point per row,
+    shape (m, 3), giving an array of m values; lam is one lambda, or one
+    per row, shape (m,).  The paper's exponent is regrouped by the sum S
+    and the pair differences d_ij of the alpha_i into non-positive terms,
+    -2/3 [e^(4 lambda) (Re S)^2 + e^(-4 lambda) (Im S)^2
+          + e^(-2 lambda) sum (Re d_ij)^2 + e^(2 lambda) sum (Im d_ij)^2],
+    so nothing cancels at large |lambda|.
+    """
+    rows = alpha_rows(alpha, 3)
+    k_sum_re, k_sum_im, k_diff_re, k_diff_im = _per_row(lam, _wigner3_coefficients, rows)
+    a0, a1, a2 = rows.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a0 + a1 + a2
+        diffs = (a0 - a1, a0 - a2, a1 - a2)
+        expo = -(2.0 / 3.0) * (
+            k_sum_re * total.real**2
+            + k_sum_im * total.imag**2
+            + k_diff_re * sum(d.real**2 for d in diffs)
+            + k_diff_im * sum(d.imag**2 for d in diffs)
+        )
+    values = values_from_exponent(expo, 3)
+    return float(values[0]) if np.ndim(alpha) == 1 else values
+
+
+def _wigner4_coefficients(lam: float) -> tuple[float, float]:
+    return math.exp(4.0 * lam), math.exp(-4.0 * lam)
+
+
+def wigner4_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
+    """Four-mode Wigner function in its hand-derived closed form; alpha of
+    shape (4,) gives a float, alpha rows of shape (m, 4) an array, and lam
+    is one lambda or one per row, shape (m,).  With u = alpha_1 + alpha_3
+    and v = alpha_2 + alpha_4 the exponent is a sum of non-positive terms,
+    -e^(4 lambda) |u + v*|^2 / 2 - e^(-4 lambda) |u - v*|^2 / 2
+    - |alpha_1 - alpha_3|^2 - |alpha_2 - alpha_4|^2, so nothing cancels."""
+    rows = alpha_rows(alpha, 4)
+    k_plus, k_minus = _per_row(lam, _wigner4_coefficients, rows)
+    a0, a1, a2, a3 = rows.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = a0 + a2, (a1 + a3).conjugate()
+        expo = -0.5 * (k_plus * np.abs(u + v) ** 2 + k_minus * np.abs(u - v) ** 2)
+        expo -= np.abs(a0 - a2) ** 2 + np.abs(a1 - a3) ** 2
+    values = values_from_exponent(expo, 4)
+    return float(values[0]) if np.ndim(alpha) == 1 else values

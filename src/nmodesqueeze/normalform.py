@@ -1,5 +1,5 @@
 """Normally ordered squeeze operator, squeezed vacua, and the
-three- and four-mode closed forms.
+three- and four-mode closed scalars.
 
 The squeeze factors into
     prefactor * exp(at~ creMat at / 2) * :exp(at~ crossMat a): * exp(a~ annMat a / 2)
@@ -12,9 +12,9 @@ survives: norm * exp(at~ F at / 2)|0> with F = creMat, norm = prefactor.  Both
 carry and are validated through sech2 = 1 - f_k^2, which float64 holds where
 f_k = tanh rounds to 1.
 
-``three_mode_closed`` / ``four_mode_closed`` carry the hand-derived n = 3
-and n = 4 scalars (Gram entries, state coefficients, inverse-N pattern) as
-plain numbers so each one can be compared against the generic pipeline.
+``three_mode_closed`` / ``four_mode_closed`` carry the hand-derived n = 3/4
+scalars (Gram entries, state coefficients, inverse-N pattern; the closed
+Wigner functions are in ``gaussian``) to compare with the generic pipeline.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .coupling import SqueezeKernel, matrix_function
 from .errors import LAMBDA_GUARD, check_lambda
-from .gaussian import alpha_rows, values_from_exponent
 from .variances import baseline_scalars
 
 
@@ -75,7 +74,10 @@ class TwoPhotonState(_TwoPhotonStateFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.F.shape != (self.n, self.n) or self.sech2.shape != (self.n,):
+        # a list or 0-d F gets this error too, not an AttributeError or IndexError
+        shape = np.shape(self.F)
+        arrays = isinstance(self.F, np.ndarray) and isinstance(self.sech2, np.ndarray)
+        if not (arrays and len(shape) == 2 and shape == np.shape(self.sech2) * 2):
             raise ValueError("F must be n x n and sech2 of length n")
         _validate(self.sech2, F=self.F)
         # det(1 - F F~)^(1/4) as a sum of logs; past the float range both sides are 0
@@ -160,54 +162,6 @@ def three_mode_closed(lam: float) -> ThreeModeClosed:
     )
 
 
-def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
-    """coefficients(lam) for one lambda; for lam of shape (m,), one lambda
-    per alpha row, each coefficient stacked into an (m,) array.  Every
-    lambda goes through the same math calls as a scalar one, so each row
-    keeps the bits of the call at its own lambda.  A non-finite lambda, or
-    row of lambdas, is a ParameterRangeError."""
-    if np.ndim(lam) == 0:
-        check_lambda(lam)
-        return coefficients(lam)
-    lams = np.asarray(lam, dtype=float)
-    if lams.shape != rows.shape[:1]:
-        raise ValueError(f"lambda must be a scalar or hold one value per alpha row ({len(rows)})")
-    for value in lams.tolist():
-        check_lambda(value)
-    return tuple(np.array(col) for col in zip(*map(coefficients, lams.tolist())))
-
-
-def _wigner3_coefficients(lam: float) -> tuple[float, float, float, float]:
-    return math.exp(4.0 * lam), math.exp(-4.0 * lam), math.exp(-2.0 * lam), math.exp(2.0 * lam)
-
-
-def wigner3_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
-    """Three-mode Wigner function in its hand-derived closed form.
-
-    alpha is one point, shape (3,), giving a float, or one point per row,
-    shape (m, 3), giving an array of m values; lam is one lambda, or one
-    per row, shape (m,).  The paper's exponent is regrouped by the sum S
-    and the pair differences d_ij of the alpha_i into non-positive terms,
-    -2/3 [e^(4 lambda) (Re S)^2 + e^(-4 lambda) (Im S)^2
-          + e^(-2 lambda) sum (Re d_ij)^2 + e^(2 lambda) sum (Im d_ij)^2],
-    so nothing cancels at large |lambda|.
-    """
-    rows = alpha_rows(alpha, 3)
-    k_sum_re, k_sum_im, k_diff_re, k_diff_im = _per_row(lam, _wigner3_coefficients, rows)
-    a0, a1, a2 = rows.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = a0 + a1 + a2
-        diffs = (a0 - a1, a0 - a2, a1 - a2)
-        expo = -(2.0 / 3.0) * (
-            k_sum_re * total.real**2
-            + k_sum_im * total.imag**2
-            + k_diff_re * sum(d.real**2 for d in diffs)
-            + k_diff_im * sum(d.imag**2 for d in diffs)
-        )
-    values = values_from_exponent(expo, 3)
-    return float(values[0]) if np.ndim(alpha) == 1 else values
-
-
 def four_mode_closed(lam: float) -> FourModeClosed:
     """Hand-derived four-mode scalars at |lambda| <= LAMBDA_GUARD, the
     range of the generic pipeline they are checked against."""
@@ -225,25 +179,3 @@ def four_mode_closed(lam: float) -> FourModeClosed:
         stateNorm=1.0 / c2,
         stateTanh=t2,
     )
-
-
-def _wigner4_coefficients(lam: float) -> tuple[float, float]:
-    return math.exp(4.0 * lam), math.exp(-4.0 * lam)
-
-
-def wigner4_closed(lam: float | np.ndarray, alpha: np.ndarray) -> float | np.ndarray:
-    """Four-mode Wigner function in its hand-derived closed form; alpha of
-    shape (4,) gives a float, alpha rows of shape (m, 4) an array, and lam
-    is one lambda or one per row, shape (m,).  With u = alpha_1 + alpha_3
-    and v = alpha_2 + alpha_4 the exponent is a sum of non-positive terms,
-    -e^(4 lambda) |u + v*|^2 / 2 - e^(-4 lambda) |u - v*|^2 / 2
-    - |alpha_1 - alpha_3|^2 - |alpha_2 - alpha_4|^2, so nothing cancels."""
-    rows = alpha_rows(alpha, 4)
-    k_plus, k_minus = _per_row(lam, _wigner4_coefficients, rows)
-    a0, a1, a2, a3 = rows.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, v = a0 + a2, (a1 + a3).conjugate()
-        expo = -0.5 * (k_plus * np.abs(u + v) ** 2 + k_minus * np.abs(u - v) ** 2)
-        expo -= np.abs(a0 - a2) ** 2 + np.abs(a1 - a3) ** 2
-    values = values_from_exponent(expo, 4)
-    return float(values[0]) if np.ndim(alpha) == 1 else values

@@ -425,9 +425,7 @@ def _results_wigner(config: RunConfig) -> _Outcome:
     q, p = _wigner_points(config, n)
     fields = {"q": q, "p": p, "value": ga.wigner_values(wig, q, p)}
     if n in (3, 4):
-        from . import normalform as nf
-
-        closed_fn = nf.wigner3_closed if n == 3 else nf.wigner4_closed
+        closed_fn = ga.wigner3_closed if n == 3 else ga.wigner4_closed
         fields["value_closed"] = closed_fn(config.lam, (q + 1j * p) / math.sqrt(2.0))
     results: dict = {"points": Table(fields)}
     if config.grid:

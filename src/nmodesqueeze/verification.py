@@ -365,7 +365,7 @@ def check_wigner_closed_vs_generic(tol: float, rng: np.random.Generator) -> Chec
     lams, alphas3, alphas4 = zip(*draws)
     lam_values = np.array(lams)
     errors = []
-    for closed_fn, alphas in ((nf.wigner3_closed, alphas3), (nf.wigner4_closed, alphas4)):
+    for closed_fn, alphas in ((ga.wigner3_closed, alphas3), (ga.wigner4_closed, alphas4)):
         # the kernels' Wigner weights at every drawn lambda, as (200, n) stacks
         wig = ga.wigner_from_coupling(cp.build_coupling(alphas[0].size), lam_values)
         points = np.array(alphas)

@@ -681,7 +681,9 @@ def command_lines(draw):
     drawn at one in thirteen: a flag of --n, --cutoff and one --grid axis is
     given at nine in ten when the command reads it, else at one in ten; a
     --point comes in place of the grid at one in two.  n is at most 5 at one
-    in two, so that some state --cutoff runs pass the dim guard."""
+    in two.  A state draw takes n <= 3 at three in four, and then leaves
+    the cutoff out at one in two, else draws it <= 6, so that some of its
+    runs exit 0 both with --cutoff (under the dim guard) and without."""
     others = [name for name in cli.COMMANDS if name != "verify"]
     command = draw(st.sampled_from([*others, *others, "verify"]))
     reads = cli.COMMANDS[command][0]
@@ -691,11 +693,13 @@ def command_lines(draw):
 
     lam = draw(st.floats(-20.0, 20.0) | st.floats(-20.0, 20.0) | st.sampled_from(EDGE_LAMBDAS))
     argv = [command, f"--lambda={lam!r}", f"--format={draw(st.sampled_from(['json', 'csv']))}"]
-    n = draw(st.integers(-1, 64) | st.integers(-1, 5))
+    small = command == "state" and draw(st.integers(0, 3)) > 0
+    n = draw(st.integers(2, 3) if small else st.integers(-1, 64) | st.integers(-1, 5))
     if present("--n"):
         argv.append(f"--n={n}")
-    if present("--cutoff"):
-        argv.append(f"--cutoff={draw(st.integers(-1, 12) | st.just(450))}")
+    if present("--cutoff") and not (small and draw(st.booleans())):
+        cutoff = st.integers(0, 6) if small else st.integers(-1, 12) | st.just(450)
+        argv.append(f"--cutoff={draw(cutoff)}")
     if present("--point") and draw(st.booleans()):
         entry = st.floats(-30.0, 30.0) | st.sampled_from(EDGE_ENTRIES)
         for _ in range(draw(st.integers(1, 2))):
@@ -944,14 +948,14 @@ def test_points_rendering_covers_wide_and_null_rows(monkeypatch):
     assert points[0]["value"] == 0.0  # past the float range: exactly 0
     assert points[0]["value_closed"] == 0.0  # the closed form is screened the same way
     # A NaN renders as null both in a wide row and in a template row.
-    real_closed = nf.wigner4_closed
+    real_closed = ga.wigner4_closed
 
     def closed_with_nan(lam, alpha):
         values = real_closed(lam, alpha)
         values[[0, 2]] = math.nan
         return values
 
-    monkeypatch.setattr(nf, "wigner4_closed", closed_with_nan)
+    monkeypatch.setattr(ga, "wigner4_closed", closed_with_nan)
     points = json.loads(run(config)[0])["results"]["points"]
     assert points[0]["value_closed"] is None and points[2]["value_closed"] is None
     assert points[3]["value_closed"] > 0.0

@@ -396,6 +396,24 @@ def test_wigner_values_form_stack_matches_per_row_calls(n):
     assert stacked.tobytes() == per_row.tobytes()
 
 
+@pytest.mark.parametrize("rows, points", [(200, 1), (200, 300), (1, 5)])
+def test_wigner_values_refuse_stack_of_other_row_count(rows, points):
+    """A stack holds one Wigner function per point: any other row count,
+    a single row included, is refused rather than broadcast."""
+    stacked_wig = _stacked_wigner(3, np.linspace(-1.0, 1.0, rows))
+    q, p = _scaled_points(3, 1.0, points, seed=rows)
+    with pytest.raises(ValueError, match=rf"one row per point \({points}\)"):
+        wigner_values(stacked_wig, q, p)
+    with pytest.raises(ValueError, match=rf"one row per point \({points}\)"):
+        wigner_value_alpha(stacked_wig, (q + 1j * p) / math.sqrt(2.0))
+
+
+def test_normalization_by_quadrature_refuses_stack():
+    for lams in (np.array([0.2]), np.array([0.1, 0.2])):
+        with pytest.raises(ValueError, match="one row, not one per point"):
+            normalization_by_quadrature(_stacked_wigner(2, lams))
+
+
 @pytest.mark.parametrize("n", [3, 64])
 def test_wigner_values_form_stack_across_blocks(n):
     """A stack of weights longer than one block of ``_FORM_BLOCK``

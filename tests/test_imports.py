@@ -3,7 +3,8 @@ variances or baseline load no numpy at all, the Fock oracle loads only
 when a command needs it, no command loads scipy, only verify loads
 numpy.random and numpy.polynomial, importing the cli loads no package
 module but errors, each command loads only the package modules and the
-parts of numpy and the stdlib it reads, and every re-exported name
+parts of numpy and the stdlib it reads, normalform and gaussian import
+neither each other nor more than they read, and every re-exported name
 resolves on first use."""
 
 import importlib
@@ -30,17 +31,19 @@ HEAVY = (
     "nmodesqueeze.fockoracle",
     "nmodesqueeze.verification",
 )
-# Loaded only by the commands that read them: gaussian by wigner and the
-# commands that load normalform (which imports it; baseline loads
-# neither), numpy.fft by the commands that read the spectrum, csv by
-# --format csv, tables by the commands that print a Table and by
-# --format csv.  No command loads dataclasses.
+# Loaded only by the commands that read them: gaussian by wigner and
+# verify, normalform by normal-form, state and verify, variances by those
+# that load normalform (which imports it) and by variances and baseline,
+# numpy.fft by the commands that read the spectrum, csv by --format csv,
+# tables by the commands that print a Table and by --format csv.  No
+# command loads dataclasses.
 PER_COMMAND = (
     "csv",
     "dataclasses",
     "nmodesqueeze.gaussian",
     "nmodesqueeze.normalform",
     "nmodesqueeze.tables",
+    "nmodesqueeze.variances",
     "numpy.fft",
 )
 FOCK_NAMES = (
@@ -81,6 +84,8 @@ REEXPORTS = {
         "GaussianWigner",
         "alpha_rows",
         "normalization_by_quadrature",
+        "wigner3_closed",
+        "wigner4_closed",
         "wigner_from_kernel",
         "wigner_value_alpha",
         "wigner_values",
@@ -100,17 +105,16 @@ REEXPORTS = {
         "normal_form",
         "squeezed_vacuum",
         "three_mode_closed",
-        "wigner3_closed",
-        "wigner4_closed",
     ),
     "fockoracle": FOCK_NAMES,
 }
 ALL_NAMES = sorted(name for names in REEXPORTS.values() for name in names)
 
 # Runs in a fresh interpreter; records which of the watched modules are
-# loaded after each step and prints them as the last line of stdout.
+# loaded after each step and prints them as the last line of stdout.  With
+# no argv the module is only imported, and main adds nothing.
 PROBE = """
-import json, sys
+import importlib, json, sys
 watch = {watch!r}
 stages = {{}}
 def mark(stage):
@@ -119,19 +123,21 @@ def mark(stage):
     )
 import nmodesqueeze
 mark("import nmodesqueeze")
-import nmodesqueeze.cli as cli
-mark("import nmodesqueeze.cli")
-code = cli.main({argv!r})
+module = importlib.import_module({module!r})
+mark("import {module}")
+code = module.main({argv!r}) if {argv!r} else 0
 mark("main")
 print(json.dumps({{"code": code, "stages": stages}}))
 """
 
 
-def _loaded_modules(argv: list[str], watch: tuple[str, ...] = HEAVY) -> dict:
+def _loaded_modules(
+    argv: list[str], watch: tuple[str, ...] = HEAVY, module: str = "nmodesqueeze.cli"
+) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(watch=watch, argv=argv)],
+        [sys.executable, "-c", PROBE.format(watch=watch, argv=argv, module=module)],
         capture_output=True,
         text=True,
         env=env,
@@ -211,38 +217,42 @@ def test_verify_loads_no_scipy():
 
 
 GAUSSIAN, NORMALFORM, FFT = "nmodesqueeze.gaussian", "nmodesqueeze.normalform", "numpy.fft"
-TABLES = "nmodesqueeze.tables"
+TABLES, VARIANCES = "nmodesqueeze.tables", "nmodesqueeze.variances"
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        pytest.param(["variances", "--n", "50", "--lambda", "0.3"], [], id="variances"),
+        pytest.param(["variances", "--n", "50", "--lambda", "0.3"], [VARIANCES], id="variances"),
         pytest.param(
-            ["variances", "--n", "5", "--format", "csv"], ["csv", TABLES], id="variances-csv"
+            ["variances", "--n", "5", "--format", "csv"],
+            ["csv", TABLES, VARIANCES],
+            id="variances-csv",
         ),
         pytest.param(["coupling", "--n", "5", "--lambda", "0.3"], [TABLES, FFT], id="coupling"),
         pytest.param(
             ["coupling", "--n", "5", "--format", "csv"], ["csv", TABLES, FFT], id="coupling-csv"
         ),
         pytest.param(
-            ["normal-form", "--n", "5"], [GAUSSIAN, NORMALFORM, TABLES, FFT], id="normal-form"
+            ["normal-form", "--n", "5"], [NORMALFORM, TABLES, VARIANCES, FFT], id="normal-form"
         ),
-        pytest.param(["state", "--n", "5"], [GAUSSIAN, NORMALFORM, TABLES, FFT], id="state"),
+        pytest.param(["state", "--n", "5"], [NORMALFORM, TABLES, VARIANCES, FFT], id="state"),
         pytest.param(["wigner", "--n", "2"], [GAUSSIAN, TABLES, FFT], id="wigner-n2"),
         pytest.param(
             ["wigner", "--n", "4", "--grid", "q1=-1:1:5", "--format", "csv"],
-            ["csv", GAUSSIAN, NORMALFORM, TABLES, FFT],
+            ["csv", GAUSSIAN, TABLES, FFT],
             id="wigner-n4-csv",
         ),
-        pytest.param(["baseline", "--lambda", "0.3"], [], id="baseline"),
+        pytest.param(["baseline", "--lambda", "0.3"], [VARIANCES], id="baseline"),
         pytest.param(
-            ["baseline", "--lambda", "0.3", "--format", "csv"], ["csv", TABLES], id="baseline-csv"
+            ["baseline", "--lambda", "0.3", "--format", "csv"],
+            ["csv", TABLES, VARIANCES],
+            id="baseline-csv",
         ),
-        pytest.param(["verify"], [GAUSSIAN, NORMALFORM, FFT], id="verify"),
+        pytest.param(["verify"], [GAUSSIAN, NORMALFORM, VARIANCES, FFT], id="verify"),
         pytest.param(
             ["verify", "--format", "csv"],
-            ["csv", GAUSSIAN, NORMALFORM, TABLES, FFT],
+            ["csv", GAUSSIAN, NORMALFORM, TABLES, VARIANCES, FFT],
             id="verify-csv",
         ),
     ],
@@ -250,6 +260,26 @@ TABLES = "nmodesqueeze.tables"
 def test_each_command_loads_only_what_it_reads(argv, loaded):
     stages = _loaded_modules(argv, PER_COMMAND)
     assert stages == {"import nmodesqueeze": [], "import nmodesqueeze.cli": [], "main": loaded}
+
+
+# normalform holds the operator and its states, gaussian the phase-space
+# functions: neither imports the other, and the Fock oracle needs only gaussian.
+@pytest.mark.parametrize(
+    "module, imports",
+    [
+        pytest.param(
+            "normalform", ["coupling", "errors", "normalform", "variances"], id="normalform"
+        ),
+        pytest.param("gaussian", ["coupling", "errors", "gaussian"], id="gaussian"),
+        pytest.param(
+            "fockoracle", ["coupling", "errors", "fockoracle", "gaussian"], id="fockoracle"
+        ),
+    ],
+)
+def test_module_import_graph(module, imports):
+    stages = _loaded_modules([], ("nmodesqueeze",), f"nmodesqueeze.{module}")
+    expected = ["nmodesqueeze", *(f"nmodesqueeze.{name}" for name in imports)]
+    assert stages[f"import nmodesqueeze.{module}"] == expected
 
 
 @pytest.mark.parametrize(

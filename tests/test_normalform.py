@@ -153,6 +153,10 @@ def test_two_photon_state_validation():
         TwoPhotonState(norm=0.9, F=half, sech2=sech2)
     with pytest.raises(ValueError, match="must lie in"):
         TwoPhotonState(norm=0.0, F=np.array([[0.0, 1.0], [1.0, 0.0]]), sech2=np.zeros(2))
+    # a 0-d or list F, which has no shape to index or no .T, is refused the same way
+    for bad_F in (np.array(0.5), half.tolist()):
+        with pytest.raises(ValueError, match="F must be n x n and sech2 of length n"):
+            TwoPhotonState(norm=math.sqrt(0.75), F=bad_F, sech2=sech2)
 
 
 def test_baseline_values():

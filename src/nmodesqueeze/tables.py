@@ -92,10 +92,8 @@ class _FieldTexts:
     appearance, row by row, and ``codes`` holds the number of every entry.
     The rows of a block then use the patterns numbered below the largest
     number among them, so the block formats only the contiguous slice of
-    patterns that it is the first to use; a group also notes which of
-    their texts are too wide for an inline list.  ``cells`` holds each
-    column's text if it is pinned, else its index among the varying
-    columns.
+    patterns that it is the first to use.  ``cells`` holds each column's
+    text if it is pinned, else its index among the varying columns.
     """
 
     def __init__(self, values: np.ndarray | range):
@@ -117,8 +115,8 @@ class _FieldTexts:
         self.codes = rank[inverse].reshape(varying.shape)
         self.values = distinct[order].view(np.float64)
         self.texts = np.empty(self.values.size, dtype=object)
-        self.wide = np.zeros(self.values.size, dtype=bool)
         self.ready = 0
+        self.wide, self.measured = np.zeros(self.values.size, dtype=bool), 0
 
     def rows(self, first: int, last: int) -> np.ndarray:
         """The codes of rows first..last-1, one column per varying column,
@@ -126,28 +124,32 @@ class _FieldTexts:
         codes = self.codes[first:last]
         stop = int(codes.max()) + 1
         if stop > self.ready:
-            texts = _fmt_floats(self.values[self.ready:stop])
-            self.texts[self.ready:stop] = texts
-            if self.group:
-                self.wide[self.ready:stop] = [len(text) >= _INLINE_WIDTH for text in texts]
+            self.texts[self.ready:stop] = _fmt_floats(self.values[self.ready:stop])
             self.ready = stop
         return codes
 
+    def wide_rows(self, first: int, last: int) -> np.ndarray:
+        """Whether each of rows first..last-1, once read, holds a varying
+        text too wide for an inline list."""
+        fresh = self.texts[self.measured:self.ready]
+        self.wide[self.measured:self.ready] = [len(text) >= _INLINE_WIDTH for text in fresh]
+        self.measured = self.ready
+        return self.wide.take(self.codes[first:last]).any(axis=1)
 
-def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """first, last, pieces and wide of each block of rows 0..rows-1 of the
-    row template ``parts``, a list of texts and (field texts, column) cells.
+
+def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """first, last and pieces of each block of rows 0..rows-1 of the row
+    template ``parts``, a list of texts and (field texts, column) cells.
 
     A pinned cell is written into the text around it.  pieces is a
     (rows, 2 * varying cells + 1) object array of the literal texts before,
     between and after the varying cells, interleaved with their texts: the
-    "".join of its ravel is the rows' text.  wide marks the rows that hold
-    a text of a group too wide for an inline list.  Each block formats each
+    "".join of its ravel is the rows' text.  Each block formats each
     field's texts once.
     """
     import numpy as np
 
-    literals, slots, always_wide = [""], {}, False
+    literals, slots = [""], {}
     for part in parts:
         if isinstance(part, str):
             literals[-1] += part
@@ -156,7 +158,6 @@ def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray, 
         cell = field.cells[column]
         if isinstance(cell, str):
             literals[-1] += cell
-            always_wide |= field.group and len(cell) >= _INLINE_WIDTH
         else:
             targets, sources = slots.setdefault(field, ([], []))
             targets.append(2 * len(literals) - 1)
@@ -167,13 +168,9 @@ def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray, 
         last = min(first + step, rows)
         pieces = np.empty((last - first, 2 * len(literals) - 1), dtype=object)
         pieces[:, 0::2] = np.array(literals, dtype=object)
-        wide = np.full(last - first, always_wide)
         for field, (targets, sources) in slots.items():
-            codes = field.rows(first, last)
-            pieces[:, targets] = field.texts.take(codes[:, sources])
-            if field.group:
-                wide |= field.wide.take(codes).any(axis=1)
-        yield first, last, pieces, wide
+            pieces[:, targets] = field.texts.take(field.rows(first, last)[:, sources])
+        yield first, last, pieces
 
 
 def _render_table(table: Table, indent: int) -> Iterator[str]:
@@ -190,6 +187,9 @@ def _render_table(table: Table, indent: int) -> Iterator[str]:
         return
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
     parts, lead = [f",\n{row_pad}"], "{"
+    # a row with a group text too wide for an inline list is wide, and a
+    # pinned one makes every row wide
+    groups, pinned_wide = [], False
     for name, values in table.fields.items():
         if name is not None:
             parts.append(f'{lead}\n{key_pad}"{name}": ')
@@ -197,10 +197,16 @@ def _render_table(table: Table, indent: int) -> Iterator[str]:
         field = _FieldTexts(values)
         cells = [p for c in range(len(field.cells)) for p in (", ", (field, c))][1:]
         parts += ["[", *cells, "]"] if field.group else cells
+        if field.group:
+            groups.append(field)
+            pinned_wide |= any(isinstance(c, str) and len(c) >= _INLINE_WIDTH for c in field.cells)
     if matrix is None:
         parts.append(f"\n{row_pad}}}")
     yield "[\n"
-    for first, last, pieces, wide in _row_blocks(parts, table.size):
+    for first, last, pieces in _row_blocks(parts, table.size):
+        wide = np.full(last - first, pinned_wide)
+        for field in groups:
+            wide |= field.wide_rows(first, last)
         start = 0
         for stop in [*np.flatnonzero(wide).tolist(), last - first]:
             if start < stop:
@@ -251,7 +257,7 @@ def _csv_rows(table: Table, name: str | None) -> Iterator[str]:
         index, parts = (_FieldTexts(range(table.size)), 0), []
         for (_, path), cell in zip(table.columns(), cells):
             parts += [f"{name}.", index, f".{path},", cell, "\n"]
-    for _, _, pieces, _ in _row_blocks(parts, table.size):
+    for _, _, pieces in _row_blocks(parts, table.size):
         yield "".join(pieces.ravel().tolist())
 
 

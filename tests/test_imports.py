@@ -1,11 +1,11 @@
 """What importing the package costs: importing the cli and running
 variances or baseline load no numpy at all, the Fock oracle loads only
-when a command needs it, no command loads scipy, only verify loads
-numpy.random and numpy.polynomial, importing the cli loads no package
+when a command needs it, no command loads scipy or numpy.random, only
+verify loads numpy.polynomial, importing the cli loads no package
 module but errors, each command loads only the package modules and the
 parts of numpy and the stdlib it reads, normalform and gaussian import
 neither each other nor more than they read, and every re-exported name
-resolves on first use."""
+resolves on first use.  Two fresh verify processes print the same bytes."""
 
 import importlib
 import json
@@ -23,7 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # A top-level name here also covers its submodules ("scipy" covers "scipy.sparse");
 # a dotted name is listed alone, and loading any of its submodules loads it too.
 # numpy.random (which pulls in secrets and _hashlib) and numpy.polynomial add
-# import time and peak RSS to a cold start, and only verify needs them.
+# import time and peak RSS to a cold start: no command needs numpy.random,
+# since verify draws from the stdlib random.Random, and only verify needs
+# numpy.polynomial.
 HEAVY = (
     "scipy",
     "numpy.polynomial",
@@ -131,16 +133,20 @@ print(json.dumps({{"code": code, "stages": stages}}))
 """
 
 
+def _env(**extra: str) -> dict:
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def _loaded_modules(
     argv: list[str], watch: tuple[str, ...] = HEAVY, module: str = "nmodesqueeze.cli"
 ) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE.format(watch=watch, argv=argv, module=module)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         cwd=ROOT,
         timeout=120,
     )
@@ -206,14 +212,30 @@ def test_state_cutoff_loads_fock_oracle():
 
 
 def test_verify_loads_no_scipy():
-    stages = _loaded_modules(["verify"])
+    # nor numpy.random, nor the OpenSSL chain it brings
+    stages = _loaded_modules(["verify"], (*HEAVY, "secrets", "_hashlib"))
     assert stages["import nmodesqueeze.cli"] == []
     assert stages["main"] == [
         "nmodesqueeze.fockoracle",
         "nmodesqueeze.verification",
         "numpy.polynomial",
-        "numpy.random",
     ]
+
+
+def test_verify_prints_the_same_bytes_in_fresh_processes():
+    # the seed alone fixes the draws, whatever each process's hash seed
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "nmodesqueeze", "verify", "--seed", "7"],
+            capture_output=True,
+            env=_env(PYTHONHASHSEED=hash_seed),
+            cwd=ROOT,
+            timeout=120,
+            check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1] != b""
 
 
 GAUSSIAN, NORMALFORM, FFT = "nmodesqueeze.gaussian", "nmodesqueeze.normalform", "numpy.fft"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def _closed_vs_generic_per_draw(rng):
     worst = 0.0
     base3, base4 = build_coupling(3), build_coupling(4)
     for _ in range(200):
-        lam = float(rng.uniform(-0.5, 0.5))
+        lam = rng.uniform(-0.5, 0.5)
         alpha3 = verification._draw_alpha(rng, 3, 1.5)
         alpha4 = verification._draw_alpha(rng, 4, 1.5)
         generic3 = wigner_value_alpha(wigner_from_kernel(build_kernel(base3, lam)), alpha3)
@@ -351,11 +352,11 @@ def _closed_vs_generic_per_draw(rng):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_wigner_closed_vs_generic_check_matches_per_draw_loop(seed):
-    batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched_rng, loop_rng = random.Random(seed), random.Random(seed)
     record = verification.check_wigner_closed_vs_generic(1e-10, batched_rng)
     assert record.actual == _closed_vs_generic_per_draw(loop_rng)
     # the parity oracle draws next from the same generator
-    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert batched_rng.getstate() == loop_rng.getstate()
 
 
 def test_wigner4_closed_origin_and_zero_lambda():

@@ -370,11 +370,40 @@ def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
     photon number by 2, so the power series terminates once it clears
     n * cutoff; raising never lowers, so the truncated series equals the
     exact projection of the infinite state onto the basis.
+
+    This is the one place a two-photon state is checked, since callers
+    may build one by hand.  It refuses, with a ValueError, a state whose
+    F is not an n x n ndarray with sech2 an ndarray of length n, whose
+    mode count differs from the space's, whose F is not symmetric (NaN
+    included), whose sech2 leaves (0, 1], whose sech2 is not 1 - f_k^2
+    over the eigenvalues f_k of F, or whose norm is not det(1 - F F~)^(1/4)
+    within rel 1e-8.
     """
+    # a list or 0-d F gets this error too, not an AttributeError or IndexError
+    shape = np.shape(state.F)
+    arrays = isinstance(state.F, np.ndarray) and isinstance(state.sech2, np.ndarray)
+    if not (arrays and len(shape) == 2 and shape == np.shape(state.sech2) * 2):
+        raise ValueError("F must be n x n and sech2 of length n")
     if state.n != space.n:
         raise ValueError(f"state has {state.n} modes, space has {space.n}")
     if not np.max(np.abs(state.F - state.F.T)) <= 1e-12:  # NaN refused too
-        raise ValueError("two-photon matrix must be symmetric")
+        raise ValueError("F must be symmetric")
+    if not np.all((state.sech2 > 0.0) & (state.sech2 <= 1.0)):
+        raise ValueError("two-photon spectrum 1 - f^2 must lie in (0, 1]")
+    # eigvalsh is backward stable: each f_k lies within n eps ||F||_2 of an
+    # eigenvalue of F (LAPACK Users' Guide, sec. 4.7, with p(n) = n), and a
+    # computed F carries as much again from the matrix function that built
+    # it.  With m = max(1, ||F||_2) that puts f_k^2 within 4 n eps m^2 (plus
+    # a term in eps^2) of 1 - sech2, whose own rounding adds a few eps:
+    # 8 n eps m^2 covers all of it.
+    f = np.linalg.eigvalsh(state.F)
+    bound = 8 * state.n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(f)))) ** 2
+    if not np.max(np.abs(np.sort(f**2) - np.sort(1.0 - state.sech2))) <= bound:
+        raise ValueError("sech2 must be 1 - f^2 over the eigenvalues f of F")
+    # det(1 - F F~)^(1/4) as a sum of logs; past the float range both sides are 0
+    unit_norm = math.exp(0.25 * float(np.sum(np.log(state.sech2))))
+    if not math.isclose(state.norm, unit_norm, rel_tol=1e-8, abs_tol=np.finfo(float).tiny):
+        raise ValueError(f"norm {state.norm} does not match det(1 - F F~)^(1/4) = {unit_norm}")
     quad = _raising(_pair_sum(state.F, 0.5, _ladders(space), space.dim), space.dim)
     amps = _terminating_series(quad, vacuum(space).amps, space)
     return FockTensor(space=space, amps=state.norm * amps)

@@ -9,8 +9,9 @@ as sum_k a_k = 0, prefactor = prod_k sech(lambda a_k)^(1/2).  Each block is one
 circulant built from the spectrum a_k, the prefactor a sum of log sech; verify
 checks creMat against its product.  On the vacuum only the creation factor
 survives: norm * exp(at~ F at / 2)|0> with F = creMat, norm = prefactor.  Both
-carry and are validated through sech2 = 1 - f_k^2, which float64 holds where
-f_k = tanh rounds to 1.
+carry sech2 = 1 - f_k^2, which float64 holds where f_k = tanh rounds to 1.
+A state is checked only where ``fockoracle.two_photon_expand`` reads it, since
+a caller may build one by hand.
 
 ``three_mode_closed`` / ``four_mode_closed`` carry the hand-derived n = 3/4
 scalars (Gram entries, state coefficients, inverse-N pattern; the closed
@@ -29,22 +30,6 @@ from .errors import LAMBDA_GUARD, check_lambda
 from .variances import baseline_scalars
 
 
-def _validate(sech2: np.ndarray, **mats: np.ndarray) -> None:
-    """Symmetric matrices and a normalizable vacuum image, 0 < sech2 <= 1."""
-    for name, mat in mats.items():
-        if not np.max(np.abs(mat - mat.T)) <= 1e-12:  # NaN refused too
-            raise ValueError(f"{name} must be symmetric")
-    if not np.all((sech2 > 0.0) & (sech2 <= 1.0)):
-        raise ValueError("two-photon spectrum 1 - f^2 must lie in (0, 1]")
-
-
-# NormalOrderedForm and the closed-form records are plain NamedTuples: only
-# their builders make them, and each builder states what its record holds.
-# TwoPhotonState is subclassed to check its fields once at construction,
-# since callers also build it by hand (as they do variances.VariancePair and
-# fockoracle.BandedOperator, which keep their subclasses for the same reason).
-
-
 class NormalOrderedForm(NamedTuple):
     """Prefactor and coefficient matrices of the factored squeeze, and the
     spectrum sech2 = 1 - f_k^2 of the creation block."""
@@ -56,35 +41,18 @@ class NormalOrderedForm(NamedTuple):
     sech2: np.ndarray
 
 
-class _TwoPhotonStateFields(NamedTuple):
+class TwoPhotonState(NamedTuple):
+    """norm * exp(at~ F at / 2)|0> with symmetric two-photon matrix F and
+    sech2 = 1 - f_k^2 over its eigenvalues f_k; ``two_photon_expand``
+    refuses a state that breaks this."""
+
     norm: float
     F: np.ndarray
     sech2: np.ndarray
 
-
-class TwoPhotonState(_TwoPhotonStateFields):
-    """norm * exp(at~ F at / 2)|0> with symmetric two-photon matrix F and
-    sech2 = 1 - f_k^2 over its eigenvalues f_k."""
-
-    __slots__ = ()
-
     @property
     def n(self) -> int:
         return self.F.shape[0]
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        # a list or 0-d F gets this error too, not an AttributeError or IndexError
-        shape = np.shape(self.F)
-        arrays = isinstance(self.F, np.ndarray) and isinstance(self.sech2, np.ndarray)
-        if not (arrays and len(shape) == 2 and shape == np.shape(self.sech2) * 2):
-            raise ValueError("F must be n x n and sech2 of length n")
-        _validate(self.sech2, F=self.F)
-        # det(1 - F F~)^(1/4) as a sum of logs; past the float range both sides are 0
-        unit_norm = math.exp(0.25 * float(np.sum(np.log(self.sech2))))
-        if not math.isclose(self.norm, unit_norm, rel_tol=1e-8, abs_tol=np.finfo(float).tiny):
-            raise ValueError(f"norm {self.norm} does not match det(1 - F F~)^(1/4) = {unit_norm}")
-        return self
 
 
 class ThreeModeClosed(NamedTuple):
@@ -121,15 +89,13 @@ def normal_form(kernel: SqueezeKernel) -> NormalOrderedForm:
     x = np.abs(lam * coupling.eigenvalues)
     log_sech = math.log(2.0) - x - np.log1p(np.exp(-2.0 * x))  # finite at every finite x
     tanh = matrix_function(coupling, lambda a: np.tanh(lam * a))
-    form = NormalOrderedForm(
+    return NormalOrderedForm(
         prefactor=math.exp(0.5 * float(np.sum(log_sech))),
         creMat=-tanh,
         crossMat=matrix_function(coupling, lambda a: 1.0 / np.cosh(lam * a) - 1.0),
         annMat=tanh,
         sech2=np.cosh(x) ** -2.0,
     )
-    _validate(form.sech2, creMat=form.creMat, annMat=form.annMat)
-    return form
 
 
 def squeezed_vacuum(kernel: SqueezeKernel) -> TwoPhotonState:

@@ -16,27 +16,16 @@ from typing import NamedTuple
 from .errors import LAMBDA_GUARD, check_lambda, check_modes
 
 
-class _VariancePairFields(NamedTuple):
-    varX1: float
-    varX2: float
-
-
-class VariancePair(_VariancePairFields):
+class VariancePair(NamedTuple):
     """Variances of the collective quadratures X1 and X2.
 
-    A valid pair is positive and saturates the uncertainty product
-    varX1 * varX2 = 1/16; construction checks both.
+    Both routes below give a positive pair that saturates the uncertainty
+    product varX1 * varX2 = 1/16: the tests hold each within 2 ulp of a
+    60-digit reference over the accepted range.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (self.varX1 > 0.0 and self.varX2 > 0.0):
-            raise ValueError("variances must be positive")
-        if abs(self.varX1 * self.varX2 - 1.0 / 16.0) > 1e-12:
-            raise ValueError("uncertainty product must equal 1/16")
-        return self
+    varX1: float
+    varX2: float
 
 
 def variances_matrix_sum(n: int, lam: float) -> VariancePair:

@@ -409,7 +409,7 @@ def test_two_photon_four_mode_first_order():
 
 
 def test_two_photon_rejects_asymmetric_matrix():
-    # _replace skips the construction checks, as a hand-built state could
+    # a hand-built state, which only the expansion checks
     for F in (np.array([[0.0, 0.2], [0.4, 0.0]]), np.full((2, 2), np.nan)):
         state = baseline_two_mode(0.3)._replace(F=F)
         with pytest.raises(ValueError, match="symmetric"):

@@ -140,13 +140,6 @@ def test_squeezing_beats_standard_two_mode(n, lam):
     assert pair.varX1 < math.exp(-2 * lam) / 4
 
 
-def test_variance_pair_rejects_wrong_product():
-    with pytest.raises(ValueError):
-        VariancePair(0.3, 0.3)
-    with pytest.raises(ValueError):
-        VariancePair(-0.25, -0.25)
-
-
 @pytest.mark.parametrize("n", SWEEP_N)
 @pytest.mark.parametrize("lam", SWEEP_LAMBDA)
 def test_wigner_form_invariants(n, lam):

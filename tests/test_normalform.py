@@ -13,11 +13,13 @@ from nmodesqueeze import (
     baseline_two_mode,
     build_coupling,
     build_kernel,
+    build_space,
     four_mode_closed,
     matrix_function,
     normal_form,
     squeezed_vacuum,
     three_mode_closed,
+    two_photon_expand,
     wigner3_closed,
     wigner4_closed,
     wigner_from_kernel,
@@ -143,21 +145,26 @@ def test_two_photon_unit_norm_invariant(n, lam):
 
 
 def test_two_photon_state_validation():
+    space = build_space(2, 10)
     half = np.array([[0.0, 0.5], [0.5, 0.0]])
     sech2 = np.full(2, 0.75)  # 1 - f^2 for the eigenvalues +-0.5
-    assert TwoPhotonState(norm=math.sqrt(0.75), F=half, sech2=sech2).norm > 0
-    with pytest.raises(ValueError, match="symmetric"):
-        TwoPhotonState(norm=math.sqrt(0.75), F=np.array([[0.0, 0.5], [0.2, 0.0]]), sech2=sech2)
-    with pytest.raises(ValueError, match="symmetric"):
-        TwoPhotonState(norm=1.0, F=np.full((2, 2), np.nan), sech2=np.ones(2))
-    with pytest.raises(ValueError, match="does not match"):
-        TwoPhotonState(norm=0.9, F=half, sech2=sech2)
-    with pytest.raises(ValueError, match="must lie in"):
-        TwoPhotonState(norm=0.0, F=np.array([[0.0, 1.0], [1.0, 0.0]]), sech2=np.zeros(2))
-    # a 0-d or list F, which has no shape to index or no .T, is refused the same way
-    for bad_F in (np.array(0.5), half.tolist()):
-        with pytest.raises(ValueError, match="F must be n x n and sech2 of length n"):
-            TwoPhotonState(norm=math.sqrt(0.75), F=bad_F, sech2=sech2)
+    valid = TwoPhotonState(norm=math.sqrt(0.75), F=half, sech2=sech2)
+    assert two_photon_expand(valid, space).norm > 0
+    refused = [
+        ("symmetric", math.sqrt(0.75), np.array([[0.0, 0.5], [0.2, 0.0]]), sech2),
+        ("symmetric", 1.0, np.full((2, 2), np.nan), np.ones(2)),
+        ("does not match", 0.9, half, sech2),
+        ("must lie in", 0.0, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2)),
+        # eigenvalues +-2 with the sech2 of +-sqrt(0.5): left unchecked, it
+        # expands to |psi|^2 = 699 050.5 with tail mass 0
+        (r"1 - f\^2 over the eigenvalues", math.sqrt(0.5), 4 * half, np.full(2, 0.5)),
+        # a 0-d or list F, which has no shape to index or no .T, is refused the same way
+        ("F must be n x n and sech2 of length n", math.sqrt(0.75), np.array(0.5), sech2),
+        ("F must be n x n and sech2 of length n", math.sqrt(0.75), half.tolist(), sech2),
+    ]
+    for message, norm, F, spectrum in refused:
+        with pytest.raises(ValueError, match=message):
+            two_photon_expand(TwoPhotonState(norm=norm, F=F, sech2=spectrum), space)
 
 
 def test_baseline_values():
@@ -225,6 +232,14 @@ def test_normal_form_over_accepted_range(n, lam):
     assert squeezed_vacuum(_kernel(4, lam)).norm == pytest.approx(
         1 / math.cosh(2 * lam), rel=1e-12
     )
+    # the norm is det(1 - F F~)^(1/4) as a sum of logs; past the float range both are 0
+    state = squeezed_vacuum(_kernel(n, lam))
+    unit_norm = math.exp(0.25 * float(np.sum(np.log(form.sech2))))
+    assert state.norm == pytest.approx(unit_norm, rel=1e-8, abs=np.finfo(float).tiny)
+    # the Fock oracle accepts every computed state; at cutoff 0 the basis is
+    # the vacuum alone, so its checks are all that runs
+    for accepted in (state, target):
+        assert two_photon_expand(accepted, build_space(accepted.n, 0)).amps[0] == accepted.norm
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 1.0])

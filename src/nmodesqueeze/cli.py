@@ -3,8 +3,8 @@
 ``COMMANDS`` names every command once, with the flags it reads and the
 builder of its results; ``build_parser`` writes ``--help`` from it.
 
-This module holds what every run executes: the schema, exit codes and
-guards, argument parsing, the plain-JSON writer, and the builders of
+This module holds what every run executes: the schema and exit codes,
+argument parsing, the plain-JSON writer, and the builders of
 ``variances``, ``baseline`` and ``verify``, whose documents hold no Table.
 ``tables`` holds the rest: the ``Table`` renderer, the CSV writer and the
 builders of ``coupling``, ``normal-form``, ``state`` and ``wigner``.  It is
@@ -44,21 +44,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERIC = 4
-
-# Largest grid, counted in coordinates (points x modes), that `wigner`
-# builds.  Grids at the guard peaked at 246 MB RSS for 1024 x 1024 points
-# at n = 4, 136 MB for 512 x 512 at n = 16 and 121 MB for 256 x 256 at
-# n = 64 (child ru_maxrss, JSON to /dev/null, 2 vCPUs): under 60 bytes per
-# coordinate, interpreter and numpy included.
-GRID_GUARD = 1 << 22
-
-# Largest n x n matrix, counted in entries, that coupling, normal-form and
-# state build; variances is O(1) and has no such guard.  At the guard,
-# n = 1448, normal-form, coupling and state peaked at 162, 176 and 128 MB
-# in JSON, 163, 176 and 142 MB in CSV (child VmHWM, to /dev/null, 2 vCPUs).
-# wigner builds no such matrix; there the same cap on n bounds the 2n
-# columns rendered per point, whose cost past n = 1448 has not been measured.
-DENSE_GUARD = 1 << 21
 
 
 class UsageError(ValueError):

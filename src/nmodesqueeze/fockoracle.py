@@ -166,7 +166,8 @@ class FockOperator(NamedTuple):
     mat: BandedOperator
 
     def evolve(self, start: np.ndarray) -> np.ndarray:
-        """exp(iH) @ start for a start vector (dim,) or a (dim, k) block.
+        """exp(iH) @ start for a start vector (dim,) or a (dim, k) block,
+        in the start's shape: a vector runs as a block of one column.
 
         The truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci.
         Comput. 33, 488 (2011), algorithm 3.2): s steps of degree at most
@@ -195,8 +196,10 @@ class FockOperator(NamedTuple):
             raise NumericFailureError(f"generator has 1-norm {norm}")
         dtype = np.result_type(float, start, *step.diagonals.values())
         # A block in Fortran order keeps each column contiguous, for the
-        # products and the column maxima alike.
+        # products and the column maxima alike.  Its rows are the start's
+        # own, so a start of the wrong length fails in the first step.
         amps = np.array(start, dtype=dtype, order="F")
+        block = amps.reshape(len(amps), -1, order="F")
         if norm > 0.0:
             degree, steps = min(
                 ((m, math.ceil(norm / theta)) for m, theta in _THETA.items()),
@@ -205,12 +208,8 @@ class FockOperator(NamedTuple):
             # The columns are independent, so a tall block runs a few at a
             # time, whose arrays stay in cache.
             width = max(1, _BLOCK_BYTES // (amps.itemsize * step.dim))
-            blocks = (
-                [amps] if amps.ndim == 1
-                else [amps[:, j : j + width] for j in range(0, amps.shape[1], width)]
-            )
-            for block in blocks:
-                _taylor_steps(step, block, degree, steps)
+            for j in range(0, block.shape[1], width):
+                _taylor_steps(step, block[:, j : j + width], degree, steps)
         if not np.all(np.isfinite(amps)):
             raise NumericFailureError("evolution produced non-finite amplitudes")
         return amps.astype(complex, order="C")
@@ -218,8 +217,8 @@ class FockOperator(NamedTuple):
 
 def _taylor_steps(step: BandedOperator, amps: np.ndarray, degree: int, steps: int) -> None:
     """Apply ``steps`` steps of the degree-``degree`` series of exp(step /
-    steps) to amps, a vector or a (dim, k) block, in place, each column's
-    series stopped on its own."""
+    steps) to the (dim, k) block amps in place, each column's series
+    stopped on its own."""
     for _ in range(steps):
         live = slice(None)  # the columns whose series is still running
         term = amps
@@ -227,11 +226,11 @@ def _taylor_steps(step: BandedOperator, amps: np.ndarray, degree: int, steps: in
         for k in range(1, degree + 1):
             term = (1.0 / (steps * k)) * (step @ term)
             size = np.max(np.abs(term), axis=0)
-            amps[..., live] += term
-            done = prev + size <= 2.0**-53 * np.max(np.abs(amps[..., live]), axis=0)
+            amps[:, live] += term
+            done = prev + size <= 2.0**-53 * np.max(np.abs(amps[:, live]), axis=0)
             if done.all():
                 break
-            if amps.ndim == 2 and done.any():  # drop the finished columns
+            if done.any():  # drop the finished columns
                 live = np.arange(amps.shape[1])[live][~done]
                 term, size = term[:, ~done], size[~done]
             prev = size

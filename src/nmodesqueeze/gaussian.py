@@ -97,20 +97,21 @@ def wigner_from_coupling(coupling: CouplingMatrix, lam: float | np.ndarray) -> G
 
 def _spectral_form(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """xt f(A) x for each row of the (m, n) array x, from the weights f(a_k),
-    shared (n,) or one row per point: (1/n) sum_k w_k |fft(x)_k|^2, each row
-    with the bits of its one-row call, evaluated in blocks of about
-    ``_FORM_BLOCK`` coordinates.  With weights >= 0 nothing cancels; an
-    overflowed square (inf) and the FFT's inf - inf near the float range
-    (NaN) are both exponents past the float range, so NaN reads as +inf."""
+    one row per point or one (n,) row broadcast (a view) to every point:
+    (1/n) sum_k w_k |fft(x)_k|^2, each row with the bits of its one-row
+    call, evaluated in blocks of about ``_FORM_BLOCK`` coordinates.  With
+    weights >= 0 nothing cancels; an overflowed square (inf) and the FFT's
+    inf - inf near the float range (NaN) are both exponents past the float
+    range, so NaN reads as +inf."""
     m, n = x.shape
+    w = np.broadcast_to(weights, x.shape)
     rows = max(1, _FORM_BLOCK // n)
     quad = np.empty(m)
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, m, rows):
             block = slice(first, first + rows)
             spectrum = np.fft.fft(x[block], axis=-1)
-            w = weights if weights.ndim == 1 else weights[block]
-            quad[block] = np.sum(w * (spectrum.real**2 + spectrum.imag**2), axis=-1) / n
+            quad[block] = np.sum(w[block] * (spectrum.real**2 + spectrum.imag**2), axis=-1) / n
     quad[np.isnan(quad)] = np.inf
     return quad
 
@@ -176,20 +177,18 @@ def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -
 
 
 def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
-    """coefficients(lam) for one lambda; for lam of shape (m,), one lambda
-    per alpha row, each coefficient stacked into an (m,) array.  Every
-    lambda goes through the same math calls as a scalar one, so each row
-    keeps the bits of the call at its own lambda.  A non-finite lambda, or
-    row of lambdas, is a ParameterRangeError."""
-    if np.ndim(lam) == 0:
-        check_lambda(lam)
-        return coefficients(lam)
+    """coefficients(lam) as (1,) arrays for one lambda, or for lam of shape
+    (m,), one lambda per alpha row, stacked into (m,) arrays: columns that
+    broadcast over the rows either way.  Every lambda goes through the same
+    math calls, so each row keeps the bits of the call at its own lambda.
+    A non-finite lambda, or row of lambdas, is a ParameterRangeError."""
     lams = np.asarray(lam, dtype=float)
-    if lams.shape != rows.shape[:1]:
+    if lams.shape not in ((), rows.shape[:1]):
         raise ValueError(f"lambda must be a scalar or hold one value per alpha row ({len(rows)})")
-    for value in lams.tolist():
+    values = lams.reshape(-1).tolist()
+    for value in values:
         check_lambda(value)
-    return tuple(np.array(col) for col in zip(*map(coefficients, lams.tolist())))
+    return tuple(np.array(col) for col in zip(*map(coefficients, values)))
 
 
 def _wigner3_coefficients(lam: float) -> tuple[float, float, float, float]:

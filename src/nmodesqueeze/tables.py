@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING
 
 from .cli import (
     _INLINE_WIDTH,
-    DENSE_GUARD,
-    GRID_GUARD,
     RunConfig,
     UsageError,
     _grid_doc,
@@ -93,7 +91,10 @@ class _FieldTexts:
     The rows of a block then use the patterns numbered below the largest
     number among them, so the block formats only the contiguous slice of
     patterns that it is the first to use.  ``cells`` holds each column's
-    text if it is pinned, else its index among the varying columns.
+    text if it is pinned, else its index among the varying columns.  A
+    group, whose rows are lists, also notes the texts too wide for an
+    inline list: any pinned one in ``pinned_wide``, each varying one in
+    ``wide`` as ``rows`` formats it.
     """
 
     def __init__(self, values: np.ndarray | range):
@@ -103,8 +104,9 @@ class _FieldTexts:
         self.group = bits.ndim == 2
         bits = bits if self.group else bits[:, None]
         pinned = (bits == bits[:1]).all(axis=0) & (len(bits) > 0)
-        texts = iter(_fmt_floats(bits[:1, pinned].view(np.float64).ravel()))
-        index = itertools.count()
+        texts = _fmt_floats(bits[:1, pinned].view(np.float64).ravel())
+        self.pinned_wide = self.group and any(len(text) >= _INLINE_WIDTH for text in texts)
+        index, texts = itertools.count(), iter(texts)
         self.cells = [next(texts) if pin else next(index) for pin in pinned.tolist()]
         varying = bits[:, ~pinned] if pinned.any() else bits  # no copy of a whole matrix
         distinct, first, inverse = np.unique(varying, return_index=True, return_inverse=True)
@@ -115,26 +117,25 @@ class _FieldTexts:
         self.codes = rank[inverse].reshape(varying.shape)
         self.values = distinct[order].view(np.float64)
         self.texts = np.empty(self.values.size, dtype=object)
-        self.ready = 0
-        self.wide, self.measured = np.zeros(self.values.size, dtype=bool), 0
+        self.wide, self.ready = np.zeros(self.values.size, dtype=bool), 0
 
     def rows(self, first: int, last: int) -> np.ndarray:
         """The codes of rows first..last-1, one column per varying column,
-        with their texts formatted."""
+        with their texts formatted, and in a group measured."""
         codes = self.codes[first:last]
         stop = int(codes.max()) + 1
         if stop > self.ready:
-            self.texts[self.ready:stop] = _fmt_floats(self.values[self.ready:stop])
+            texts = _fmt_floats(self.values[self.ready:stop])
+            self.texts[self.ready:stop] = texts
+            if self.group:
+                self.wide[self.ready:stop] = [len(text) >= _INLINE_WIDTH for text in texts]
             self.ready = stop
         return codes
 
     def wide_rows(self, first: int, last: int) -> np.ndarray:
-        """Whether each of rows first..last-1, once read, holds a varying
-        text too wide for an inline list."""
-        fresh = self.texts[self.measured:self.ready]
-        self.wide[self.measured:self.ready] = [len(text) >= _INLINE_WIDTH for text in fresh]
-        self.measured = self.ready
-        return self.wide.take(self.codes[first:last]).any(axis=1)
+        """Whether each of rows first..last-1, once read by ``rows``, holds
+        a group text too wide for an inline list; a column's never is."""
+        return self.pinned_wide | self.wide.take(self.codes[first:last]).any(axis=1)
 
 
 def _row_blocks(parts: list, rows: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -187,26 +188,18 @@ def _render_table(table: Table, indent: int) -> Iterator[str]:
         return
     pad, row_pad, key_pad = ("  " * (indent + k) for k in range(3))
     parts, lead = [f",\n{row_pad}"], "{"
-    # a row with a group text too wide for an inline list is wide, and a
-    # pinned one makes every row wide
-    groups, pinned_wide = [], False
-    for name, values in table.fields.items():
+    fields = [_FieldTexts(values) for values in table.fields.values()]
+    for name, field in zip(table.fields, fields):
         if name is not None:
             parts.append(f'{lead}\n{key_pad}"{name}": ')
             lead = ","
-        field = _FieldTexts(values)
         cells = [p for c in range(len(field.cells)) for p in (", ", (field, c))][1:]
         parts += ["[", *cells, "]"] if field.group else cells
-        if field.group:
-            groups.append(field)
-            pinned_wide |= any(isinstance(c, str) and len(c) >= _INLINE_WIDTH for c in field.cells)
     if matrix is None:
         parts.append(f"\n{row_pad}}}")
     yield "[\n"
     for first, last, pieces in _row_blocks(parts, table.size):
-        wide = np.full(last - first, pinned_wide)
-        for field in groups:
-            wide |= field.wide_rows(first, last)
+        wide = np.any([field.wide_rows(first, last) for field in fields], axis=0)
         start = 0
         for stop in [*np.flatnonzero(wide).tolist(), last - first]:
             if start < stop:
@@ -296,6 +289,22 @@ def _csv_pieces(doc: dict) -> Iterator[str]:
 
 # ---------------------------------------------------------------------------
 # the commands whose results hold a Table
+
+# Largest grid, counted in coordinates (points x modes), that `wigner`
+# builds.  Grids at the guard peaked at 246 MB RSS for 1024 x 1024 points
+# at n = 4, 136 MB for 512 x 512 at n = 16 and 121 MB for 256 x 256 at
+# n = 64 (child ru_maxrss, JSON to /dev/null, 2 vCPUs): under 60 bytes per
+# coordinate, interpreter and numpy included.
+GRID_GUARD = 1 << 22
+
+# Largest n x n matrix, counted in entries, that coupling, normal-form and
+# state build; variances is O(1) and has no such guard.  At the guard,
+# n = 1448, normal-form, coupling and state peaked at 162, 176 and 128 MB
+# in JSON, 163, 176 and 142 MB in CSV (child VmHWM, to /dev/null, 2 vCPUs).
+# wigner builds no such matrix; there the same cap on n bounds the 2n
+# columns rendered per point, whose cost past n = 1448 has not been measured.
+DENSE_GUARD = 1 << 21
+
 
 def _require_dense_n(config: RunConfig) -> int:
     """--n of a command that builds n x n matrices, refused over DENSE_GUARD

@@ -288,9 +288,15 @@ def test_verify_resource_guard_partial_report():
 def test_verify_cutoff_100_runs_assembly():
     """cutoff 100 at n = 2 is dim 10 201, 1.6 GB per dense matrix: the
     normal-form assembly check runs on a block of 15 columns and passes.
-    The n = 3 configs exceed DIM_GUARD, so the run is still partial."""
+    The n = 3 configs exceed DIM_GUARD, so the run is still partial.  The
+    block evolves in runs of a few columns, and the document's digest pins
+    the bits of that path."""
     text, code = run(RunConfig(command="verify", cutoff=100))
     assert code == EXIT_RESOURCE
+    if np.__version__ == PINNED_NUMPY:  # as in test_document_bytes_pinned
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "04546842f7e43b56523c6a12fb5ffcd806effaa50146f5e718758129fe287e99"
+        )
     by_name = {c["name"]: c for c in json.loads(text)["checks"]}
     assembly = by_name["normal_form_assembly"]
     assert not assembly["skipped"] and assembly["pass"] is True
@@ -1174,7 +1180,7 @@ def test_main_oversize_grid_is_refused(grid, capsys):
 
 def test_grid_guard_counts_coordinates():
     n = 4096  # a wide grid row keeps the accepted grid at the guard small
-    steps = cli.GRID_GUARD // n
+    steps = tb.GRID_GUARD // n
 
     def grid(steps):
         return RunConfig(command="wigner", n=n, grid=[("p7", -1.0, 1.0, steps)])
@@ -1207,7 +1213,7 @@ def test_dense_guard_counts_matrix_entries(command, monkeypatch):
 
     monkeypatch.setattr(cp, "build_coupling", stop)
     results = getattr(tb, f"_results_{command.replace('-', '_')}")
-    largest = math.isqrt(cli.DENSE_GUARD)
+    largest = math.isqrt(tb.DENSE_GUARD)
     with pytest.raises(Reached):
         results(RunConfig(command=command, n=largest))
     with pytest.raises(ResourceLimitError, match="over the guard"):
@@ -1250,7 +1256,7 @@ def test_main_dense_guard_exit(argv, message, capsys):
 
 
 def test_variances_is_not_dense_guarded(capsys):
-    n = math.isqrt(cli.DENSE_GUARD) + 1
+    n = math.isqrt(tb.DENSE_GUARD) + 1
     assert main(["variances", "--n", str(n), "--lambda", "0.5"]) == EXIT_OK
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["matrix_sum"]["var_x1"] == pytest.approx(math.exp(-2.0) / 4, rel=1e-10)

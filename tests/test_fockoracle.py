@@ -329,6 +329,14 @@ def test_evolve_block_matches_vacuum_and_dense_references(config):
     assert evolved[:, 0].tobytes() == evolve_vacuum(ham).amps.tobytes()
     for j in range(5):
         assert evolved[:, j].tobytes() == ham.evolve(real[:, j]).tobytes()
+    # a start keeps its shape: one column has the bits of the vector, and
+    # no column gives an empty block
+    one = ham.evolve(real[:, :1])
+    assert one.shape == (space.dim, 1) and one.tobytes() == evolved[:, 0].tobytes()
+    assert ham.evolve(real[:, :0]).shape == (space.dim, 0)
+    for length in (space.dim + 1, 2 * space.dim):  # not read as a (dim, 2) block
+        with pytest.raises(ValueError):
+            ham.evolve(np.ones(length))
     dense = -1j * ham.mat.toarray()
     w, v = np.linalg.eigh(dense)
     by_eigh = (v * np.exp(1j * w)) @ (v.conj().T @ block)

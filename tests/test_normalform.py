@@ -454,8 +454,9 @@ def test_wigner_closed_all_ones_point_at_large_lambda(n, lam):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("lam_shape", [(4,), (5, 1), (5, 5)])
+@pytest.mark.parametrize("lam_shape", [(4,), (5, 1), (5, 5), (1,)])
 def test_wigner_closed_rejects_misaligned_lambda(n, lam_shape):
+    # a one-value array is not a scalar: it is refused, not broadcast
     with pytest.raises(ValueError, match="one value per alpha row"):
         CLOSED_FORMS[n](np.zeros(lam_shape), np.zeros((5, n)))
 

@@ -12,7 +12,12 @@ matrix element, so commutator identities hold exactly on the interior
 Every photon-pair block sum_ij c_ij a_i a_j comes from one pair sum of
 these diagonals (its raising partner sum_ij c_ij a_i~ a_j~ is the same
 diagonals below the main one), and every exponential of a photon-pair
-block from one series.
+block from one series.  That series runs in the dtype of its start and
+block, so the squeezed vacuum, whose F is real for every real lambda, is
+expanded in real arithmetic and made complex once, at the end.  The
+collective quadratures X1 and X2 are applied one diagonal at a time,
+each built just before it is added, through the accumulation that every
+``BandedOperator`` product uses: the variance never holds all 2n of them.
 
 The squeeze itself is realised as the action of exp(iH) on the vacuum or on
 a block of start columns (truncated Taylor series with Al-Mohy & Higham's
@@ -135,11 +140,7 @@ class BandedOperator(_BandedOperatorFields):
         dtype = np.result_type(vec, *self.diagonals.values())
         order = "F" if vec.flags.f_contiguous else "C"
         out = np.zeros((self.dim, *vec.shape[1:]), dtype=dtype, order=order)
-        column = (-1,) + (1,) * (vec.ndim - 1)
-        for offset, diag in self.diagonals.items():
-            rows, cols = max(-offset, 0), max(offset, 0)
-            out[rows : rows + diag.size] += diag.reshape(column) * vec[cols : cols + diag.size]
-        return out
+        return _accumulate(out, self.diagonals.items(), vec)
 
     def toarray(self) -> np.ndarray:
         dtype = np.result_type(float, *self.diagonals.values())
@@ -156,6 +157,18 @@ class BandedOperator(_BandedOperatorFields):
             cols = max(offset, 0)
             sums[cols : cols + diag.size] += np.abs(diag)
         return float(np.max(sums))
+
+
+def _accumulate(out: np.ndarray, diagonals, vec: np.ndarray) -> np.ndarray:
+    """out += M @ vec for the matrix M whose (offset, diagonal) pairs
+    ``diagonals`` yields, each row summed in the order given; a caller may
+    yield each diagonal just before it is added, so only one is held."""
+    column = (-1,) + (1,) * (vec.ndim - 1)
+    for offset, diag in diagonals:
+        rows, cols = max(-offset, 0), max(offset, 0)
+        out[rows : rows + diag.size] += diag.reshape(column) * vec[cols : cols + diag.size]
+        del diag  # a streamed diagonal goes before the next one is built
+    return out
 
 
 class FockOperator(NamedTuple):
@@ -319,13 +332,19 @@ def _raising(lowering: dict[int, np.ndarray], dim: int) -> BandedOperator:
 def _terminating_series(mat: BandedOperator, start: np.ndarray, space: FockSpace) -> np.ndarray:
     """exp(mat) @ start for a mat that only adds, or only removes, photon
     pairs: on the truncated basis its Taylor series ends by order
-    n * cutoff / 2 + 1, and it stops at the first term that is exactly zero."""
-    result = term = start
+    n * cutoff / 2 + 1, and it stops at the first term that is exactly zero.
+
+    The sum runs in the dtype of start and mat, real when both are, into a
+    new array.  Each term is scaled by 1.0 / k, which is what numpy's
+    complex division by k computes, so a complex run keeps its bits."""
+    result = np.array(start, dtype=np.result_type(start, *mat.diagonals.values()))
+    term = start
     for k in range(1, space.n * space.cutoff // 2 + 2):
-        term = mat @ term / k
+        term = mat @ term
+        term *= 1.0 / k
         if not np.any(term):
             break
-        result = result + term
+        result += term
     return result
 
 
@@ -404,20 +423,28 @@ def two_photon_expand(state: TwoPhotonState, space: FockSpace) -> FockTensor:
     if not math.isclose(state.norm, unit_norm, rel_tol=1e-8, abs_tol=np.finfo(float).tiny):
         raise ValueError(f"norm {state.norm} does not match det(1 - F F~)^(1/4) = {unit_norm}")
     quad = _raising(_pair_sum(state.F, 0.5, _ladders(space), space.dim), space.dim)
-    amps = _terminating_series(quad, vacuum(space).amps, space)
-    return FockTensor(space=space, amps=state.norm * amps)
+    # in F's dtype, real for every kernel state; complex once, at the end
+    start = np.zeros(space.dim, dtype=np.result_type(float, state.F))
+    start[0] = 1.0
+    amps = _terminating_series(quad, start, space)
+    return FockTensor(space=space, amps=(state.norm * amps).astype(complex))
 
 
 def tail_mass(psi: FockTensor) -> float:
-    """Probability weight the truncation lost: max(0, 1 - |psi|^2)."""
-    return max(0.0, 1.0 - psi.norm**2)
+    """Probability weight the truncation lost: max(0, 1 - |psi|^2), NaN
+    for NaN amplitudes (``max(0.0, nan)`` would read 0.0)."""
+    lost = 1.0 - psi.norm**2
+    return 0.0 if lost <= 0.0 else lost
 
 
 def normalized(psi: FockTensor) -> FockTensor:
-    """Unit-norm copy (e.g. before taking truncated expectation values)."""
+    """Unit-norm copy (e.g. before taking truncated expectation values).
+
+    Raises ValueError for the zero tensor and for a norm that is not a
+    finite number, so NaN amplitudes are refused, not divided through."""
     norm = psi.norm
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero tensor")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalize a tensor of norm {norm}")
     return FockTensor(space=psi.space, amps=psi.amps / norm)
 
 
@@ -428,34 +455,46 @@ def overlap(left: FockTensor, right: FockTensor) -> complex:
     return complex(np.vdot(left.amps, right.amps))
 
 
-def collective_quadrature(space: FockSpace, which: str) -> BandedOperator:
-    """X1 = sum Q_i / sqrt(2n) or X2 = sum P_i / sqrt(2n) as a matrix, from
-    Q_i = (a_i + a_i~)/sqrt(2) and P_i = (a_i - a_i~)/(i sqrt(2))."""
-    if which not in ("X1", "X2"):
-        raise ValueError(f"which must be 'X1' or 'X2', got {which!r}")
+def _quadrature_diagonals(space: FockSpace, which: str):
+    """(offset, diagonal) of X1 = sum Q_i / sqrt(2n) or X2 = sum P_i / sqrt(2n),
+    from Q_i = (a_i + a_i~)/sqrt(2) and P_i = (a_i - a_i~)/(i sqrt(2)), each
+    diagonal built when it is asked for, in ascending offset order: the
+    raising diagonals of modes 0, 1, ... (strides descending), then the
+    lowering ones back.  Each product is taken in place, so building one
+    diagonal holds no second complex array."""
     scale = 1 / math.sqrt(2.0)
     weight = 1 / math.sqrt(2.0 * space.n)
-    diagonals = {}
-    # Each mode has its own stride, so no two modes share a diagonal.
-    for stride, w in _ladders(space):
+    ladders = _ladders(space)
+    for offset, w in [(-s, w) for s, w in ladders] + [(s, w) for s, w in reversed(ladders)]:
         if which == "X1":
-            diagonals[stride] = diagonals[-stride] = (w * scale) * weight
-        else:
-            diagonals[stride] = ((-1j * w) * scale) * weight
-            diagonals[-stride] = ((-1j * -w) * scale) * weight
-    return BandedOperator(space.dim, diagonals)
+            diag = w * scale
+        else:  # cast first: -1j * w would hold a cast buffer beside its result
+            diag = (-w if offset < 0 else w).astype(complex)
+            diag *= -1j
+            diag *= scale
+        diag *= weight
+        yield offset, diag
+        del diag  # as in _accumulate: not held while the next is built
 
 
 def variance_numeric(psi: FockTensor, which: str) -> float:
-    """<X^2> - <X>^2 for a collective quadrature, using truncated matrices.
+    """<X^2> - <X>^2 for a collective quadrature X1 or X2, using truncated
+    matrices.
 
-    Requires psi normalised within 1e-6; the second moment is evaluated
-    as |X psi|^2 (X is Hermitian), so no squared matrix is formed.
+    Requires psi normalised within 1e-6, a NaN norm refused too; the
+    second moment is evaluated as |X psi|^2 (X is Hermitian), so no
+    squared matrix is formed.  X psi is summed one diagonal at a time, in
+    the order ``BandedOperator.__matmul__`` sums, so the 2n diagonals are
+    never all held.
     """
-    if abs(psi.norm - 1.0) > 1e-6:
+    if which not in ("X1", "X2"):
+        raise ValueError(f"which must be 'X1' or 'X2', got {which!r}")
+    if not abs(psi.norm - 1.0) <= 1e-6:
         raise ValueError(f"state norm {psi.norm} deviates from 1 by more than 1e-6")
-    x_op = collective_quadrature(psi.space, which)
-    x_psi = x_op @ psi.amps
+    dtype = np.result_type(psi.amps, float if which == "X1" else complex)
+    x_psi = _accumulate(
+        np.zeros(psi.space.dim, dtype=dtype), _quadrature_diagonals(psi.space, which), psi.amps
+    )
     mean = float(np.vdot(psi.amps, x_psi).real)
     second = float(np.vdot(x_psi, x_psi).real)
     return second - mean**2
@@ -505,6 +544,7 @@ def wigner_numeric(psi: FockTensor, alpha: np.ndarray) -> float | np.ndarray:
         product = disp_dag[:, i] @ moved.reshape(m, base, -1)
         tensor = np.moveaxis(product.reshape(moved.shape), 1, i + 1)
     displaced = tensor.reshape(m, space.dim)
+    del moved, product, tensor  # the last two modes' products, each as large as displaced
     occs = occupation_table(space)
     boundary = np.any(occs == space.cutoff, axis=1)
     boundary_mass = np.sum(np.abs(displaced[:, boundary]) ** 2, axis=1)

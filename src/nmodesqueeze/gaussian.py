@@ -17,11 +17,18 @@ exp(-700) as exactly 0.  ``wigner_value_alpha`` takes complex amplitudes
 instead, one point of shape (n,) or rows (m, n), like ``wigner3_closed`` /
 ``wigner4_closed`` and the Fock oracle; all read them through ``alpha_rows``,
 which with that floor is all the closed forms share with the spectral route.
+
+``normalization_by_quadrature`` integrates W by a Gauss-Hermite rule whose
+nodes are the spectrum of the coordinate operator Q = (a + a~)/sqrt(2)
+truncated to deg oscillator levels (Golub & Welsch): a symmetric
+tridiagonal matrix, so the rule is computed here, bit for bit as
+numpy.polynomial's ``hermgauss`` computes it, without loading that package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -152,6 +159,50 @@ def wigner_value_alpha(wig: GaussianWigner, alpha: np.ndarray) -> float | np.nda
     return float(values[0]) if np.ndim(alpha) == 1 else values
 
 
+def _normed_hermite(x: np.ndarray, degree: int) -> np.ndarray:
+    """The orthonormal Hermite function of ``degree`` at x (without the
+    exp(-x^2 / 2)), by the three-term recurrence run down from the top so
+    nothing overflows; degree 0 is the constant pi^(-1/4)."""
+    if degree == 0:
+        return np.full(x.shape, 1 / np.sqrt(np.sqrt(np.pi)))
+    c0, c1 = 0.0, 1.0 / np.sqrt(np.sqrt(np.pi))
+    nd = float(degree)
+    for _ in range(degree - 1):
+        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(2.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x * np.sqrt(2)
+
+
+def _gauss_hermite(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the deg-point Gauss-Hermite rule for the weight
+    exp(-x^2), bit for bit those of ``numpy.polynomial.hermite.hermgauss``.
+
+    The nodes are the spectrum of the truncated coordinate operator
+    Q = (a + a~)/sqrt(2) on deg oscillator levels, the symmetric Jacobi
+    matrix with sqrt(k/2) beside its zero diagonal (Golub & Welsch, Math.
+    Comp. 23, 221 (1969)).  One Newton step on the normalised H_deg
+    refines them; each weight is 1 / h_(deg-1)(x)^2, scaled to sum to
+    sqrt(pi).  Both are symmetrised about 0.  A deg that is not an integer
+    is a TypeError, and deg <= 0 a ValueError.
+    """
+    try:
+        ideg = operator.index(deg)
+    except TypeError as exc:
+        raise TypeError(f"deg must be an integer, received {deg}") from exc
+    if ideg <= 0:
+        raise ValueError("deg must be a positive integer")
+    off = np.sqrt(0.5 * np.arange(1, ideg))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x -= _normed_hermite(x, ideg) / (_normed_hermite(x, ideg - 1) * np.sqrt(2 * ideg))
+    fm = _normed_hermite(x, ideg - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return x, w
+
+
 def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -> float:
     """Integrate W over all 2n phase-space axes by Gauss-Hermite quadrature.
 
@@ -165,7 +216,7 @@ def normalization_by_quadrature(wig: GaussianWigner, nodes_per_axis: int = 40) -
         raise ValueError("quadrature grid is only sensible for n <= 3")
     if wig.qWeights.ndim != 1 or wig.pWeights.ndim != 1:
         raise ValueError("weights must be one row, not one per point, for the quadrature")
-    nodes, weights = np.polynomial.hermite.hermgauss(nodes_per_axis)
+    nodes, weights = _gauss_hermite(nodes_per_axis)
     points = np.stack(np.meshgrid(*([nodes] * wig.n), indexing="ij"), axis=-1).reshape(-1, wig.n)
     point_weights = np.prod(np.stack(np.meshgrid(*([weights] * wig.n), indexing="ij")), axis=0)
     # each block sums exp(-xt (f(A) - I) x): the weight exp(-x^2) divided back out

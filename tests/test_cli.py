@@ -317,6 +317,24 @@ def test_verify_evolves_each_overlap_config_once(monkeypatch):
     assert sorted(evolved) == [2, 3]
 
 
+def test_verify_sums_each_gram_pair_once(monkeypatch):
+    """variances_closed_form, uncertainty_product and gram_sum_identity
+    share the Gram sums of each of the 7 x 7 sweep pairs within a run,
+    and a second run evaluates them again."""
+    summed = []
+    real = cp.sum_identities
+
+    def counting(kernel):
+        summed.append((kernel.coupling.n, kernel.lam))
+        return real(kernel)
+
+    monkeypatch.setattr(cp, "sum_identities", counting)
+    for _ in range(2):
+        summed.clear()
+        run_verification(seed=0)
+        assert len(summed) == len(set(summed)) == 49
+
+
 def test_verify_overlap_fails_on_a_scaled_two_photon_state(monkeypatch):
     """An analytic state over unit norm puts its overlap with the evolved
     state over 1: a deficit below 0 that used to pass.  ``two_photon_expand``
@@ -498,7 +516,7 @@ MATRIX_FUNCTION_BUILDS = [
     (RunConfig(command="state", n=5, lam=0.3), 2),
     (RunConfig(command="state", n=3, lam=0.3, cutoff=8), 2),
     (RunConfig(command="wigner", n=4, lam=0.3, grid=[("q1", -1.0, 1.0, 5)]), 0),
-    (RunConfig(command="verify", seed=0), 444),
+    (RunConfig(command="verify", seed=0), 248),
 ]
 
 

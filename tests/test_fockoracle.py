@@ -36,7 +36,7 @@ from nmodesqueeze.fockoracle import (
     FockOperator,
     _ladders,
     assemble_normal_form,
-    collective_quadrature,
+    normalized,
     occupation_table,
 )
 from nmodesqueeze.verification import CONFIG_OVERLAP_N2, CONFIG_OVERLAP_N3
@@ -129,6 +129,24 @@ def _ladder_ops(space):
     lowering = [BandedOperator(space.dim, {stride: w}) for stride, w in ladders]
     raising = [BandedOperator(space.dim, {-stride: w}) for stride, w in ladders]
     return lowering, raising
+
+
+def collective_quadrature(space, which):
+    """X1 = sum Q_i / sqrt(2n) or X2 = sum P_i / sqrt(2n) as one banded
+    matrix, from Q_i = (a_i + a_i~)/sqrt(2) and P_i = (a_i - a_i~)/(i sqrt(2)):
+    the whole operator that ``variance_numeric`` streams one diagonal at a
+    time, kept as its oracle."""
+    scale = 1 / math.sqrt(2.0)
+    weight = 1 / math.sqrt(2.0 * space.n)
+    diagonals = {}
+    # Each mode has its own stride, so no two modes share a diagonal.
+    for stride, w in _ladders(space):
+        if which == "X1":
+            diagonals[stride] = diagonals[-stride] = (w * scale) * weight
+        else:
+            diagonals[stride] = ((-1j * w) * scale) * weight
+            diagonals[-stride] = ((-1j * -w) * scale) * weight
+    return BandedOperator(space.dim, diagonals)
 
 
 def test_ladder_vacuum_expectation():
@@ -451,6 +469,74 @@ def test_variance_rejects_unnormalized():
         variance_numeric(vacuum(space), "X3")
 
 
+def _nan_vacuum(space):
+    psi = vacuum(space)
+    return psi._replace(amps=psi.amps * math.nan)
+
+
+def test_variance_refuses_nan_state():
+    """abs(nan - 1) > 1e-6 is False, so the norm check reads not <=."""
+    with pytest.raises(ValueError, match="deviates from 1"):
+        variance_numeric(_nan_vacuum(build_space(2, 3)), "X1")
+
+
+def test_tail_mass_of_nan_state_is_nan():
+    """max(0.0, nan) is 0.0: a NaN state would read as complete."""
+    assert math.isnan(tail_mass(_nan_vacuum(build_space(2, 3))))
+    assert tail_mass(vacuum(build_space(2, 3))) == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+def test_normalized_refuses_a_norm_that_is_not_positive_and_finite(scale):
+    psi = vacuum(build_space(2, 3))
+    amps = psi.amps.copy()
+    amps[0] = scale
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalized(psi._replace(amps=amps))
+    assert normalized(psi._replace(amps=psi.amps * 2.0)).amps.tobytes() == psi.amps.tobytes()
+
+
+def _variance_oracle(psi, which):
+    """The whole-operator variance: X psi from ``collective_quadrature``."""
+    x_psi = collective_quadrature(psi.space, which) @ psi.amps
+    return float(np.vdot(x_psi, x_psi).real) - float(np.vdot(psi.amps, x_psi).real) ** 2
+
+
+@pytest.mark.parametrize("config", [(3, 20, 0.5), (2, 8, 0.3)])
+@pytest.mark.parametrize("which", ["X1", "X2"])
+def test_variance_numeric_matches_whole_operator_bits(config, which):
+    """Streaming the diagonals sums each row in the whole operator's order."""
+    n, cutoff, lam = config
+    space = build_space(n, cutoff)
+    psi = normalized(two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(n), lam)), space))
+    assert variance_numeric(psi, which).hex() == _variance_oracle(psi, which).hex()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("which", ["X1", "X2"])
+def test_variance_numeric_holds_one_diagonal_at_a_time(which):
+    """At (3, 20, 0.5), dim 9261, with R = 8 dim bytes a real state-sized
+    array, the model holds at most 10 R at once: the 3 real ladders, X psi
+    (2 R), the diagonal just added (2 R) and the one being built (2 R,
+    plus -w, 1 R).  The bound gives one R of slack; the whole operator's
+    2n = 6 complex diagonals alone are 12 R.  (Measured: X2 read 9.98 R
+    first, then 8.98 R once the added diagonal is released before the next
+    is built; X1 reads 9.76 R, its real diagonal times the complex state
+    going through numpy's 128 KB cast buffer.)"""
+    n, cutoff, lam = 3, 20, 0.5
+    space = build_space(n, cutoff)
+    psi = normalized(two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(n), lam)), space))
+    assert _traced_peak(variance_numeric, psi, which) < 11 * 8 * space.dim
+
+
 def test_wigner_numeric_vacuum_origin():
     space = build_space(3, 4)
     assert wigner_numeric(vacuum(space), np.zeros(3)) == pytest.approx(math.pi**-3, rel=1e-12)
@@ -516,6 +602,21 @@ def test_wigner_numeric_rows_equal_point_calls(config):
     assert all(type(value) is float for value in singles)
     assert batched.tobytes() == np.array(singles).tobytes()
     assert batched.tolist() == [_wigner_numeric_loop(psi, alpha) for alpha in rows]
+
+
+def test_wigner_numeric_releases_each_mode_product():
+    """verify's parity config, (3, 8) with 20 points: with W = 20 dim 16
+    bytes one row stack, the mode loop holds 3 W (the previous mode's
+    product, the reshaped input, the new product) beside the 0.33 W
+    displacement stack, and the rows copied out of the last product must
+    not keep the last two products alive (4.7 W at 3.35 W measured).
+    The bound is 3.5 W."""
+    space = build_space(3, 8)
+    psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(3), 0.1)), space)
+    rng = np.random.default_rng(505)
+    rows = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+    rows *= 0.6 * rng.random((20, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    assert _traced_peak(wigner_numeric, psi, rows) < 3.5 * 20 * space.dim * 16
 
 
 def test_wigner_numeric_rows_raise_when_any_row_is_truncated():
@@ -638,9 +739,11 @@ def _loop_series(mat, start, space):
     return result
 
 
-@pytest.mark.parametrize("config", [(3, 5, 0.3), (4, 4, 0.2)])
+@pytest.mark.parametrize("config", [(3, 5, 0.3), (4, 4, 0.2), (3, 20, 0.5), (2, 30, 1.5)])
 def test_two_photon_expand_matches_loop_oracle_bits(config):
-    """F has a true diagonal at n = 3 and rounding-level entries off the ring at n = 4."""
+    """F has a true diagonal at n = 3 and rounding-level entries off the ring
+    at n = 4.  The oracle sums in complex arithmetic and divides by k; the
+    expansion runs in F's real arithmetic and scales by 1.0 / k."""
     n, cutoff, lam = config
     space = build_space(n, cutoff)
     state = squeezed_vacuum(build_kernel(build_coupling(n), lam))
@@ -648,6 +751,18 @@ def test_two_photon_expand_matches_loop_oracle_bits(config):
     quad = _loop_quadratic(state.F, 0.5, raising, raising)
     expected = state.norm * _loop_series(quad, vacuum(space).amps, space)
     assert two_photon_expand(state, space).amps.tobytes() == expected.tobytes()
+
+
+def test_two_photon_expand_stays_real_until_the_end():
+    """At (3, 20, 0.5), dim 9261, with R = 8 dim bytes a real state-sized
+    array, the model holds at most 11 R at once: F's 6 distinct pair
+    diagonals, the start vector, the partial sum, the previous term, the
+    new term and the product added into it.  The bound gives one R of
+    slack; in complex arithmetic the 5 vectors alone are 10 R."""
+    n, cutoff, lam = 3, 20, 0.5
+    space = build_space(n, cutoff)
+    state = squeezed_vacuum(build_kernel(build_coupling(n), lam))
+    assert _traced_peak(two_photon_expand, state, space) < 12 * 8 * space.dim
 
 
 def test_generator_matches_loop_oracle_bits():

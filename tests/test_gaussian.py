@@ -26,7 +26,7 @@ from nmodesqueeze import (
     wigner_values,
 )
 from nmodesqueeze.fockoracle import build_space, two_photon_expand, wigner_numeric
-from nmodesqueeze.gaussian import _FORM_BLOCK, LOG_FLOOR, wigner_from_coupling
+from nmodesqueeze.gaussian import _FORM_BLOCK, LOG_FLOOR, _gauss_hermite, wigner_from_coupling
 
 SWEEP_N = range(2, 9)
 SWEEP_LAMBDA = (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0)
@@ -245,6 +245,25 @@ def test_normalization_by_quadrature():
     assert normalization_by_quadrature(wig, nodes_per_axis=40) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         normalization_by_quadrature(_wigner(4, 0.1))
+
+
+def test_gauss_hermite_rule_is_numpys_bit_for_bit():
+    """The local rule replaces numpy.polynomial's, which the oracles below
+    still use; deg 1 is the branch where H_(deg-1) is a constant."""
+    for deg in range(1, 101):
+        local, numpy_rule = _gauss_hermite(deg), np.polynomial.hermite.hermgauss(deg)
+        for ours, theirs in zip(local, numpy_rule):
+            assert ours.tobytes() == theirs.tobytes(), deg
+
+
+@pytest.mark.parametrize("deg", [0, -3, 2.5, "4"])
+def test_gauss_hermite_rule_raises_numpys_errors(deg):
+    raised = []
+    for rule in (_gauss_hermite, np.polynomial.hermite.hermgauss):
+        with pytest.raises((TypeError, ValueError)) as info:
+            rule(deg)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def _tensor_grid_normalization(n, lam, nodes_per_axis):

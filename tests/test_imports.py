@@ -1,7 +1,7 @@
 """What importing the package costs: importing the cli and running
 variances or baseline load no numpy at all, the Fock oracle loads only
-when a command needs it, no command loads scipy or numpy.random, only
-verify loads numpy.polynomial, importing the cli loads no package
+when a command needs it, no command loads scipy, numpy.random or
+numpy.polynomial, importing the cli loads no package
 module but errors, each command loads only the package modules and the
 parts of numpy and the stdlib it reads, normalform and gaussian import
 neither each other nor more than they read, and every re-exported name
@@ -23,9 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # A top-level name here also covers its submodules ("scipy" covers "scipy.sparse");
 # a dotted name is listed alone, and loading any of its submodules loads it too.
 # numpy.random (which pulls in secrets and _hashlib) and numpy.polynomial add
-# import time and peak RSS to a cold start: no command needs numpy.random,
-# since verify draws from the stdlib random.Random, and only verify needs
-# numpy.polynomial.
+# import time and peak RSS to a cold start, and no command needs either:
+# verify draws from the stdlib random.Random and takes its Gauss-Hermite
+# rule from gaussian.
 HEAVY = (
     "scipy",
     "numpy.polynomial",
@@ -215,11 +215,7 @@ def test_verify_loads_no_scipy():
     # nor numpy.random, nor the OpenSSL chain it brings
     stages = _loaded_modules(["verify"], (*HEAVY, "secrets", "_hashlib"))
     assert stages["import nmodesqueeze.cli"] == []
-    assert stages["main"] == [
-        "nmodesqueeze.fockoracle",
-        "nmodesqueeze.verification",
-        "numpy.polynomial",
-    ]
+    assert stages["main"] == ["nmodesqueeze.fockoracle", "nmodesqueeze.verification"]
 
 
 def test_verify_prints_the_same_bytes_in_fresh_processes():

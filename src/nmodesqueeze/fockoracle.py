@@ -32,8 +32,11 @@ which IWOP (integration within an ordered product) turns into the
 substitution a_i~ -> sum_j (I + X)_ji a_j~.  Wigner values come from the
 displaced-parity expectation
     W(alpha) = pi^-n <psi| D(alpha) (-1)^N D(alpha)~ |psi>,
-with the displacement factored into per-mode unitaries.  Only numpy is
-needed.
+with the displacement factored over modes.  Each mode's factor is
+diagonal in the truncated coordinate representation, Dirac's Q basis, once
+its phase is turned out, so one real eigenbasis of the truncated
+a + a~ serves every row and mode, and no complex matrix is diagonalised.
+Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -500,19 +503,39 @@ def variance_numeric(psi: FockTensor, which: str) -> float:
     return second - mean**2
 
 
-def _single_mode_displacements(alpha: np.ndarray, cutoff: int) -> np.ndarray:
-    """exp(alpha_k a~ - conj(alpha_k) a) on one truncated mode for each entry
-    of the 1-D array alpha, as a (len(alpha), cutoff + 1, cutoff + 1) stack
-    from one stacked eigh.
+def _coordinate_factors(
+    rows: np.ndarray, cutoff: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coordinate-representation factors of D(alpha_i)~ for every entry
+    of the (m, n) rows: (v, turns, kicks), with v a real (cutoff + 1)^2
+    matrix and turns and kicks (m, n, cutoff + 1) complex arrays.
 
-    The truncated generators stay anti-Hermitian, so each matrix is
-    exactly unitary on the truncated mode.
+    J = a + a~ on one truncated mode is real, symmetric and tridiagonal
+    (sqrt(k) beside a zero diagonal), so one real eigh gives
+    J = v diag(x) v~ for every row and mode: v is the truncated coordinate
+    representation (J = sqrt(2) Q).  With beta = -alpha_i = r e^(i phi)
+    and Theta = diag(e^(i k (phi + pi/2))), Theta a Theta~ = -i e^(-i phi) a,
+    so the truncated beta a~ - conj(beta) a is r Theta (-i J) Theta~ and
+        D(alpha_i)~ = D(beta) = Theta v diag(e^(-i r x)) v~ Theta~,
+    the exponential of the same anti-Hermitian truncated generator, hence
+    exactly unitary.  turns holds the entries of Theta~, kicks those of
+    diag(e^(-i r x)).
     """
-    low = np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1).astype(complex)
-    alpha = alpha[:, None, None]
-    gen = alpha * low.T - np.conj(alpha) * low
-    w, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    off = np.sqrt(np.arange(1.0, cutoff + 1.0))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    beta = -rows[..., None]
+    turns = np.exp(-1j * (np.angle(beta) + math.pi / 2) * np.arange(cutoff + 1.0))
+    kicks = np.exp(-1j * np.abs(beta) * x)
+    return v, turns, kicks
+
+
+def _contract_levels(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """mat @ blocks along the level axis of the complex (m, outer, level,
+    inner) blocks, for a real mat: one real product on the float pairs
+    that view the complex entries, into a new array of the same shape."""
+    m, outer, levels, inner = blocks.shape
+    pairs = blocks.view(float).reshape(m * outer, levels, 2 * inner)
+    return (mat @ pairs).view(complex).reshape(blocks.shape)
 
 
 def wigner_numeric(psi: FockTensor, alpha: np.ndarray) -> float | np.ndarray:
@@ -520,9 +543,15 @@ def wigner_numeric(psi: FockTensor, alpha: np.ndarray) -> float | np.ndarray:
 
     alpha is one point, shape (n,), giving a float, or one point per row,
     shape (m, n), giving an array of m values; each row gets the bits of
-    its own one-point call.  The displacement factorises over modes, so
-    D(alpha)~ psi is computed by contracting one small per-mode unitary
-    along each tensor axis, every row at once.
+    its own one-point call, and zero rows give an empty array.  The
+    displacement factorises over modes, and each mode's factor is diagonal
+    in the truncated coordinate representation once its phase is turned
+    out (``_coordinate_factors``): one real eigenbasis serves every row and
+    mode.  D(alpha)~ psi is applied mode by mode, every row at once: turn
+    the phases, contract with v~ as a real product, kick by e^(-i r x),
+    contract with v.  The output phases Theta are left off: each is
+    diagonal on its own mode's axis, so it commutes with the later modes'
+    steps, and the boundary mass and parity sum read only |amplitude|^2.
 
     Raises
     ------
@@ -534,20 +563,25 @@ def wigner_numeric(psi: FockTensor, alpha: np.ndarray) -> float | np.ndarray:
     space = psi.space
     rows = alpha_rows(alpha, space.n)
     m, base = len(rows), space.cutoff + 1
-    disp_dag = _single_mode_displacements(-rows.reshape(-1), space.cutoff).reshape(
-        m, space.n, base, base
-    )
-    tensor = np.broadcast_to(psi.amps, (m, space.dim)).reshape((m,) + (base,) * space.n)
+    v, turns, kicks = _coordinate_factors(rows, space.cutoff)
+    # one complex copy per row, cast once: every product below is in place
+    # or a real one on its float pairs
+    tensor = np.empty((m, space.dim), dtype=complex)
+    tensor[:] = psi.amps
     for i in range(space.n):
-        # mode i's axis first after the row axis, the other modes flattened
-        moved = np.moveaxis(tensor, i + 1, 1)
-        product = disp_dag[:, i] @ moved.reshape(m, base, -1)
-        tensor = np.moveaxis(product.reshape(moved.shape), 1, i + 1)
-    displaced = tensor.reshape(m, space.dim)
-    del moved, product, tensor  # the last two modes' products, each as large as displaced
+        # mode i's levels between the modes before it and those after it
+        tensor = tensor.reshape(m, base**i, base, base ** (space.n - 1 - i))
+        tensor *= turns[:, i, None, :, None]
+        tensor = _contract_levels(v.T, tensor)
+        tensor *= kicks[:, i, None, :, None]
+        tensor = _contract_levels(v, tensor)
+    # |amplitude|^2 of every displaced state, made while only they are held
+    weights = np.abs(tensor.reshape(m, space.dim))
+    del tensor
+    np.square(weights, out=weights)
     occs = occupation_table(space)
     boundary = np.any(occs == space.cutoff, axis=1)
-    boundary_mass = np.sum(np.abs(displaced[:, boundary]) ** 2, axis=1)
+    boundary_mass = np.sum(weights[:, boundary], axis=1)
     over = np.flatnonzero(boundary_mass > MAX_BOUNDARY_MASS)
     if over.size:
         row = int(over[0])
@@ -556,7 +590,7 @@ def wigner_numeric(psi: FockTensor, alpha: np.ndarray) -> float | np.ndarray:
             f"displaced state has {boundary_mass[row]:.3e} mass on the cutoff shell{where}"
         )
     parity = 1.0 - 2.0 * (np.sum(occs, axis=1) % 2)
-    values = math.pi ** (-space.n) * np.sum(parity * np.abs(displaced) ** 2, axis=1)
+    values = math.pi ** (-space.n) * np.sum(parity * weights, axis=1)
     return float(values[0]) if np.ndim(alpha) == 1 else values
 
 

@@ -232,14 +232,17 @@ def _per_row(lam, coefficients, rows: np.ndarray) -> tuple:
     (m,), one lambda per alpha row, stacked into (m,) arrays: columns that
     broadcast over the rows either way.  Every lambda goes through the same
     math calls, so each row keeps the bits of the call at its own lambda.
-    A non-finite lambda, or row of lambdas, is a ParameterRangeError."""
+    No rows give (0,) columns.  A non-finite lambda, or row of lambdas, is
+    a ParameterRangeError."""
     lams = np.asarray(lam, dtype=float)
     if lams.shape not in ((), rows.shape[:1]):
         raise ValueError(f"lambda must be a scalar or hold one value per alpha row ({len(rows)})")
     values = lams.reshape(-1).tolist()
     for value in values:
         check_lambda(value)
-    return tuple(np.array(col) for col in zip(*map(coefficients, values)))
+    # lambda = 0 stands in for an empty row of lambdas, to count the columns
+    table = np.array([coefficients(value) for value in values or [0.0]])[: len(values)]
+    return tuple(np.array(col) for col in table.T)
 
 
 def _wigner3_coefficients(lam: float) -> tuple[float, float, float, float]:

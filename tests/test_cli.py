@@ -1338,12 +1338,12 @@ STATE_NO_AMPLITUDES = {"command": "state", "n": 64, "lam": 20.0, "cutoff": 0}
 PINNED_DOCUMENTS = [
     pytest.param(
         RunConfig(command="verify", seed=0),
-        "0f0aee1b5a3165bbd241941c3f0da853606906fb61325d56418462580b448324",
+        "2bd84c85ceca0a3b6362fbea309c082a91325995e1eb697b93cef96dfc15c23d",
         id="verify-seed0",
     ),
     pytest.param(
         RunConfig(command="verify", seed=7),
-        "7adc1e13a9d51ba16bc8df03eff1c2c680b5ad13bdc5e90d8db3b6be89aca8b9",
+        "1afe4a240e8a1cbe3de2a9b85a73aa8e41aa39a987838a1c8671cb0079329d6f",
         id="verify-seed7",
     ),
     pytest.param(
@@ -1357,9 +1357,9 @@ PINNED_DOCUMENTS = [
         pytest.param(RunConfig(**config, fmt=fmt), digest, id=f"{name}-{fmt}")
         for name, config, fmt, digest in [
             ("verify-seed0", {"command": "verify", "seed": 0}, "csv",
-             "4d94979421db57def847a321078211a823913ea866a3111c8398135c117d8f58"),
+             "a20c6a5f812958583aecec4cce09fedd4a06779f51f8e49f61de1c33b7a39eb3"),
             ("verify-seed7", {"command": "verify", "seed": 7}, "csv",
-             "1fea3ddf3386298e74db234aee86db588aaad11805efb8c67c6cc48610d881c0"),
+             "96f3f66624d3380183b64aa796225d426e15fae557326557f7d28785ee2e257e"),
             ("variances", VARIANCES, "json",
              "a6068e892569cf2cfa42e1630c2c5b8daf48d755585d7d4db3547ea21aa2a681"),
             ("variances", VARIANCES, "csv",

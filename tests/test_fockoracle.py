@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from nmodesqueeze import (
+    FockTensor,
     NumericFailureError,
     ParameterRangeError,
     ResourceLimitError,
@@ -27,6 +28,8 @@ from nmodesqueeze import (
     two_photon_expand,
     vacuum,
     variance_numeric,
+    wigner3_closed,
+    wigner4_closed,
     wigner_from_kernel,
     wigner_numeric,
     wigner_value_alpha,
@@ -34,12 +37,13 @@ from nmodesqueeze import (
 from nmodesqueeze.fockoracle import (
     BandedOperator,
     FockOperator,
+    _coordinate_factors,
     _ladders,
     assemble_normal_form,
     normalized,
     occupation_table,
 )
-from nmodesqueeze.verification import CONFIG_OVERLAP_N2, CONFIG_OVERLAP_N3
+from nmodesqueeze.verification import CONFIG_OVERLAP_N2, CONFIG_OVERLAP_N3, run_verification
 
 # scipy appears only here, as the oracle the banded operators and the
 # in-package propagator are held to.
@@ -573,8 +577,9 @@ def test_wigner_numeric_matches_gaussian_at_random_points():
 
 
 def _wigner_numeric_loop(psi, alpha):
-    """One point, one mode at a time: a tensordot of each per-mode unitary,
-    built by its own eigh, along that mode's axis."""
+    """One point, one mode at a time, by the route the coordinate one
+    replaced: a tensordot of each per-mode unitary, built by its own
+    complex eigh, along that mode's axis.  Kept as the independent oracle."""
     space = psi.space
     low = np.diag(np.sqrt(np.arange(1.0, space.cutoff + 1.0)), 1).astype(complex)
     tensor = psi.amps.reshape((space.cutoff + 1,) * space.n)
@@ -588,34 +593,136 @@ def _wigner_numeric_loop(psi, alpha):
     return math.pi ** (-space.n) * float(np.sum(parity * np.abs(tensor.reshape(-1)) ** 2))
 
 
-@pytest.mark.parametrize("config", [(3, 8, 0.1), (2, 20, 0.2)])
+def _coordinate_wigner_loop(psi, alpha):
+    """The coordinate route restated for one point, one mode and one slab
+    of the modes before it at a time: turn the phases, a real product with
+    v~ on the float pairs of the slab, the kick, a real product with v."""
+    space = psi.space
+    base = space.cutoff + 1
+    off = np.sqrt(np.arange(1.0, base))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    tensor = psi.amps.astype(complex)
+    for i in range(space.n):
+        beta = -alpha[i]
+        turn = np.exp(-1j * (np.angle(beta) + math.pi / 2) * np.arange(float(base)))
+        kick = np.exp(-1j * np.abs(beta) * x)
+        slabs = tensor.reshape(base**i, base, -1)
+        for slab in slabs:
+            slab *= turn[:, None]
+            slab[:] = (v.T @ slab.view(float)).view(complex)
+            slab *= kick[:, None]
+            slab[:] = (v @ slab.view(float)).view(complex)
+    occs = occupation_table(space)
+    parity = 1.0 - 2.0 * (np.sum(occs, axis=1) % 2)
+    return math.pi ** (-space.n) * float(np.sum(parity * np.abs(tensor) ** 2))
+
+
+def _wigner_rows(rng, m, n):
+    rows = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    return rows * (0.6 * rng.random((m, 1)) / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("config", [(3, 8, 0.1), (2, 20, 0.2), (1, 12, 0.0), (4, 6, 0.1)])
 def test_wigner_numeric_rows_equal_point_calls(config):
+    """Batched rows keep the bits of single-point calls and of the loop
+    restatement of the coordinate route.  The complex-eigh oracle agrees
+    within 1e-14: each per-mode unitary matches it within about 1e-14 up
+    to cutoff 30, so the n modes move a parity sum of unit weight by at
+    most 2n times that, scaled by pi^-n."""
     n, cutoff, lam = config
     space = build_space(n, cutoff)
-    psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(n), lam)), space)
-    rng = np.random.default_rng(505)
-    rows = rng.normal(size=(12, n)) + 1j * rng.normal(size=(12, n))
-    rows *= 0.6 * rng.random((12, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    if n == 1:
+        psi = vacuum(space)
+    else:
+        psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(n), lam)), space)
+    rows = _wigner_rows(np.random.default_rng(505), 12, n)
     batched = wigner_numeric(psi, rows)
     assert isinstance(batched, np.ndarray) and batched.shape == (12,)
     singles = [wigner_numeric(psi, alpha) for alpha in rows]
     assert all(type(value) is float for value in singles)
     assert batched.tobytes() == np.array(singles).tobytes()
-    assert batched.tolist() == [_wigner_numeric_loop(psi, alpha) for alpha in rows]
+    assert batched.tolist() == [_coordinate_wigner_loop(psi, alpha) for alpha in rows]
+    oracle = [_wigner_numeric_loop(psi, alpha) for alpha in rows]
+    assert np.max(np.abs(batched - oracle)) < 1e-14
+
+
+def test_coordinate_factors_match_expm_of_the_truncated_generator():
+    """Theta v diag(kick) v~ Theta~ from the factors equals scipy's expm of
+    beta a~ - conj(beta) a, beta = -alpha, on cutoff + 1 levels, and is
+    unitary, for cutoffs 0-30 and |alpha| <= 3.  expm's own error is a few
+    eps times the generator's 1-norm (at most 2 * 3 * sqrt(30), about 33),
+    so 1e-13 holds both."""
+    alpha = np.array([[0.0, 0.4 - 0.3j, -1.2 + 2.1j, 3j, -3.0, 2.1 + 2.1j, 1e-9]])
+    for cutoff in range(31):
+        low = np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1)
+        v, turns, kicks = _coordinate_factors(alpha, cutoff)
+        for a, turn, kick in zip(alpha[0], turns[0], kicks[0]):
+            disp = (np.conj(turn)[:, None] * (v * kick) @ v.T) * turn
+            exact = expm(-a * low.T + np.conj(a) * low)
+            assert np.max(np.abs(disp - exact)) < 1e-13, (cutoff, a)
+            assert np.max(np.abs(disp @ disp.conj().T - np.eye(cutoff + 1))) < 1e-13
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+def test_wigner_numeric_real_and_single_amplitudes_match_their_complex_cast(dtype):
+    """A hand-built tensor with real or complex64 amplitudes gives its
+    complex128 cast's values bit for bit: real entries are never paired up
+    as one complex number."""
+    space = build_space(3, 8)
+    psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(3), 0.1)), space)
+    amps = psi.amps.real if dtype is np.float64 else psi.amps
+    narrow = FockTensor(space, amps.astype(dtype))
+    cast = FockTensor(space, narrow.amps.astype(complex))
+    rows = _wigner_rows(np.random.default_rng(606), 5, 3)
+    assert wigner_numeric(narrow, rows).tobytes() == wigner_numeric(cast, rows).tobytes()
+    assert wigner_numeric(narrow, rows[0]) == wigner_numeric(cast, rows[0])
+
+
+def test_wigner_evaluators_give_empty_arrays_for_zero_rows():
+    kernel = build_kernel(build_coupling(3), 0.1)
+    psi = two_photon_expand(squeezed_vacuum(kernel), build_space(3, 4))
+    values = [
+        wigner_numeric(psi, np.zeros((0, 3))),
+        wigner_value_alpha(wigner_from_kernel(kernel), np.zeros((0, 3))),
+    ]
+    for lam in (0.1, np.zeros(0)):  # one lambda, or one per row
+        values += [wigner3_closed(lam, np.zeros((0, 3))), wigner4_closed(lam, np.zeros((0, 4)))]
+    for value in values:
+        assert isinstance(value, np.ndarray) and value.shape == (0,) and value.dtype == float
+
+
+def test_verify_makes_no_complex_lapack_call(monkeypatch):
+    """Pins how the parity oracle works, on any machine: no complex array
+    reaches a dense LAPACK routine in a whole verify run, and
+    ``wigner_numeric`` diagonalises once per call, whatever its rows."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "solve", "inv", "det"):
+
+        def wrapped(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, any(np.iscomplexobj(arg) for arg in args)))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    assert run_verification(seed=0).overall == "pass"
+    assert calls and not [call for call in calls if call[1]]
+    space = build_space(3, 8)
+    psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(3), 0.1)), space)
+    for m in (1, 20):
+        calls.clear()
+        wigner_numeric(psi, _wigner_rows(np.random.default_rng(m), m, 3))
+        assert calls == [("eigh", False)]
 
 
 def test_wigner_numeric_releases_each_mode_product():
     """verify's parity config, (3, 8) with 20 points: with W = 20 dim 16
-    bytes one row stack, the mode loop holds 3 W (the previous mode's
-    product, the reshaped input, the new product) beside the 0.33 W
-    displacement stack, and the rows copied out of the last product must
-    not keep the last two products alive (4.7 W at 3.35 W measured).
-    The bound is 3.5 W."""
+    bytes one row stack, each mode holds at most 2 W (its input and the
+    product it becomes, the phases and kicks taken in place), and the
+    squared moduli are taken once the displaced rows are all that is
+    held.  The bound is 3.5 W (the complex-eigh route read 3.35 W; this
+    one reads 2.08 W)."""
     space = build_space(3, 8)
     psi = two_photon_expand(squeezed_vacuum(build_kernel(build_coupling(3), 0.1)), space)
-    rng = np.random.default_rng(505)
-    rows = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
-    rows *= 0.6 * rng.random((20, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = _wigner_rows(np.random.default_rng(505), 20, 3)
     assert _traced_peak(wigner_numeric, psi, rows) < 3.5 * 20 * space.dim * 16
 
 
